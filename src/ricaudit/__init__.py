@@ -45,7 +45,6 @@ from .versions import (
     bundled_advisories,
     parse_version,
 )
-from .cluster import ClusterEndpoint, fetch_resources
 from .report import AuditResult, exit_code, render_json, render_table
 
 __all__ = [
@@ -92,3 +91,12 @@ __all__ = [
     "render_json",
     "render_table",
 ]
+
+
+def __getattr__(name: str):
+    # The cluster client pulls in `requests`; load it only when asked for.
+    if name in ("ClusterEndpoint", "fetch_resources"):
+        from . import cluster
+
+        return getattr(cluster, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,10 +13,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
+from . import yamlio
 from .compliance import Control, Framework
-from .errors import CatalogError, IoError
+from .errors import CatalogError, InvalidYaml, IoError
 from .rules import Rule, rule_from_mapping
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
@@ -98,12 +97,10 @@ def parse_catalog(raw: Mapping[str, Any], origin: str = "<catalog>") -> CatalogB
 def load_catalog_file(path: str | Path) -> CatalogBundle:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = yamlio.load(path.read_bytes())
     except OSError as exc:
         raise IoError(f"cannot read catalog {path}: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except InvalidYaml as exc:
         raise CatalogError(f"{path}: invalid YAML: {exc}") from exc
     return parse_catalog(raw, origin=str(path))
 
@@ -114,7 +111,7 @@ def data_path(*parts: str) -> Path:
 
 
 def _load_data_yaml(*parts: str) -> Any:
-    return yaml.safe_load(data_path(*parts).read_text(encoding="utf-8"))
+    return yamlio.load(data_path(*parts).read_bytes())
 
 
 @lru_cache(maxsize=1)
@@ -154,10 +151,10 @@ def load_inventory(path: str | Path) -> list[tuple[str, str]]:
     """Read a component inventory file: a YAML list of {component, version}."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yamlio.load(path.read_bytes())
     except OSError as exc:
         raise IoError(f"cannot read inventory {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except InvalidYaml as exc:
         raise IoError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, list):
         raise IoError(f"{path}: inventory must be a list of {{component, version}} entries")

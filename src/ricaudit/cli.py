@@ -17,12 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import yaml
-
-from . import __version__
+from . import __version__, yamlio
 from .catalogs import load_inventory
-from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources
-from .errors import AuditError, IoError
+from .errors import AuditError, InvalidYaml, IoError
 from .fixtures import verify_fixtures
 from .manifests import DirectoryLoad
 from .pipeline import (
@@ -113,9 +110,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values: Mapping[str, Any] = {}
     if getattr(args, "config", None):
         try:
-            raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
+            raw = yamlio.load(Path(args.config).read_bytes())
         except OSError as exc:
             raise IoError(f"cannot read config {args.config}: {exc}") from exc
+        except InvalidYaml as exc:
+            raise IoError(f"config {args.config}: invalid YAML: {exc}") from exc
         if raw is not None and not isinstance(raw, Mapping):
             raise IoError(f"config {args.config} must be a mapping")
         file_values = raw or {}
@@ -147,6 +146,9 @@ def _gather_resources(config: RunConfig, catalogs: Catalogs) -> DirectoryLoad:
     for failure in load.errors:
         _diag(f"parse error in {failure.file_path}: {failure.error}")
     if config.endpoint:
+        # Imported here so that file-only runs never load `requests`.
+        from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources
+
         token = os.environ.get(config.token_env) if config.token_env else None
         endpoint = ClusterEndpoint(
             base_url=config.endpoint,

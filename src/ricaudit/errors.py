@@ -11,7 +11,15 @@ class AuditError(Exception):
     """Base class for all ricaudit errors."""
 
 
-# --- manifest parsing ---------------------------------------------------
+# --- YAML and manifest parsing ------------------------------------------
+
+
+class InvalidYaml(AuditError):
+    """A YAML stream is not UTF-8, not valid YAML, or nested too deep."""
+
+    def __init__(self, reason: str, document_index: int = 0):
+        self.document_index = document_index
+        super().__init__(reason)
 
 
 class MalformedDocument(AuditError):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
+from . import yamlio
 from .catalogs import data_path, load_inventory
 from .errors import FixtureDrift, IoError
 from .pipeline import (
@@ -40,7 +39,7 @@ def fixture_root() -> Path:
 def load_index(root: str | Path | None = None) -> Mapping[str, Any]:
     index_path = Path(root or fixture_root()) / "index.yaml"
     try:
-        return yaml.safe_load(index_path.read_text(encoding="utf-8"))
+        return yamlio.load(index_path.read_bytes())
     except OSError as exc:
         raise IoError(f"cannot read fixture index {index_path}: {exc}") from exc
 

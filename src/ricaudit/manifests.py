@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-import yaml
-
-from .errors import IoError, MalformedDocument, MissingKind, MissingName
+from . import yamlio
+from .errors import InvalidYaml, IoError, MalformedDocument, MissingKind, MissingName
 
 MANIFEST_EXTENSIONS = {".yaml", ".yml", ".json"}
 
@@ -119,33 +118,21 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
     empty and comment-only documents are skipped silently. `document_index`
     is the document's position in the stream, counting skipped documents.
 
-    Raises MalformedDocument on syntax errors, MissingKind / MissingName on
-    structurally valid documents that are not Kubernetes objects.
+    Raises MalformedDocument on bad UTF-8, syntax errors and nesting deeper
+    than yamlio.MAX_DEPTH, MissingKind / MissingName on structurally valid
+    documents that are not Kubernetes objects.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(origin, 0, f"not valid UTF-8: {exc}") from exc
-
     documents: list[ResourceDocument] = []
-    loader = yaml.safe_load_all(text)
-    index = 0
-    while True:
-        try:
-            raw = next(loader)
-        except StopIteration:
-            break
-        except yaml.YAMLError as exc:
-            raise MalformedDocument(origin, index, str(exc).replace("\n", " ")) from exc
-        if raw is None or raw == {} or raw == "":
-            index += 1
-            continue
-        if _is_list_object(raw):
-            documents.extend(_flatten_list(raw, origin, index))
-        else:
-            documents.append(document_from_mapping(raw, origin, index))
-        index += 1
+    try:
+        for index, raw in enumerate(yamlio.load_all(text)):
+            if raw is None or raw == {} or raw == "":
+                continue
+            if _is_list_object(raw):
+                documents.extend(_flatten_list(raw, origin, index))
+            else:
+                documents.append(document_from_mapping(raw, origin, index))
+    except InvalidYaml as exc:
+        raise MalformedDocument(origin, exc.document_index, str(exc)) from exc
     return documents
 
 

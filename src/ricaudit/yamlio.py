@@ -1,0 +1,112 @@
+"""The one YAML loader behind every input the toolkit reads.
+
+Manifests, catalogs, inventories, config files and the fixture index all
+load through `load` / `load_all`. The loader is libyaml's safe loader when
+PyYAML was built with it and PyYAML's pure-Python safe loader otherwise;
+both produce the same trees for the shipped data. Where they disagree on
+odd input the libyaml behaviour is kept (see tests/test_yamlio.py).
+
+libyaml composes nodes recursively on the C stack, so a deeply nested
+document can kill the process with a segmentation fault. Before anything
+is composed, the event stream (which libyaml parses with a heap-allocated
+state stack) is scanned and a document nested deeper than MAX_DEPTH is
+rejected. Every failure is raised as InvalidYaml with a one-line message
+and the index of the offending document in the stream.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterator
+
+import yaml
+
+from .errors import InvalidYaml
+
+Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+MAX_DEPTH = 256
+
+_NESTING_STEP = {
+    yaml.MappingStartEvent: 1,
+    yaml.SequenceStartEvent: 1,
+    yaml.MappingEndEvent: -1,
+    yaml.SequenceEndEvent: -1,
+}
+
+
+def _decode(data: bytes | str) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidYaml(f"not valid UTF-8: {exc}") from exc
+
+
+def _first_too_deep(text: str) -> int | None:
+    """Index of the first document nested deeper than MAX_DEPTH, or None.
+
+    A syntax error ends the scan quietly, so that the loader raises it at
+    the document where it occurs instead of a depth error pre-empting it.
+    """
+    depth, index = 0, -1
+    parser = Loader(text)
+    try:
+        for event in iter(parser.get_event, None):
+            step = _NESTING_STEP.get(type(event))
+            if step is None:
+                if type(event) is yaml.DocumentStartEvent:
+                    index += 1
+                continue
+            depth += step
+            if depth > MAX_DEPTH:
+                return index
+    except yaml.YAMLError:
+        pass
+    finally:
+        parser.dispose()
+    return None
+
+
+def _one_line(exc: Exception) -> str:
+    if isinstance(exc, yaml.MarkedYAMLError):
+        parts = [
+            text + (f" at line {mark.line + 1}, column {mark.column + 1}" if mark else "")
+            for text, mark in ((exc.context, exc.context_mark), (exc.problem, exc.problem_mark))
+            if text
+        ]
+        if parts:
+            return "; ".join(parts)
+    return " ".join(str(exc).split())
+
+
+def load_all(data: bytes | str) -> Iterator[Any]:
+    """Yield each document of a (possibly multi-document) stream in order.
+
+    Empty documents yield None. Raises InvalidYaml, carrying the index of
+    the document at fault, on bad UTF-8, a syntax or construction error, or
+    nesting deeper than MAX_DEPTH; earlier documents are yielded first.
+    """
+    text = _decode(data)
+    too_deep = _first_too_deep(text)
+    loader = Loader(text)
+    index = 0
+    try:
+        while loader.check_data():
+            if index == too_deep:
+                raise InvalidYaml(f"nesting deeper than {MAX_DEPTH} levels", index)
+            yield loader.get_data()
+            index += 1
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an explicit tag whose value does not convert (!!int x).
+        raise InvalidYaml(_one_line(exc), index) from exc
+    finally:
+        loader.dispose()
+
+
+def load(data: bytes | str) -> Any:
+    """The stream's single document (None for an empty stream)."""
+    documents = list(load_all(data))
+    if len(documents) > 1:
+        raise InvalidYaml(f"expected a single document, found {len(documents)}", 1)
+    return documents[0] if documents else None

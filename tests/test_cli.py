@@ -306,6 +306,15 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "scan", "--config", str(config))
         assert code == 1
 
+    def test_invalid_yaml_config_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("fail_on: [unclosed\n")
+        code, out, err = run_cli(capsys, "scan", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "invalid YAML" in err
+
 
 class TestUserCatalogs:
     def test_extra_rule_catalog(self, capsys, tmp_path, hardened_manifests):
