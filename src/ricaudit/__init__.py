@@ -31,6 +31,7 @@ from .vulns import (
 from .compliance import (
     Control,
     ControlResult,
+    Evidence,
     Framework,
     FrameworkScore,
     bundled_frameworks,
@@ -73,6 +74,7 @@ __all__ = [
     "parse_scan_report",
     "Control",
     "ControlResult",
+    "Evidence",
     "Framework",
     "FrameworkScore",
     "bundled_frameworks",

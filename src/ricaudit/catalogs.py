@@ -11,25 +11,22 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from . import yamlio
 from .compliance import Control, Framework
 from .errors import CatalogError, InvalidYaml, IoError
-from .rules import Rule, rule_from_mapping
+from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
 
 @dataclass
 class CatalogBundle:
+    """Rules, frameworks and advisories from one catalog file or a whole run."""
+
     rules: list[Rule] = field(default_factory=list)
     frameworks: list[Framework] = field(default_factory=list)
     advisories: list[AdvisoryEntry] = field(default_factory=list)
-
-    def merge(self, other: "CatalogBundle") -> None:
-        self.rules.extend(other.rules)
-        self.frameworks.extend(other.frameworks)
-        self.advisories.extend(other.advisories)
 
 
 def _framework_from_mapping(raw: Mapping[str, Any]) -> Framework:
@@ -48,11 +45,7 @@ def _framework_from_mapping(raw: Mapping[str, Any]) -> Framework:
         raise CatalogError(f"framework {raw.get('id')!r}: missing field {exc}") from exc
     if not controls:
         raise CatalogError(f"framework {framework_id}: controls must be non-empty")
-    seen: set[str] = set()
-    for control in controls:
-        if control.control_id in seen:
-            raise CatalogError(f"framework {framework_id}: duplicate control {control.control_id}")
-        seen.add(control.control_id)
+    reject_duplicates((c.control_id for c in controls), f"framework {framework_id}: duplicate control")
     return Framework(id=framework_id, title=str(raw.get("title", "")), controls=controls)
 
 
@@ -91,6 +84,8 @@ def parse_catalog(raw: Mapping[str, Any], origin: str = "<catalog>") -> CatalogB
             raise CatalogError(f"{origin}: section {section!r} must be a list")
         for entry in entries:
             target.append(parser(entry))
+    reject_duplicates((rule.id for rule in bundle.rules), f"{origin}: duplicate rule id")
+    reject_duplicates((fw.id for fw in bundle.frameworks), f"{origin}: duplicate framework id")
     return bundle
 
 
@@ -145,6 +140,31 @@ def _builtin_advisories() -> tuple[AdvisoryEntry, ...]:
 
 def load_builtin_advisories() -> list[AdvisoryEntry]:
     return list(_builtin_advisories())
+
+
+def load_catalogs(user_paths: Iterable[str | Path] = ()) -> CatalogBundle:
+    """Builtin rules, frameworks, and advisories plus any user data files.
+
+    User entries extend the builtins; a user rule or framework that reuses
+    a builtin id replaces it (so e.g. the registry allow-list can be
+    overridden without forking the whole catalog). Advisories only extend.
+    The merged rule catalog is validated before anything is evaluated.
+    """
+    rules_by_id = {rule.id: rule for rule in load_builtin_rules()}
+    frameworks_by_id = {fw.id: fw for fw in load_builtin_frameworks()}
+    advisories = load_builtin_advisories()
+    for path in user_paths:
+        bundle = load_catalog_file(path)
+        rules_by_id.update((rule.id, rule) for rule in bundle.rules)
+        frameworks_by_id.update((fw.id, fw) for fw in bundle.frameworks)
+        advisories.extend(bundle.advisories)
+    catalogs = CatalogBundle(
+        rules=list(rules_by_id.values()),
+        frameworks=list(frameworks_by_id.values()),
+        advisories=advisories,
+    )
+    validate_catalog(catalogs.rules, catalogs.frameworks)
+    return catalogs
 
 
 def load_inventory(path: str | Path) -> list[tuple[str, str]]:

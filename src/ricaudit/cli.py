@@ -3,7 +3,8 @@
 Sub-commands map to the assessment workflows: `scan` (manifest
 misconfigurations), `vulns` (scan-report aggregation), `score` (framework
 compliance), `versions` (outdated components), and `report` (everything
-combined). Exit codes are a CI contract: 0 clean at the threshold, 1 at
+combined). Each only chooses which of its inputs to hand to the one
+`pipeline.audit`. Exit codes are a CI contract: 0 clean at the threshold, 1 at
 least one finding at/above it, 2 tool error. Diagnostics go to stderr;
 the report payload goes to stdout or --output, never interleaved.
 """
@@ -18,21 +19,9 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import __version__, yamlio
-from .catalogs import load_inventory
 from .errors import AuditError, InvalidYaml, IoError
 from .fixtures import verify_fixtures
-from .manifests import DirectoryLoad
-from .pipeline import (
-    Catalogs,
-    build_result,
-    default_timestamp,
-    load_catalogs,
-    load_manifest_inputs,
-    parse_scan_reports,
-    run_manifest_audit,
-    run_version_audit,
-    score_all,
-)
+from .pipeline import audit
 from .report import (
     EXIT_CLEAN,
     EXIT_TOOL_ERROR,
@@ -42,10 +31,26 @@ from .report import (
     render_remediations,
     render_table,
 )
-from .rules import WILDCARD_KIND
 from .severity import SeverityClass
 
 FORMATS = ("table", "json", "both")
+SEVERITIES = tuple(c.name.lower() for c in SeverityClass)
+
+MANIFESTS = ("manifests", "endpoint", "token", "insecure", "namespace")
+# Sub-command -> (the audit() inputs it reads, the inputs one of which it
+# needs, the error when it has none of them). Reading "frameworks" turns
+# scoring on.
+AUDITS: dict[str, tuple[tuple[str, ...], tuple[str, ...], str]] = {
+    "scan": (("catalogs", *MANIFESTS), ("manifests", "endpoint"),
+             "scan needs manifest paths or --endpoint"),
+    "vulns": (("scan_reports",), ("scan_reports",), "vulns needs at least one --scan-report"),
+    "score": (("catalogs", "frameworks", *MANIFESTS), ("manifests", "endpoint"),
+              "score needs manifest paths or --endpoint"),
+    "versions": (("catalogs", "inventory"), ("inventory",), "versions needs --inventory"),
+    "report": (("catalogs", "frameworks", "scan_reports", "inventory", *MANIFESTS),
+               ("manifests", "endpoint", "scan_reports"),
+               "report needs manifests, --scan-report files, or --endpoint"),
+}
 
 
 @dataclass
@@ -91,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--endpoint", metavar="URL", help="cluster API base URL to audit live")
         p.add_argument("--token-env", metavar="VAR", help="environment variable holding the bearer token")
         p.add_argument("--format", choices=FORMATS, help="payload format (default table)")
-        p.add_argument("--fail-on", choices=[c.name.lower() for c in SeverityClass],
+        p.add_argument("--fail-on", choices=SEVERITIES,
                        help="severity threshold for exit code 1 (default critical)")
         p.add_argument("--output", metavar="PATH", help="write the payload to a file instead of stdout")
         p.add_argument("--insecure", action="store_true", default=None,
@@ -119,64 +124,36 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise IoError(f"config {args.config} must be a mapping")
         file_values = raw or {}
 
-    def pick(flag: Any, key: str, default: Any) -> Any:
+    def pick(flag: Any, key: str, default: Any, valid=lambda v: isinstance(v, str)) -> Any:
+        """The flag if given, else the config value if `valid`, else `default`."""
         if flag is not None:
             return flag
-        return file_values.get(key, default)
+        value = file_values.get(key)
+        if value is None:
+            return default
+        if not valid(value):
+            raise IoError(f"config {args.config}: invalid value for {key}: {value!r}")
+        return value
 
-    fail_on = pick(getattr(args, "fail_on", None), "fail_on", "critical")
+    def strings(value: Any) -> bool:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    fail_on = pick(args.fail_on, "fail_on", "critical",
+                   lambda v: isinstance(v, str) and v.strip().lower() in SEVERITIES)
     return RunConfig(
-        inputs=list(getattr(args, "inputs", None) or file_values.get("inputs", [])),
+        inputs=list(pick(getattr(args, "inputs", None) or None, "inputs", [], strings)),
         namespace=pick(args.namespace, "namespace", None),
-        catalogs=list(pick(args.catalogs, "catalogs", []) or []),
-        frameworks=list(pick(args.frameworks, "frameworks", []) or []),
-        scan_reports=list(pick(args.scan_reports, "scan_reports", []) or []),
+        catalogs=list(pick(args.catalogs, "catalogs", [], strings)),
+        frameworks=list(pick(args.frameworks, "frameworks", [], strings)),
+        scan_reports=list(pick(args.scan_reports, "scan_reports", [], strings)),
         inventory=pick(args.inventory, "inventory", None),
         endpoint=pick(args.endpoint, "endpoint", None),
         token_env=pick(args.token_env, "token_env", None),
-        format=pick(args.format, "format", "table"),
-        fail_on=SeverityClass.from_label(str(fail_on)),
+        format=pick(args.format, "format", "table", FORMATS.__contains__),
+        fail_on=SeverityClass.from_label(fail_on),
         output=pick(args.output, "output", None),
-        insecure=bool(pick(args.insecure, "insecure", False)),
+        insecure=pick(args.insecure, "insecure", False, lambda v: isinstance(v, bool)),
     )
-
-
-def _gather_resources(config: RunConfig, catalogs: Catalogs) -> DirectoryLoad:
-    load = load_manifest_inputs(config.inputs, namespace=config.namespace)
-    for failure in load.errors:
-        _diag(f"parse error in {failure.file_path}: {failure.error}")
-    if config.endpoint:
-        # Imported here so that file-only runs never load `requests`.
-        from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources
-
-        token = os.environ.get(config.token_env) if config.token_env else None
-        endpoint = ClusterEndpoint(
-            base_url=config.endpoint,
-            bearer_token=token,
-            allow_insecure=config.insecure,
-        )
-        # Fetch every kind the catalog can judge, as long as the API serves
-        # it (file-only kinds like KubeletConfiguration have no list route).
-        kinds = {
-            kind
-            for rule in catalogs.rules
-            for kind in rule.applies_to
-            if kind != WILDCARD_KIND and kind in KIND_ROUTES
-        }
-        load.documents.extend(
-            fetch_resources(endpoint, kinds=kinds, namespace=config.namespace)
-        )
-    return load
-
-
-def _selected_frameworks(config: RunConfig, catalogs: Catalogs):
-    if not config.frameworks:
-        return catalogs.frameworks
-    by_id = {fw.id: fw for fw in catalogs.frameworks}
-    missing = [fid for fid in config.frameworks if fid not in by_id]
-    if missing:
-        raise AuditError(f"unknown framework id(s): {', '.join(missing)}")
-    return [by_id[fid] for fid in config.frameworks]
 
 
 def _emit(result: AuditResult, config: RunConfig) -> None:
@@ -193,118 +170,23 @@ def _emit(result: AuditResult, config: RunConfig) -> None:
         sys.stdout.write(payload)
 
 
-def cmd_scan(config: RunConfig) -> int:
-    if not (config.inputs or config.endpoint):
-        raise AuditError("scan needs manifest paths or --endpoint")
-    catalogs = load_catalogs(config.catalogs)
-    load = _gather_resources(config, catalogs)
-    findings = run_manifest_audit(load.documents, catalogs)
-    result = build_result(findings=findings, resources=load.documents)
-    _emit(result, config)
-    return exit_code(result, config.fail_on)
-
-
-def cmd_vulns(config: RunConfig) -> int:
-    if not config.scan_reports:
-        raise AuditError("vulns needs at least one --scan-report")
-    reports = parse_scan_reports(config.scan_reports)
-    for report in reports:
-        for rejected in report.rejected:
-            _diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
-    records = [record for report in reports for record in report.records]
-    result = build_result(records=records)
-    _emit(result, config)
-    return exit_code(result, config.fail_on)
-
-
-def cmd_score(config: RunConfig) -> int:
-    if not (config.inputs or config.endpoint):
-        raise AuditError("score needs manifest paths or --endpoint")
-    catalogs = load_catalogs(config.catalogs)
-    frameworks = _selected_frameworks(config, catalogs)
-    load = _gather_resources(config, catalogs)
-    findings = run_manifest_audit(load.documents, catalogs)
-    scores = score_all(frameworks, findings, load.documents, catalogs.rules)
-    result = build_result(
-        findings=findings, resources=load.documents, framework_scores=scores
-    )
-    _emit(result, config)
-    return exit_code(result, config.fail_on)
-
-
-def cmd_versions(config: RunConfig) -> int:
-    if not config.inventory:
-        raise AuditError("versions needs --inventory")
-    catalogs = load_catalogs(config.catalogs)
-    audit = run_version_audit(load_inventory(config.inventory), catalogs)
-    for item in audit.errors:
-        _diag(f"inventory entry {item.component!r}: {item.error}")
-    result = build_result(version_audit=audit)
-    _emit(result, config)
-    return exit_code(result, config.fail_on)
-
-
-def cmd_report(config: RunConfig) -> int:
-    if not (config.inputs or config.endpoint or config.scan_reports):
-        raise AuditError("report needs manifests, --scan-report files, or --endpoint")
-    catalogs = load_catalogs(config.catalogs)
-    frameworks = _selected_frameworks(config, catalogs)
-
-    findings = []
-    resources = []
-    scores = []
-    if config.inputs or config.endpoint:
-        load = _gather_resources(config, catalogs)
-        resources = load.documents
-        findings = run_manifest_audit(resources, catalogs)
-        scores = score_all(frameworks, findings, resources, catalogs.rules)
-
-    records = []
-    if config.scan_reports:
-        for report in parse_scan_reports(config.scan_reports):
-            for rejected in report.rejected:
-                _diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
-            records.extend(report.records)
-
-    version_audit = None
-    if config.inventory:
-        version_audit = run_version_audit(load_inventory(config.inventory), catalogs)
-        for item in version_audit.errors:
-            _diag(f"inventory entry {item.component!r}: {item.error}")
-
-    result = build_result(
-        records=records,
-        findings=findings,
-        resources=resources,
-        framework_scores=scores,
-        version_audit=version_audit,
-    )
-    _emit(result, config)
-    return exit_code(result, config.fail_on)
-
-
-def cmd_verify_fixtures(config: RunConfig) -> int:
-    checks = verify_fixtures()
-    print(f"fixtures verified: {len(checks)} checks passed", file=sys.stderr)
-    return EXIT_CLEAN
-
-
-_COMMANDS = {
-    "scan": cmd_scan,
-    "vulns": cmd_vulns,
-    "score": cmd_score,
-    "versions": cmd_versions,
-    "report": cmd_report,
-    "verify-fixtures": cmd_verify_fixtures,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-        return _COMMANDS[args.command](config)
+        if args.command == "verify-fixtures":
+            checks = verify_fixtures()
+            print(f"fixtures verified: {len(checks)} checks passed", file=sys.stderr)
+            return EXIT_CLEAN
+        reads, needs, missing = AUDITS[args.command]
+        given = dict(vars(config), manifests=config.inputs,
+                     token=os.environ.get(config.token_env) if config.token_env else None)
+        if not any(given[name] for name in needs):
+            raise AuditError(missing)
+        result = audit(**{name: given[name] for name in reads}, diag=_diag)
+        _emit(result, config)
+        return exit_code(result, config.fail_on)
     except (AuditError, OSError) as exc:
         # Covers fixture drift too: corrupt shipped data is a tool error.
         _diag(str(exc))

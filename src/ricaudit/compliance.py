@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import IncompleteResults, UnknownRuleId
 from .manifests import ResourceDocument, resource_ref
@@ -60,35 +60,55 @@ class FrameworkScore:
     not_applicable_controls: int
 
 
-def control_compliance(
-    control: Control,
-    findings: Sequence[Finding],
-    resources: Sequence[ResourceDocument],
-    catalog: Sequence[Rule],
-) -> ControlResult:
+@dataclass(frozen=True)
+class Evidence:
+    """One evaluated run, indexed for scoring: built once per framework."""
+
+    rules_by_id: Mapping[str, Rule]
+    refs_by_kind: Mapping[str, list[str]]
+    failing_refs: Mapping[str, set[str]]
+
+    @classmethod
+    def build(
+        cls,
+        findings: Sequence[Finding],
+        resources: Sequence[ResourceDocument],
+        catalog: Sequence[Rule],
+    ) -> "Evidence":
+        refs_by_kind: dict[str, list[str]] = {}
+        for doc in resources:
+            refs_by_kind.setdefault(doc.kind, []).append(resource_ref(doc))
+        failing_refs: dict[str, set[str]] = {}
+        for finding in findings:
+            failing_refs.setdefault(finding.rule_id, set()).add(finding.resource)
+        return cls({rule.id: rule for rule in catalog}, refs_by_kind, failing_refs)
+
+
+def control_compliance(control: Control, evidence: Evidence) -> ControlResult:
     """Score one control against an evaluated resource set.
 
     Pass semantics are per-resource boolean: a resource with several
     findings from the same control still fails exactly once.
     """
-    rules_by_id = {rule.id: rule for rule in catalog}
     referenced = []
     for rule_id in control.rule_ids:
-        if rule_id not in rules_by_id:
+        if rule_id not in evidence.rules_by_id:
             raise UnknownRuleId(
                 f"control {control.framework_id}/{control.control_id} references "
                 f"unknown rule {rule_id!r}"
             )
-        referenced.append(rules_by_id[rule_id])
+        referenced.append(evidence.rules_by_id[rule_id])
     if not referenced:
         return ControlResult(control=control, applicable_resources=0, passing_resources=0)
 
     applicable = [
-        doc for doc in resources if any(rule.applies_to_kind(doc.kind) for rule in referenced)
+        ref
+        for kind, refs in evidence.refs_by_kind.items()
+        if any(rule.applies_to_kind(kind) for rule in referenced)
+        for ref in refs
     ]
-    rule_ids = set(control.rule_ids)
-    failing_refs = {f.resource for f in findings if f.rule_id in rule_ids}
-    passing = sum(1 for doc in applicable if resource_ref(doc) not in failing_refs)
+    failing_refs = set().union(*(evidence.failing_refs.get(r, ()) for r in control.rule_ids))
+    passing = sum(1 for ref in applicable if ref not in failing_refs)
     return ControlResult(
         control=control,
         applicable_resources=len(applicable),
@@ -142,10 +162,8 @@ def score_framework(
     catalog: Sequence[Rule],
 ) -> tuple[FrameworkScore, list[ControlResult]]:
     """Convenience: score every control of a framework, then the framework."""
-    results = [
-        control_compliance(control, findings, resources, catalog)
-        for control in framework.controls
-    ]
+    evidence = Evidence.build(findings, resources, catalog)
+    results = [control_compliance(control, evidence) for control in framework.controls]
     return framework_score(framework, results), results
 
 

@@ -14,18 +14,9 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import yamlio
-from .catalogs import data_path, load_inventory
+from .catalogs import data_path
 from .errors import FixtureDrift, IoError
-from .pipeline import (
-    Catalogs,
-    build_result,
-    load_catalogs,
-    load_manifest_inputs,
-    parse_scan_reports,
-    run_manifest_audit,
-    run_version_audit,
-    score_all,
-)
+from .pipeline import audit
 from .report import AuditResult
 from .severity import TABLE_ORDER
 
@@ -49,19 +40,12 @@ def fixture_audit_result(
 ) -> AuditResult:
     """The combined audit of the fixture corpus, namespace-scoped to ricplt."""
     root = Path(root or fixture_root())
-    catalogs: Catalogs = load_catalogs()
-    load = load_manifest_inputs([root / "manifests" / "vulnerable"], namespace=AUDIT_NAMESPACE)
-    findings = run_manifest_audit(load.documents, catalogs)
-    reports = parse_scan_reports(sorted((root / "scan-reports").glob("*.json")))
-    records = [record for report in reports for record in report.records]
-    scores = score_all(catalogs.frameworks, findings, load.documents, catalogs.rules)
-    version_audit = run_version_audit(load_inventory(root / "inventory.yaml"), catalogs)
-    return build_result(
-        records=records,
-        findings=findings,
-        resources=load.documents,
-        framework_scores=scores,
-        version_audit=version_audit,
+    return audit(
+        manifests=[root / "manifests" / "vulnerable"],
+        namespace=AUDIT_NAMESPACE,
+        frameworks=(),
+        scan_reports=sorted((root / "scan-reports").glob("*.json")),
+        inventory=root / "inventory.yaml",
         generated_at=generated_at,
     )
 

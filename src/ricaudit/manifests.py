@@ -152,34 +152,36 @@ class DirectoryLoad:
     errors: list[ParseFailure] = field(default_factory=list)
 
 
-def load_directory(
-    root: str | Path,
-    namespaces: Iterable[str] | None = None,
-    kinds: Iterable[str] | None = None,
-) -> DirectoryLoad:
-    """Recursively load every manifest file under `root`.
+def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) -> DirectoryLoad:
+    """Recursively load every manifest file under each root, root by root.
 
     Parse errors are collected per file, not raised, so one malformed file
-    never hides the rest of the evidence. Document order is deterministic:
-    lexicographic by file path, then document index. Namespace filtering
-    keeps only documents whose namespace is in the set (cluster-scoped
-    documents are excluded by a namespace filter).
+    never hides the rest of the evidence. A file reached more than once
+    (through two roots, a symlink or a hard link) is loaded once, under the
+    first path that reached it. Document order is deterministic: root
+    order, then lexicographic by file path within a root, then document
+    index. Namespace filtering keeps only documents whose namespace is in
+    the set (cluster-scoped documents are excluded by a namespace filter).
     """
-    root = Path(root)
-    if not root.exists():
-        raise IoError(f"no such path: {root}")
-    if root.is_file():
-        files = [root]
-    else:
-        files = sorted(
-            (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in MANIFEST_EXTENSIONS),
-            key=lambda p: str(p),
-        )
-    namespace_set = set(namespaces) if namespaces else None
-    kind_set = set(kinds) if kinds else None
+    files: dict[tuple[int, int], Path] = {}
+    for root in map(Path, roots):
+        if not root.exists():
+            raise IoError(f"no such path: {root}")
+        if root.is_file():
+            found = [root]
+        else:
+            found = sorted(
+                (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in MANIFEST_EXTENSIONS),
+                key=lambda p: str(p),
+            )
+        for path in found:
+            # Device and inode identify the file as resolving its path would,
+            # with one stat call instead of one per path component.
+            stat = path.stat()
+            files.setdefault((stat.st_dev, stat.st_ino), path)
 
     result = DirectoryLoad()
-    for path in files:
+    for path in files.values():
         try:
             raw = path.read_bytes()
         except OSError as exc:
@@ -192,9 +194,7 @@ def load_directory(
             continue
         result.documents.extend(docs)
 
-    if namespace_set is not None:
+    if namespaces:
+        namespace_set = set(namespaces)
         result.documents = [d for d in result.documents if d.namespace in namespace_set]
-    if kind_set is not None:
-        result.documents = [d for d in result.documents if d.kind in kind_set]
-    result.documents.sort(key=lambda d: (d.source.file_path, d.source.document_index))
     return result

@@ -1,112 +1,46 @@
-"""Composition helpers shared by the CLI and the fixture verifier.
+"""The one audit pipeline shared by every sub-command and the fixture verifier.
 
-Each audit workflow (manifest scan, vulnerability ingestion, compliance
-scoring, version audit) is a pure function pipeline over the module APIs;
-this module wires them into AuditResults without any terminal I/O.
+The assessment's four workflows (manifest scan, vulnerability ingestion,
+compliance scoring, version audit) are stages of `audit`, each run only
+when its input is given; this module wires them into one AuditResult
+without any terminal I/O.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
-from .catalogs import CatalogBundle, load_catalog_file
-from .compliance import Framework, FrameworkScore, score_framework
-from .manifests import DirectoryLoad, ResourceDocument, load_directory
+from .catalogs import load_catalogs, load_inventory
+from .compliance import FrameworkScore, score_framework
+from .errors import AuditError
+from .manifests import ResourceDocument, load_directory
 from .report import AuditResult
-from .rules import Finding, Rule, builtin_catalog, evaluate, group_findings_by_app, validate_catalog
-from .versions import AdvisoryEntry, VersionAudit, audit_components, bundled_advisories
+from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
+from .versions import VersionAudit, audit_components
 from .vulns import (
-    ScanReport,
     VulnRecord,
     VulnTotals,
     aggregate_by_container,
     occurrence_and_unique_totals,
     parse_scan_report,
 )
-from .compliance import bundled_frameworks
 
 
 def default_timestamp() -> str:
     """UTC timestamp for the report; SOURCE_DATE_EPOCH pins it for CI."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        try:
+            moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError) as exc:
+            raise AuditError(f"SOURCE_DATE_EPOCH must be a Unix timestamp: {exc}") from exc
     else:
         moment = datetime.now(tz=timezone.utc)
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-@dataclass
-class Catalogs:
-    """Builtin catalogs merged with user-supplied data files."""
-
-    rules: list[Rule] = field(default_factory=list)
-    frameworks: list[Framework] = field(default_factory=list)
-    advisories: list[AdvisoryEntry] = field(default_factory=list)
-
-
-def load_catalogs(user_paths: Iterable[str | Path] = ()) -> Catalogs:
-    """Builtin rules, frameworks, and advisories plus any user data files.
-
-    User entries extend the builtins; a user rule or framework that reuses
-    a builtin id replaces it (so e.g. the registry allow-list can be
-    overridden without forking the whole catalog). Advisories only extend.
-    The merged rule catalog is validated before anything is evaluated.
-    """
-    rules_by_id = {rule.id: rule for rule in builtin_catalog()}
-    frameworks_by_id = {fw.id: fw for fw in bundled_frameworks()}
-    advisories = bundled_advisories()
-    for path in user_paths:
-        bundle: CatalogBundle = load_catalog_file(path)
-        for rule in bundle.rules:
-            rules_by_id[rule.id] = rule
-        for framework in bundle.frameworks:
-            frameworks_by_id[framework.id] = framework
-        advisories.extend(bundle.advisories)
-    catalogs = Catalogs(
-        rules=list(rules_by_id.values()),
-        frameworks=list(frameworks_by_id.values()),
-        advisories=advisories,
-    )
-    validate_catalog(catalogs.rules, catalogs.frameworks)
-    return catalogs
-
-
-def load_manifest_inputs(
-    paths: Sequence[str | Path], namespace: str | None = None
-) -> DirectoryLoad:
-    """Load every input path (file or tree) into one ordered document list."""
-    combined = DirectoryLoad()
-    namespaces = [namespace] if namespace else None
-    for path in paths:
-        load = load_directory(path, namespaces=namespaces)
-        combined.documents.extend(load.documents)
-        combined.errors.extend(load.errors)
-    return combined
-
-
-def parse_scan_reports(paths: Sequence[str | Path]) -> list[ScanReport]:
-    reports = []
-    for path in paths:
-        reports.append(parse_scan_report(Path(path).read_bytes()))
-    return reports
-
-
-def score_all(
-    frameworks: Sequence[Framework],
-    findings: Sequence[Finding],
-    resources: Sequence[ResourceDocument],
-    catalog: Sequence[Rule],
-) -> list[FrameworkScore]:
-    return [
-        score_framework(framework, findings, resources, catalog)[0]
-        for framework in frameworks
-    ]
 
 
 def build_result(
@@ -133,13 +67,84 @@ def build_result(
     )
 
 
-def run_manifest_audit(
-    resources: Sequence[ResourceDocument], catalogs: Catalogs
-) -> list[Finding]:
-    return evaluate(catalogs.rules, resources)
+def audit(
+    *,
+    catalogs: Sequence[str | Path] = (),
+    manifests: Sequence[str | Path] = (),
+    endpoint: str | None = None,
+    token: str | None = None,
+    insecure: bool = False,
+    namespace: str | None = None,
+    frameworks: Sequence[str] | None = None,
+    scan_reports: Sequence[str | Path] = (),
+    inventory: str | Path | None = None,
+    generated_at: str | None = None,
+    diag: Callable[[str], None] = lambda message: None,
+) -> AuditResult:
+    """Run every stage whose input is given and assemble one AuditResult.
 
+    `catalogs` are user data files on top of the builtins, loaded only when
+    a later stage needs them. `manifests` (files or trees) and the cluster
+    at `endpoint` feed rule evaluation, scoped to `namespace`. `frameworks`
+    selects the frameworks scored after a manifest stage: None scores none,
+    an empty sequence every loaded framework. Diagnostics (unparsable
+    manifest files, rejected scan-report entries, bad inventory entries)
+    go to `diag` as each stage produces them.
+    """
+    if catalogs or manifests or endpoint or inventory or frameworks is not None:
+        bundle = load_catalogs(catalogs)
+        selected = bundle.frameworks
+        if frameworks:
+            by_id = {fw.id: fw for fw in bundle.frameworks}
+            missing = [fid for fid in frameworks if fid not in by_id]
+            if missing:
+                raise AuditError(f"unknown framework id(s): {', '.join(missing)}")
+            selected = [by_id[fid] for fid in frameworks]
 
-def run_version_audit(
-    inventory: Sequence[tuple[str, str]], catalogs: Catalogs
-) -> VersionAudit:
-    return audit_components(inventory, catalogs.advisories)
+    resources: list[ResourceDocument] = []
+    findings: list[Finding] = []
+    scores: list[FrameworkScore] = []
+    if manifests or endpoint:
+        load = load_directory(*manifests, namespaces=[namespace] if namespace else None)
+        for failure in load.errors:
+            diag(f"parse error in {failure.file_path}: {failure.error}")
+        resources = load.documents
+        if endpoint:
+            # Imported here so that file-only runs never load `requests`.
+            from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources
+
+            cluster = ClusterEndpoint(base_url=endpoint, bearer_token=token, allow_insecure=insecure)
+            # Fetch every kind the catalog can judge, as long as the API serves
+            # it (file-only kinds like KubeletConfiguration have no list route).
+            kinds = {
+                kind
+                for rule in bundle.rules
+                for kind in rule.applies_to
+                if kind != WILDCARD_KIND and kind in KIND_ROUTES
+            }
+            resources.extend(fetch_resources(cluster, kinds=kinds, namespace=namespace))
+        findings = evaluate(bundle.rules, resources)
+        if frameworks is not None:
+            scores = [score_framework(fw, findings, resources, bundle.rules)[0] for fw in selected]
+
+    records: list[VulnRecord] = []
+    for path in scan_reports:
+        report = parse_scan_report(Path(path).read_bytes())
+        for rejected in report.rejected:
+            diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
+        records.extend(report.records)
+
+    version_audit = None
+    if inventory:
+        version_audit = audit_components(load_inventory(inventory), bundle.advisories)
+        for item in version_audit.errors:
+            diag(f"inventory entry {item.component!r}: {item.error}")
+
+    return build_result(
+        records=records,
+        findings=findings,
+        resources=resources,
+        framework_scores=scores,
+        version_audit=version_audit,
+        generated_at=generated_at,
+    )

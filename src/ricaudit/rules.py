@@ -8,7 +8,7 @@ two evaluations of the same inputs produce identical findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import CatalogError
@@ -30,6 +30,8 @@ class Rule:
     check: Mapping[str, Any]
     control_refs: tuple[tuple[str, str], ...]
     remediation: str
+    # `check` compiled once, when the rule is parsed.
+    predicate: Check = field(compare=False, repr=False)
 
     def applies_to_kind(self, kind: str) -> bool:
         return WILDCARD_KIND in self.applies_to or kind in self.applies_to
@@ -69,11 +71,21 @@ def rule_from_mapping(raw: Mapping[str, Any]) -> Rule:
             check=raw["check"],
             control_refs=tuple(parse_control_ref(str(r)) for r in raw.get("control_refs", [])),
             remediation=str(raw.get("remediation", "")),
+            predicate=compile_check(raw["check"]),
         )
     except KeyError as exc:
         raise CatalogError(f"rule {raw.get('id')!r}: missing field {exc}") from exc
     except ValueError as exc:
         raise CatalogError(f"rule {raw.get('id')!r}: {exc}") from exc
+
+
+def reject_duplicates(ids: Iterable[str], message: str) -> None:
+    """Raise CatalogError with `message` and the first id that repeats."""
+    seen: set[str] = set()
+    for item in ids:
+        if item in seen:
+            raise CatalogError(f"{message} {item}")
+        seen.add(item)
 
 
 def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None = None) -> None:
@@ -82,14 +94,10 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None =
     With `frameworks` given, also requires every control_ref to resolve
     against a loaded framework.
     """
-    seen: set[str] = set()
+    reject_duplicates((rule.id for rule in catalog), "duplicate rule id:")
     for rule in catalog:
-        if rule.id in seen:
-            raise CatalogError(f"duplicate rule id: {rule.id}")
-        seen.add(rule.id)
         if not rule.applies_to:
             raise CatalogError(f"rule {rule.id}: applies_to must be non-empty")
-        compile_check(rule.check)
     if frameworks is not None:
         known = {
             (fw.id, control.control_id) for fw in frameworks for control in fw.controls
@@ -110,7 +118,6 @@ def evaluate(catalog: Sequence[Rule], resources: Sequence[ResourceDocument]) -> 
     result is independent of input order.
     """
     validate_catalog(catalog)
-    compiled: list[tuple[Rule, Check]] = [(rule, compile_check(rule.check)) for rule in catalog]
     ctx = EvalContext.build(resources)
     findings = [
         Finding(
@@ -120,9 +127,9 @@ def evaluate(catalog: Sequence[Rule], resources: Sequence[ResourceDocument]) -> 
             message=rule.title,
             remediation=rule.remediation,
         )
-        for rule, check in compiled
+        for rule in catalog
         for doc in resources
-        if rule.applies_to_kind(doc.kind) and check(doc.body, doc, ctx)
+        if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, ctx)
     ]
     findings.sort(key=lambda f: (-f.severity, f.rule_id, f.resource))
     return findings

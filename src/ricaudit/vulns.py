@@ -109,10 +109,10 @@ def parse_scan_report(text: bytes | str) -> ScanReport:
     [0, 10] are rejected individually and reported; structural problems
     (missing fields, wrong types) raise SchemaError with the entry index.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, Mapping):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import pod_item
 from ricaudit.cli import main
 from ricaudit.severity import SeverityClass
@@ -62,6 +64,20 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan")
         assert code == 2
 
+    @pytest.mark.parametrize("again", ["", "ricplt-rtmgr.yaml"])
+    def test_file_given_twice_loaded_once(self, capsys, monkeypatch, hardened_manifests, again):
+        # A file reached through two inputs is one resource set, not two
+        # copies that MISC-DUPREF would report against each other.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        _, once, _ = run_cli(capsys, "scan", str(hardened_manifests), "--format", "json")
+        code, twice, err = run_cli(
+            capsys, "scan", str(hardened_manifests), str(hardened_manifests / again),
+            "--format", "json",
+        )
+        assert not [f for f in json_payload(twice)["findings"] if f["rule_id"] == "MISC-DUPREF"]
+        assert twice == once
+        assert (code, err) == (0, "")
+
 
 class TestVulns:
     def test_totals_and_distinct_labels(self, capsys, scan_report_paths):
@@ -98,6 +114,21 @@ class TestVulns:
         )
         assert "rejected entry 0" in err
         assert json_payload(out)["totals"]["vulnerability_occurrences"] == 1
+
+    def test_non_utf8_report_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b'{"container": "\xff"}')
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "UTF-8" in err
+
+    def test_bad_source_date_epoch_exits_2(self, capsys, monkeypatch, scan_report_paths):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(scan_report_paths[0]))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "SOURCE_DATE_EPOCH" in err
 
 
 class TestScore:
@@ -315,6 +346,17 @@ class TestConfigFile:
         assert len(err.strip().splitlines()) == 1
         assert "invalid YAML" in err
 
+    @pytest.mark.parametrize("line", ["fail_on: severe", "format: xml", "inputs: deploy"])
+    def test_invalid_config_value_exits_2(self, capsys, tmp_path, line):
+        # A bad value is a tool error, never a traceback, a silently empty
+        # payload, or a string read as a list of one-character paths.
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, "scan", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert f"invalid value for {line.split(':')[0]}" in err
+
 
 class TestUserCatalogs:
     def test_extra_rule_catalog(self, capsys, tmp_path, hardened_manifests):
@@ -369,6 +411,33 @@ rules:
         payload = json_payload(out)
         assert not any(f["rule_id"] == "MISC-REGISTRY" for f in payload["findings"])
         assert any(f["rule_id"] == "MISC-ROOT" for f in payload["findings"])
+
+    @pytest.mark.parametrize("section", ["rules", "frameworks"])
+    def test_id_defined_twice_in_one_file_exits_2(
+        self, capsys, tmp_path, hardened_manifests, section
+    ):
+        # Within one file an id must be unique; only a builtin id may be
+        # overridden.
+        rule = """
+  - id: X-ONE
+    title: t
+    severity: low
+    category: supply-chain
+    applies_to: [Deployment]
+    check: {path_exists: spec}
+"""
+        framework = """
+  - id: fw-one
+    controls: [{id: C-1, rule_ids: []}]
+"""
+        entry = rule if section == "rules" else framework
+        catalog = tmp_path / "twice.yaml"
+        catalog.write_text(f"{section}:{entry}{entry}")
+        code, out, err = run_cli(
+            capsys, "scan", str(hardened_manifests), "--catalog", str(catalog)
+        )
+        assert (code, out) == (2, "")
+        assert "duplicate" in err and ("X-ONE" in err or "fw-one" in err)
 
     def test_broken_catalog_exits_2(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "broken.yaml"

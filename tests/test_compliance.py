@@ -8,6 +8,7 @@ import pytest
 from ricaudit.compliance import (
     Control,
     ControlResult,
+    Evidence,
     Framework,
     bundled_frameworks,
     control_compliance,
@@ -38,24 +39,28 @@ class TestControlCompliance:
         catalog = builtin_catalog()
         control = control_for("MISC-LIMITS")
         findings = [Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r")]
-        result = control_compliance(control, findings, resources, catalog)
+        result = control_compliance(control, Evidence.build(findings, resources, catalog))
         assert result.applicable_resources == 4
         assert result.passing_resources == 3
         assert result.score == Fraction(3, 4)
 
     def test_empty_rule_ids_not_applicable(self):
-        result = control_compliance(control_for(), [], pods(3), builtin_catalog())
+        result = control_compliance(control_for(), Evidence.build([], pods(3), builtin_catalog()))
         assert result.not_applicable
         assert result.score is None
 
     def test_no_applicable_resources_not_applicable(self):
         configmap_control = control_for("MISC-CREDS")
-        result = control_compliance(configmap_control, [], pods(2), builtin_catalog())
+        result = control_compliance(
+            configmap_control, Evidence.build([], pods(2), builtin_catalog())
+        )
         assert result.not_applicable
 
     def test_unknown_rule_id(self):
         with pytest.raises(UnknownRuleId):
-            control_compliance(control_for("MISC-NOPE"), [], pods(1), builtin_catalog())
+            control_compliance(
+                control_for("MISC-NOPE"), Evidence.build([], pods(1), builtin_catalog())
+            )
 
     def test_resource_with_two_findings_fails_once(self):
         resources = pods(2)
@@ -64,7 +69,7 @@ class TestControlCompliance:
             Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
             Finding("MISC-REQUESTS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
         ]
-        result = control_compliance(control, findings, resources, builtin_catalog())
+        result = control_compliance(control, Evidence.build(findings, resources, builtin_catalog()))
         assert result.passing_resources == 1
         assert result.score == Fraction(1, 2)
 
@@ -76,7 +81,7 @@ class TestControlCompliance:
         load = load_directory(vulnerable_workloads)
         findings = evaluate(builtin_catalog(), load.documents)
         result = control_compliance(
-            control_for("MISC-LIMITS"), findings, load.documents, builtin_catalog()
+            control_for("MISC-LIMITS"), Evidence.build(findings, load.documents, builtin_catalog())
         )
         assert result.applicable_resources == 9
         assert result.passing_resources == 0

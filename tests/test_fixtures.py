@@ -6,8 +6,16 @@ import shutil
 import pytest
 import yaml
 
+from ricaudit.cli import main
 from ricaudit.errors import FixtureDrift
-from ricaudit.fixtures import fixture_root, load_index, verify_fixtures
+from ricaudit.fixtures import (
+    AUDIT_NAMESPACE,
+    fixture_audit_result,
+    fixture_root,
+    load_index,
+    verify_fixtures,
+)
+from ricaudit.report import render_json
 from ricaudit.rules import builtin_catalog, evaluate
 from ricaudit.manifests import load_directory
 from ricaudit.severity import SeverityClass
@@ -92,3 +100,16 @@ def test_recorded_occurrence_sum_and_reported_total_differ():
         totals["vulnerability_occurrences"],
         totals["reported_cumulative_total"],
     )
+
+
+def test_fixture_audit_equals_cli_report(capsys, monkeypatch):
+    # verify-fixtures and `ricaudit report` run the same pipeline.
+    root = fixture_root()
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = ["report", str(root / "manifests" / "vulnerable"), "--namespace", AUDIT_NAMESPACE,
+            "--inventory", str(root / "inventory.yaml"), "--format", "json"]
+    for path in sorted((root / "scan-reports").glob("*.json")):
+        argv += ["--scan-report", str(path)]
+    main(argv)
+    payload = capsys.readouterr().out
+    assert payload == render_json(fixture_audit_result(generated_at="2023-11-14T22:13:20Z")) + "\n"

@@ -148,12 +148,6 @@ def test_load_directory_namespace_filter(vulnerable_workloads):
     assert not filtered.errors
 
 
-def test_load_directory_kind_filter(vulnerable_manifests):
-    load = load_directory(vulnerable_manifests, kinds=["ConfigMap"])
-    assert {d.kind for d in load.documents} == {"ConfigMap"}
-    assert len(load.documents) == 3
-
-
 def test_malformed_file_recorded_not_fatal(tmp_path):
     (tmp_path / "good.yaml").write_text(POD)
     (tmp_path / "bad.yaml").write_text("kind: [unclosed\n")

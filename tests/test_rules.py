@@ -153,6 +153,21 @@ class TestEvaluate:
         assert len(dup) == 2
         assert {f.resource for f in dup} == {"ricplt/ConfigMap/ric-common"}
 
+    def test_checks_compiled_once_at_parse(self, monkeypatch, vulnerable_manifests):
+        import ricaudit.predicates
+        import ricaudit.rules
+
+        catalog, frameworks = builtin_catalog(), bundled_frameworks()
+        resources = load_directory(vulnerable_manifests).documents
+
+        def no_compile(spec):
+            raise AssertionError("check compiled again")
+
+        monkeypatch.setattr(ricaudit.predicates, "compile_check", no_compile)
+        monkeypatch.setattr(ricaudit.rules, "compile_check", no_compile)
+        validate_catalog(catalog, frameworks)
+        assert evaluate(catalog, resources)
+
     def test_duplicate_rule_id_rejected_before_evaluation(self):
         rule = builtin_catalog()[0]
         with pytest.raises(CatalogError):
