@@ -17,7 +17,7 @@ from .manifests import (
     parse_resource_ref,
     resource_ref,
 )
-from .rules import Finding, Rule, builtin_catalog, evaluate, severity_histogram
+from .rules import Finding, Rule, evaluate, severity_histogram
 from .vulns import (
     ContainerScanSummary,
     ImageRef,
@@ -34,7 +34,6 @@ from .compliance import (
     Evidence,
     Framework,
     FrameworkScore,
-    bundled_frameworks,
     control_compliance,
     framework_score,
 )
@@ -43,7 +42,6 @@ from .versions import (
     Version,
     VersionFinding,
     audit_components,
-    bundled_advisories,
     parse_version,
 )
 from .report import AuditResult, exit_code, render_json, render_table
@@ -61,7 +59,6 @@ __all__ = [
     "resource_ref",
     "Finding",
     "Rule",
-    "builtin_catalog",
     "evaluate",
     "severity_histogram",
     "ContainerScanSummary",
@@ -77,14 +74,12 @@ __all__ = [
     "Evidence",
     "Framework",
     "FrameworkScore",
-    "bundled_frameworks",
     "control_compliance",
     "framework_score",
     "AdvisoryEntry",
     "Version",
     "VersionFinding",
     "audit_components",
-    "bundled_advisories",
     "parse_version",
     "ClusterEndpoint",
     "fetch_resources",

@@ -8,14 +8,13 @@ top-level keys discriminate the content (`rules:`, `frameworks:`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import yamlio
 from .compliance import Control, Framework
-from .errors import CatalogError, InvalidYaml, IoError
+from .errors import CatalogError, IoError
 from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
@@ -89,15 +88,20 @@ def parse_catalog(raw: Mapping[str, Any], origin: str = "<catalog>") -> CatalogB
     return bundle
 
 
+# The shipped catalog files, loaded before any user file and in this order,
+# which is the order frameworks are scored and reported in.
+BUILTIN_CATALOGS = (
+    ("rules", "builtin.yaml"),
+    ("frameworks", "nsa-cisa.yaml"),
+    ("frameworks", "mitre-attack.yaml"),
+    ("frameworks", "cis-v1.23-t1.0.1.yaml"),
+    ("advisories", "builtin.yaml"),
+)
+
+
 def load_catalog_file(path: str | Path) -> CatalogBundle:
     path = Path(path)
-    try:
-        raw = yamlio.load(path.read_bytes())
-    except OSError as exc:
-        raise IoError(f"cannot read catalog {path}: {exc}") from exc
-    except InvalidYaml as exc:
-        raise CatalogError(f"{path}: invalid YAML: {exc}") from exc
-    return parse_catalog(raw, origin=str(path))
+    return parse_catalog(yamlio.load_file(path, "catalog"), origin=str(path))
 
 
 def data_path(*parts: str) -> Path:
@@ -105,55 +109,18 @@ def data_path(*parts: str) -> Path:
     return Path(resources.files("ricaudit").joinpath("data", *parts))
 
 
-def _load_data_yaml(*parts: str) -> Any:
-    return yamlio.load(data_path(*parts).read_bytes())
-
-
-@lru_cache(maxsize=1)
-def _builtin_rules() -> tuple[Rule, ...]:
-    bundle = parse_catalog(_load_data_yaml("rules", "builtin.yaml"), origin="builtin rules")
-    return tuple(bundle.rules)
-
-
-def load_builtin_rules() -> list[Rule]:
-    return list(_builtin_rules())
-
-
-@lru_cache(maxsize=1)
-def _builtin_frameworks() -> tuple[Framework, ...]:
-    frameworks = []
-    for name in ("nsa-cisa", "mitre-attack", "cis-v1.23-t1.0.1"):
-        bundle = parse_catalog(_load_data_yaml("frameworks", f"{name}.yaml"), origin=name)
-        frameworks.extend(bundle.frameworks)
-    return tuple(frameworks)
-
-
-def load_builtin_frameworks() -> list[Framework]:
-    return list(_builtin_frameworks())
-
-
-@lru_cache(maxsize=1)
-def _builtin_advisories() -> tuple[AdvisoryEntry, ...]:
-    bundle = parse_catalog(_load_data_yaml("advisories", "builtin.yaml"), origin="builtin advisories")
-    return tuple(bundle.advisories)
-
-
-def load_builtin_advisories() -> list[AdvisoryEntry]:
-    return list(_builtin_advisories())
-
-
 def load_catalogs(user_paths: Iterable[str | Path] = ()) -> CatalogBundle:
-    """Builtin rules, frameworks, and advisories plus any user data files.
+    """The shipped catalog files, then any user data files, merged.
 
-    User entries extend the builtins; a user rule or framework that reuses
-    a builtin id replaces it (so e.g. the registry allow-list can be
+    Later entries extend earlier ones; a rule or framework that reuses an
+    earlier id replaces it (so e.g. the registry allow-list can be
     overridden without forking the whole catalog). Advisories only extend.
     The merged rule catalog is validated before anything is evaluated.
     """
-    rules_by_id = {rule.id: rule for rule in load_builtin_rules()}
-    frameworks_by_id = {fw.id: fw for fw in load_builtin_frameworks()}
-    advisories = load_builtin_advisories()
-    for path in user_paths:
+    rules_by_id: dict[str, Rule] = {}
+    frameworks_by_id: dict[str, Framework] = {}
+    advisories: list[AdvisoryEntry] = []
+    for path in (*(data_path(*parts) for parts in BUILTIN_CATALOGS), *user_paths):
         bundle = load_catalog_file(path)
         rules_by_id.update((rule.id, rule) for rule in bundle.rules)
         frameworks_by_id.update((fw.id, fw) for fw in bundle.frameworks)
@@ -170,12 +137,7 @@ def load_catalogs(user_paths: Iterable[str | Path] = ()) -> CatalogBundle:
 def load_inventory(path: str | Path) -> list[tuple[str, str]]:
     """Read a component inventory file: a YAML list of {component, version}."""
     path = Path(path)
-    try:
-        raw = yamlio.load(path.read_bytes())
-    except OSError as exc:
-        raise IoError(f"cannot read inventory {path}: {exc}") from exc
-    except InvalidYaml as exc:
-        raise IoError(f"{path}: invalid YAML: {exc}") from exc
+    raw = yamlio.load_file(path, "inventory")
     if not isinstance(raw, list):
         raise IoError(f"{path}: inventory must be a list of {{component, version}} entries")
     inventory = []

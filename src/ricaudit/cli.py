@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import __version__, yamlio
-from .errors import AuditError, InvalidYaml, IoError
+from .errors import AuditError, IoError
 from .fixtures import verify_fixtures
 from .pipeline import audit
 from .report import (
@@ -114,12 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values: Mapping[str, Any] = {}
     if getattr(args, "config", None):
-        try:
-            raw = yamlio.load(Path(args.config).read_bytes())
-        except OSError as exc:
-            raise IoError(f"cannot read config {args.config}: {exc}") from exc
-        except InvalidYaml as exc:
-            raise IoError(f"config {args.config}: invalid YAML: {exc}") from exc
+        raw = yamlio.load_file(args.config, "config")
         if raw is not None and not isinstance(raw, Mapping):
             raise IoError(f"config {args.config} must be a mapping")
         file_values = raw or {}

@@ -165,10 +165,3 @@ def score_framework(
     evidence = Evidence.build(findings, resources, catalog)
     results = [control_compliance(control, evidence) for control in framework.controls]
     return framework_score(framework, results), results
-
-
-def bundled_frameworks() -> list[Framework]:
-    """The three framework catalogs shipped as package data."""
-    from .catalogs import load_builtin_frameworks
-
-    return load_builtin_frameworks()

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from . import yamlio
 from .catalogs import data_path
-from .errors import FixtureDrift, IoError
+from .errors import FixtureDrift
 from .pipeline import audit
 from .report import AuditResult
 from .severity import TABLE_ORDER
@@ -28,11 +28,7 @@ def fixture_root() -> Path:
 
 
 def load_index(root: str | Path | None = None) -> Mapping[str, Any]:
-    index_path = Path(root or fixture_root()) / "index.yaml"
-    try:
-        return yamlio.load(index_path.read_bytes())
-    except OSError as exc:
-        raise IoError(f"cannot read fixture index {index_path}: {exc}") from exc
+    return yamlio.load_file(Path(root or fixture_root()) / "index.yaml", "fixture index")
 
 
 def fixture_audit_result(

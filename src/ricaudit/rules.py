@@ -163,10 +163,3 @@ def group_findings_by_app(
         if app:
             grouped.setdefault(app, []).append(finding)
     return grouped
-
-
-def builtin_catalog() -> list[Rule]:
-    """The built-in rule catalog shipped as package data."""
-    from .catalogs import load_builtin_rules
-
-    return load_builtin_rules()

@@ -164,10 +164,3 @@ def audit_components(
                 )
     audit.findings.sort(key=lambda f: (-f.severity, f.component))
     return audit
-
-
-def bundled_advisories() -> list[AdvisoryEntry]:
-    """The advisory database shipped as package data."""
-    from .catalogs import load_builtin_advisories
-
-    return load_builtin_advisories()

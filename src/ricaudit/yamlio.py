@@ -1,7 +1,7 @@
 """The one YAML loader behind every input the toolkit reads.
 
-Manifests, catalogs, inventories, config files and the fixture index all
-load through `load` / `load_all`. The loader is libyaml's safe loader when
+Manifests load through `load_all`; catalogs, inventories, config files and
+the fixture index, each a single document, through `load_file`. The loader is libyaml's safe loader when
 PyYAML was built with it and PyYAML's pure-Python safe loader otherwise;
 both produce the same trees for the shipped data. Where they disagree on
 odd input the libyaml behaviour is kept (see tests/test_yamlio.py).
@@ -16,11 +16,12 @@ and the index of the offending document in the stream.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Iterator
 
 import yaml
 
-from .errors import InvalidYaml
+from .errors import InvalidYaml, IoError
 
 Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -110,3 +111,19 @@ def load(data: bytes | str) -> Any:
     if len(documents) > 1:
         raise InvalidYaml(f"expected a single document, found {len(documents)}", 1)
     return documents[0] if documents else None
+
+
+def load_file(path: str | Path, what: str) -> Any:
+    """The single document of the YAML file at `path`, a `what` input.
+
+    Raises IoError with a one-line message naming `what` and `path` when
+    the file cannot be read or is not valid YAML.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return load(data)
+    except InvalidYaml as exc:
+        raise IoError(f"{what} {path}: invalid YAML: {exc}") from exc

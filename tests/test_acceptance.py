@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pod_item
-from ricaudit.catalogs import data_path
+from ricaudit.catalogs import data_path, load_catalogs
 from ricaudit.cli import main
 from ricaudit.cluster import ClusterEndpoint, fetch_resources
 from ricaudit.compliance import (
@@ -29,7 +29,7 @@ from ricaudit.compliance import (
 )
 from ricaudit.manifests import load_directory
 from ricaudit.report import AuditResult, from_payload, render_json
-from ricaudit.rules import Finding, builtin_catalog, evaluate, severity_histogram
+from ricaudit.rules import Finding, evaluate, severity_histogram
 from ricaudit.severity import SeverityClass
 from ricaudit.vulns import (
     ContainerScanSummary,
@@ -231,12 +231,12 @@ def test_criterion_5a_classify_monotone_exhaustive():
 
 def test_criterion_5b_evaluate_order_independent():
     load = load_directory(data_path("fixtures") / "manifests" / "vulnerable")
-    baseline = evaluate(builtin_catalog(), load.documents)
+    baseline = evaluate(load_catalogs().rules, load.documents)
     rng = random.Random(42)
     for _ in range(100):
         shuffled = list(load.documents)
         rng.shuffle(shuffled)
-        assert evaluate(builtin_catalog(), shuffled) == baseline
+        assert evaluate(load_catalogs().rules, shuffled) == baseline
     announce(5, "evaluate is order-independent across 100 permutations")
 
 

@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from ricaudit.catalogs import load_catalogs
 from ricaudit.compliance import (
     Control,
     ControlResult,
     Evidence,
     Framework,
-    bundled_frameworks,
     control_compliance,
     framework_score,
 )
 from ricaudit.errors import IncompleteResults, UnknownRuleId
 from ricaudit.manifests import parse_manifest_stream
-from ricaudit.rules import Finding, builtin_catalog, evaluate
+from ricaudit.rules import Finding, evaluate
 from ricaudit.severity import SeverityClass
 
 
@@ -36,7 +36,7 @@ def control_for(*rule_ids, framework="nsa-cisa", control_id="X-1"):
 class TestControlCompliance:
     def test_three_quarters(self):
         resources = pods(4)
-        catalog = builtin_catalog()
+        catalog = load_catalogs().rules
         control = control_for("MISC-LIMITS")
         findings = [Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r")]
         result = control_compliance(control, Evidence.build(findings, resources, catalog))
@@ -45,21 +45,21 @@ class TestControlCompliance:
         assert result.score == Fraction(3, 4)
 
     def test_empty_rule_ids_not_applicable(self):
-        result = control_compliance(control_for(), Evidence.build([], pods(3), builtin_catalog()))
+        result = control_compliance(control_for(), Evidence.build([], pods(3), load_catalogs().rules))
         assert result.not_applicable
         assert result.score is None
 
     def test_no_applicable_resources_not_applicable(self):
         configmap_control = control_for("MISC-CREDS")
         result = control_compliance(
-            configmap_control, Evidence.build([], pods(2), builtin_catalog())
+            configmap_control, Evidence.build([], pods(2), load_catalogs().rules)
         )
         assert result.not_applicable
 
     def test_unknown_rule_id(self):
         with pytest.raises(UnknownRuleId):
             control_compliance(
-                control_for("MISC-NOPE"), Evidence.build([], pods(1), builtin_catalog())
+                control_for("MISC-NOPE"), Evidence.build([], pods(1), load_catalogs().rules)
             )
 
     def test_resource_with_two_findings_fails_once(self):
@@ -69,7 +69,7 @@ class TestControlCompliance:
             Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
             Finding("MISC-REQUESTS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
         ]
-        result = control_compliance(control, Evidence.build(findings, resources, builtin_catalog()))
+        result = control_compliance(control, Evidence.build(findings, resources, load_catalogs().rules))
         assert result.passing_resources == 1
         assert result.score == Fraction(1, 2)
 
@@ -79,9 +79,9 @@ class TestControlCompliance:
         from ricaudit.manifests import load_directory
 
         load = load_directory(vulnerable_workloads)
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         result = control_compliance(
-            control_for("MISC-LIMITS"), Evidence.build(findings, load.documents, builtin_catalog())
+            control_for("MISC-LIMITS"), Evidence.build(findings, load.documents, load_catalogs().rules)
         )
         assert result.applicable_resources == 9
         assert result.passing_resources == 0
@@ -194,30 +194,30 @@ class TestFrameworkScore:
 
 class TestBundledFrameworks:
     def test_exact_ids(self):
-        assert [fw.id for fw in bundled_frameworks()] == [
+        assert [fw.id for fw in load_catalogs().frameworks] == [
             "nsa-cisa",
             "mitre-attack",
             "cis-v1.23-t1.0.1",
         ]
 
     def test_control_counts_recorded_in_data_files(self):
-        counts = {fw.id: len(fw.controls) for fw in bundled_frameworks()}
+        counts = {fw.id: len(fw.controls) for fw in load_catalogs().frameworks}
         assert counts == {"nsa-cisa": 17, "mitre-attack": 12, "cis-v1.23-t1.0.1": 16}
 
     def test_at_least_ten_controls_each(self):
-        assert all(len(fw.controls) >= 10 for fw in bundled_frameworks())
+        assert all(len(fw.controls) >= 10 for fw in load_catalogs().frameworks)
 
     def test_rule_ids_resolve(self):
-        known = {rule.id for rule in builtin_catalog()}
-        for fw in bundled_frameworks():
+        known = {rule.id for rule in load_catalogs().rules}
+        for fw in load_catalogs().frameworks:
             for control in fw.controls:
                 assert set(control.rule_ids) <= known
 
     def test_control_ids_unique_within_framework(self):
-        for fw in bundled_frameworks():
+        for fw in load_catalogs().frameworks:
             ids = [c.control_id for c in fw.controls]
             assert len(ids) == len(set(ids))
 
     def test_each_framework_has_unautomatable_controls(self):
-        for fw in bundled_frameworks():
+        for fw in load_catalogs().frameworks:
             assert any(not c.rule_ids for c in fw.controls)

@@ -6,6 +6,7 @@ import shutil
 import pytest
 import yaml
 
+from ricaudit.catalogs import load_catalogs
 from ricaudit.cli import main
 from ricaudit.errors import FixtureDrift
 from ricaudit.fixtures import (
@@ -16,7 +17,7 @@ from ricaudit.fixtures import (
     verify_fixtures,
 )
 from ricaudit.report import render_json
-from ricaudit.rules import builtin_catalog, evaluate
+from ricaudit.rules import evaluate
 from ricaudit.manifests import load_directory
 from ricaudit.severity import SeverityClass
 from ricaudit.vulns import parse_scan_report
@@ -86,7 +87,7 @@ def test_critical_flags_in_scan_reports():
 
 def test_hardened_variants_fire_no_named_rules():
     load = load_directory(fixture_root() / "manifests" / "hardened")
-    findings = evaluate(builtin_catalog(), load.documents)
+    findings = evaluate(load_catalogs().rules, load.documents)
     named = {"MISC-LIMITS", "MISC-SECRETS-LIST", "MISC-PRIVESC", "MISC-ANON", "MISC-CREDS"}
     assert not [f for f in findings if f.rule_id in named]
 

@@ -6,12 +6,11 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from ricaudit.compliance import bundled_frameworks
+from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import CatalogError
 from ricaudit.manifests import load_directory, parse_manifest_stream
 from ricaudit.rules import (
     Finding,
-    builtin_catalog,
     evaluate,
     group_findings_by_app,
     rule_from_mapping,
@@ -63,27 +62,27 @@ rules:
 
 class TestBuiltinCatalog:
     def test_core_rule_ids_present(self):
-        ids = {rule.id for rule in builtin_catalog()}
+        ids = {rule.id for rule in load_catalogs().rules}
         assert CORE_RULE_IDS <= ids
 
     def test_pinned_severities(self):
-        by_id = {rule.id: rule for rule in builtin_catalog()}
+        by_id = {rule.id: rule for rule in load_catalogs().rules}
         for rule_id, severity in NAMED_RULE_SEVERITIES.items():
             assert by_id[rule_id].severity is severity, rule_id
 
     def test_ids_unique(self):
-        ids = [rule.id for rule in builtin_catalog()]
+        ids = [rule.id for rule in load_catalogs().rules]
         assert len(ids) == len(set(ids))
 
     def test_applies_to_non_empty(self):
-        assert all(rule.applies_to for rule in builtin_catalog())
+        assert all(rule.applies_to for rule in load_catalogs().rules)
 
     def test_every_rule_has_refs_into_each_bundled_framework(self):
         # Cross-check over the data files: wherever a bundled framework has a
         # control matching a rule, that rule carries the reference, and vice
         # versa (bidirectional consistency).
-        frameworks = bundled_frameworks()
-        catalog = builtin_catalog()
+        frameworks = load_catalogs().frameworks
+        catalog = load_catalogs().rules
         listed = {
             (fw.id, control.control_id, rule_id)
             for fw in frameworks
@@ -101,16 +100,16 @@ class TestBuiltinCatalog:
             assert {fw_id for fw_id, _ in rule.control_refs} == framework_ids, rule.id
 
     def test_control_refs_resolve(self):
-        validate_catalog(builtin_catalog(), bundled_frameworks())
+        validate_catalog(load_catalogs().rules, load_catalogs().frameworks)
 
 
 class TestEvaluate:
     def test_pod_without_limits_fires_limits_rule(self):
-        findings = evaluate(builtin_catalog(), docs(UNBOUNDED_POD))
+        findings = evaluate(load_catalogs().rules, docs(UNBOUNDED_POD))
         assert any(f.rule_id == "MISC-LIMITS" for f in findings)
 
     def test_role_listing_secrets_fires(self):
-        findings = evaluate(builtin_catalog(), docs(SECRET_ROLE))
+        findings = evaluate(load_catalogs().rules, docs(SECRET_ROLE))
         fired = [f for f in findings if f.rule_id == "MISC-SECRETS-LIST"]
         assert len(fired) == 1
         assert fired[0].resource == "ns/Role/reader"
@@ -118,17 +117,17 @@ class TestEvaluate:
 
     def test_hardened_deployment_is_clean(self, hardened_manifests):
         load = load_directory(hardened_manifests)
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         assert findings == []
 
     def test_hardened_pod_avoids_core_rules(self, hardened_manifests):
         load = load_directory(hardened_manifests)
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         assert not [f for f in findings if f.rule_id in CORE_RULE_IDS]
 
     def test_vulnerable_deployment_profile(self, vulnerable_workloads):
         load = load_directory(vulnerable_workloads / "ricplt-e2term.yaml")
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         assert severity_histogram(findings) == {
             SeverityClass.CRITICAL: 0,
             SeverityClass.HIGH: 1,
@@ -139,7 +138,7 @@ class TestEvaluate:
 
     def test_anonymous_auth_both_surfaces(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests / "cluster")
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         anon = {f.resource for f in findings if f.rule_id == "MISC-ANON"}
         assert anon == {
             "kube-system/Pod/kube-apiserver",
@@ -148,7 +147,7 @@ class TestEvaluate:
 
     def test_duplicate_ref_fires_on_both_copies(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests / "cluster")
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         dup = [f for f in findings if f.rule_id == "MISC-DUPREF"]
         assert len(dup) == 2
         assert {f.resource for f in dup} == {"ricplt/ConfigMap/ric-common"}
@@ -157,7 +156,7 @@ class TestEvaluate:
         import ricaudit.predicates
         import ricaudit.rules
 
-        catalog, frameworks = builtin_catalog(), bundled_frameworks()
+        catalog, frameworks = load_catalogs().rules, load_catalogs().frameworks
         resources = load_directory(vulnerable_manifests).documents
 
         def no_compile(spec):
@@ -169,27 +168,27 @@ class TestEvaluate:
         assert evaluate(catalog, resources)
 
     def test_duplicate_rule_id_rejected_before_evaluation(self):
-        rule = builtin_catalog()[0]
+        rule = load_catalogs().rules[0]
         with pytest.raises(CatalogError):
             evaluate([rule, rule], [])
 
     def test_output_sorted(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         keys = [(-f.severity, f.rule_id, f.resource) for f in findings]
         assert keys == sorted(keys)
 
     def test_order_independent(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)
-        baseline = evaluate(builtin_catalog(), load.documents)
+        baseline = evaluate(load_catalogs().rules, load.documents)
         shuffled = list(load.documents)
         random.Random(7).shuffle(shuffled)
-        assert evaluate(builtin_catalog(), shuffled) == baseline
+        assert evaluate(load_catalogs().rules, shuffled) == baseline
 
     def test_pure_repeated_evaluation(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)
-        first = evaluate(builtin_catalog(), load.documents)
-        second = evaluate(builtin_catalog(), load.documents)
+        first = evaluate(load_catalogs().rules, load.documents)
+        second = evaluate(load_catalogs().rules, load.documents)
         assert first == second
 
     def test_adding_resource_never_removes_findings(self, vulnerable_workloads):
@@ -200,7 +199,7 @@ class TestEvaluate:
         for count in range(1, len(load.documents) + 1):
             findings = {
                 (f.rule_id, f.resource)
-                for f in evaluate(builtin_catalog(), load.documents[:count])
+                for f in evaluate(load_catalogs().rules, load.documents[:count])
             }
             assert base <= findings
             base = findings
@@ -236,7 +235,7 @@ class TestSeverityHistogram:
 class TestGrouping:
     def test_group_by_app_label(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests, namespaces=["ricplt"])
-        findings = evaluate(builtin_catalog(), load.documents)
+        findings = evaluate(load_catalogs().rules, load.documents)
         grouped = group_findings_by_app(findings, load.documents)
         assert len(grouped) == 8
         assert all(len(group) == 13 for group in grouped.values())
@@ -278,4 +277,4 @@ class TestRuleParsing:
             """
         )
         with pytest.raises(CatalogError):
-            validate_catalog([rule_from_mapping(raw)], bundled_frameworks())
+            validate_catalog([rule_from_mapping(raw)], load_catalogs().frameworks)

@@ -3,12 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import MalformedVersion
 from ricaudit.severity import SeverityClass
 from ricaudit.versions import (
     VersionPredicate,
     audit_components,
-    bundled_advisories,
     parse_version,
 )
 from ricaudit.vulns import classify_severity
@@ -93,10 +93,10 @@ class TestPredicates:
 
 class TestBundledAdvisories:
     def test_entry_count(self):
-        assert len(bundled_advisories()) == 4
+        assert len(load_catalogs().advisories) == 4
 
     def test_components_and_counts(self):
-        by_component = {a.component: a for a in bundled_advisories()}
+        by_component = {a.component: a for a in load_catalogs().advisories}
         assert by_component["kubernetes"].cve_count == 23
         assert (by_component["kubernetes"].cvss_min,
                 by_component["kubernetes"].cvss_max) == (3.0, 8.8)
@@ -108,7 +108,7 @@ class TestBundledAdvisories:
         assert (by_component["helm"].cvss_min, by_component["helm"].cvss_max) == (4.3, 8.6)
 
     def test_vulnerability_classes(self):
-        by_component = {a.component: a for a in bundled_advisories()}
+        by_component = {a.component: a for a in load_catalogs().advisories}
         assert "directory traversal" in by_component["kubernetes"].vulnerability_classes
         assert "server-side request forgery" in by_component["cni"].vulnerability_classes
         assert "improper certificate validation" in by_component["docker"].vulnerability_classes
@@ -117,43 +117,43 @@ class TestBundledAdvisories:
 
 class TestAuditComponents:
     def test_kubernetes_entry(self):
-        audit = audit_components([("kubernetes", "1.16.0")], bundled_advisories())
+        audit = audit_components([("kubernetes", "1.16.0")], load_catalogs().advisories)
         assert len(audit.findings) == 1
         finding = audit.findings[0]
         assert finding.matched_entry.cve_count == 23
         assert (finding.matched_entry.cvss_min, finding.matched_entry.cvss_max) == (3.0, 8.8)
 
     def test_helm_entry(self):
-        audit = audit_components([("helm", "3.5.4")], bundled_advisories())
+        audit = audit_components([("helm", "3.5.4")], load_catalogs().advisories)
         assert audit.findings[0].matched_entry.cve_count == 7
         assert (audit.findings[0].matched_entry.cvss_min,
                 audit.findings[0].matched_entry.cvss_max) == (4.3, 8.6)
 
     def test_component_without_advisory(self):
-        audit = audit_components([("nginx", "1.25.0")], bundled_advisories())
+        audit = audit_components([("nginx", "1.25.0")], load_catalogs().advisories)
         assert audit.findings == []
         assert audit.errors == []
 
     def test_patched_version_no_finding(self):
-        audit = audit_components([("kubernetes", "1.27.3")], bundled_advisories())
+        audit = audit_components([("kubernetes", "1.27.3")], load_catalogs().advisories)
         assert audit.findings == []
 
     def test_malformed_version_does_not_abort(self):
         audit = audit_components(
-            [("kubernetes", "latest"), ("helm", "3.5.4")], bundled_advisories()
+            [("kubernetes", "latest"), ("helm", "3.5.4")], load_catalogs().advisories
         )
         assert [f.component for f in audit.findings] == ["helm"]
         assert len(audit.errors) == 1
         assert audit.errors[0].component == "kubernetes"
 
     def test_component_name_case_insensitive(self):
-        audit = audit_components([("Kubernetes", "1.16.0")], bundled_advisories())
+        audit = audit_components([("Kubernetes", "1.16.0")], load_catalogs().advisories)
         assert len(audit.findings) == 1
 
     def test_order_independent(self):
         inventory = [("docker", "20.10.21"), ("helm", "3.5.4"), ("cni", "0.7.5")]
-        forward = audit_components(inventory, bundled_advisories())
-        backward = audit_components(list(reversed(inventory)), bundled_advisories())
+        forward = audit_components(inventory, load_catalogs().advisories)
+        backward = audit_components(list(reversed(inventory)), load_catalogs().advisories)
         assert forward.findings == backward.findings
 
     def test_sorted_by_severity_then_component(self):
@@ -163,14 +163,14 @@ class TestAuditComponents:
             ("docker", "20.10.21"),
             ("helm", "3.5.4"),
         ]
-        audit = audit_components(inventory, bundled_advisories())
+        audit = audit_components(inventory, load_catalogs().advisories)
         keys = [(-f.severity, f.component) for f in audit.findings]
         assert keys == sorted(keys)
         assert audit.findings[0].component == "docker"  # 9.8 is the only Critical
 
     def test_severity_derived_from_cvss_max(self):
         audit = audit_components(
-            [("docker", "20.10.21"), ("kubernetes", "1.16.0")], bundled_advisories()
+            [("docker", "20.10.21"), ("kubernetes", "1.16.0")], load_catalogs().advisories
         )
         for finding in audit.findings:
             assert finding.severity is classify_severity(finding.matched_entry.cvss_max)
