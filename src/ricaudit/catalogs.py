@@ -66,9 +66,31 @@ def _advisory_from_mapping(raw: Mapping[str, Any]) -> AdvisoryEntry:
         raise CatalogError(f"advisory {raw.get('component')!r}: {exc}") from exc
 
 
+def _nested_deeper_than(node: Any, limit: int) -> bool:
+    """Whether `node`, with every alias expanded, nests deeper than `limit`.
+
+    Walks one nesting level at a time, visiting a node shared by aliases
+    once per level; a self-referencing alias nests without end.
+    """
+    level = [node] if isinstance(node, (Mapping, list)) else []
+    for _ in range(limit):
+        level = list({
+            id(child): child
+            for parent in level
+            for child in (parent.values() if isinstance(parent, Mapping) else parent)
+            if isinstance(child, (Mapping, list))
+        }.values())
+    return bool(level)
+
+
 def parse_catalog(raw: Mapping[str, Any], origin: str = "<catalog>") -> CatalogBundle:
     if not isinstance(raw, Mapping):
         raise CatalogError(f"{origin}: catalog must be a mapping")
+    # The YAML loader caps nesting as written; aliases can nest deeper, deep
+    # enough to exhaust the recursion limit when a check is compiled.
+    depth = yamlio.MAX_DEPTH
+    if _nested_deeper_than(raw, depth):
+        raise CatalogError(f"{origin}: nested deeper than {depth} levels through aliases")
     known = {"rules", "frameworks", "advisories"}
     if not known & set(raw):
         raise CatalogError(f"{origin}: no rules/frameworks/advisories section found")

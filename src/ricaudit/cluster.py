@@ -18,9 +18,8 @@ import requests
 from .errors import (
     ClusterError,
     DecodeError,
+    DocumentError,
     InsecureEndpoint,
-    MissingKind,
-    MissingName,
     Unauthorized,
     UnexpectedStatus,
     Unreachable,
@@ -111,7 +110,7 @@ def _fetch_kind(
             )
         try:
             body = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DecodeError(f"response is not JSON: {exc}", kind=kind, namespace=namespace) from exc
         if not isinstance(body, Mapping) or not isinstance(body.get("items"), list):
             raise DecodeError("response is not a list object", kind=kind, namespace=namespace)
@@ -130,7 +129,7 @@ def _fetch_kind(
                 documents.append(
                     document_from_mapping(filled, origin=url, index=len(documents))
                 )
-            except (MissingKind, MissingName) as exc:
+            except DocumentError as exc:
                 raise DecodeError(str(exc), kind=kind, namespace=namespace) from exc
 
         metadata = body.get("metadata")

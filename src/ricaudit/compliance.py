@@ -62,7 +62,7 @@ class FrameworkScore:
 
 @dataclass(frozen=True)
 class Evidence:
-    """One evaluated run, indexed for scoring: built once per framework."""
+    """One evaluated run, indexed for scoring: built once and shared by every framework."""
 
     rules_by_id: Mapping[str, Rule]
     refs_by_kind: Mapping[str, list[str]]
@@ -156,12 +156,8 @@ def framework_score(framework: Framework, results: Sequence[ControlResult]) -> F
 
 
 def score_framework(
-    framework: Framework,
-    findings: Sequence[Finding],
-    resources: Sequence[ResourceDocument],
-    catalog: Sequence[Rule],
+    framework: Framework, evidence: Evidence
 ) -> tuple[FrameworkScore, list[ControlResult]]:
     """Convenience: score every control of a framework, then the framework."""
-    evidence = Evidence.build(findings, resources, catalog)
     results = [control_compliance(control, evidence) for control in framework.controls]
     return framework_score(framework, results), results

@@ -22,31 +22,31 @@ class InvalidYaml(AuditError):
         super().__init__(reason)
 
 
-class MalformedDocument(AuditError):
+class DocumentError(AuditError):
+    """A document in a manifest stream cannot become a resource."""
+
+    default_reason = "invalid document"
+
+    def __init__(self, file_path: str, document_index: int, reason: str | None = None):
+        self.file_path = file_path
+        self.document_index = document_index
+        super().__init__(f"{file_path}: document {document_index}: {reason or self.default_reason}")
+
+
+class MalformedDocument(DocumentError):
     """A document in a manifest stream is not syntactically valid."""
 
-    def __init__(self, file_path: str, document_index: int, reason: str):
-        self.file_path = file_path
-        self.document_index = document_index
-        super().__init__(f"{file_path}: document {document_index}: {reason}")
 
-
-class MissingKind(AuditError):
+class MissingKind(DocumentError):
     """A document parsed fine but carries no usable `kind`."""
 
-    def __init__(self, file_path: str, document_index: int, reason: str = "no kind field"):
-        self.file_path = file_path
-        self.document_index = document_index
-        super().__init__(f"{file_path}: document {document_index}: {reason}")
+    default_reason = "no kind field"
 
 
-class MissingName(AuditError):
+class MissingName(DocumentError):
     """A document parsed fine but carries no `metadata.name`."""
 
-    def __init__(self, file_path: str, document_index: int, reason: str = "no metadata.name"):
-        self.file_path = file_path
-        self.document_index = document_index
-        super().__init__(f"{file_path}: document {document_index}: {reason}")
+    default_reason = "no metadata.name"
 
 
 class IoError(AuditError):

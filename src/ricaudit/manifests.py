@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import yamlio
-from .errors import InvalidYaml, IoError, MalformedDocument, MissingKind, MissingName
+from .errors import DocumentError, InvalidYaml, IoError, MalformedDocument, MissingKind, MissingName
 
 MANIFEST_EXTENSIONS = {".yaml", ".yml", ".json"}
 
@@ -189,7 +189,7 @@ def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) 
             continue
         try:
             docs = parse_manifest_stream(raw, str(path))
-        except (MalformedDocument, MissingKind, MissingName) as exc:
+        except DocumentError as exc:
             result.errors.append(ParseFailure(str(path), exc))
             continue
         result.documents.extend(docs)

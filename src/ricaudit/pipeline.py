@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .catalogs import load_catalogs, load_inventory
-from .compliance import FrameworkScore, score_framework
+from .compliance import Evidence, FrameworkScore, score_framework
 from .errors import AuditError
 from .manifests import ResourceDocument, load_directory
 from .report import AuditResult
@@ -125,7 +125,8 @@ def audit(
             resources.extend(fetch_resources(cluster, kinds=kinds, namespace=namespace))
         findings = evaluate(bundle.rules, resources)
         if frameworks is not None:
-            scores = [score_framework(fw, findings, resources, bundle.rules)[0] for fw in selected]
+            evidence = Evidence.build(findings, resources, bundle.rules)
+            scores = [score_framework(fw, evidence)[0] for fw in selected]
 
     records: list[VulnRecord] = []
     for path in scan_reports:

@@ -113,7 +113,8 @@ def parse_scan_report(text: bytes | str) -> ScanReport:
         raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's recursion limit.
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise SchemaError("report must be a JSON object")

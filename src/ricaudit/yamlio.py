@@ -1,10 +1,11 @@
 """The one YAML loader behind every input the toolkit reads.
 
-Manifests load through `load_all`; catalogs, inventories, config files and
-the fixture index, each a single document, through `load_file`. The loader is libyaml's safe loader when
-PyYAML was built with it and PyYAML's pure-Python safe loader otherwise;
-both produce the same trees for the shipped data. Where they disagree on
-odd input the libyaml behaviour is kept (see tests/test_yamlio.py).
+Manifests load through `load_all`; catalogs, inventories, config files
+and the fixture index, each a single document, through `load_file`. The
+loader is libyaml's safe loader when PyYAML was built with it and PyYAML's
+pure-Python safe loader otherwise; both produce the same trees for the
+shipped data. Where they disagree on odd input the libyaml behaviour is
+kept (see tests/test_yamlio.py).
 
 libyaml composes nodes recursively on the C stack, so a deeply nested
 document can kill the process with a segmentation fault. Before anything

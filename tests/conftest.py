@@ -60,7 +60,7 @@ class MockKubeAPI:
             {"apiVersion": "v1", "kind": f"{kind}List", "items": items, "metadata": {}},
         )
 
-    def add_raw(self, path: str, status: int, payload: dict) -> None:
+    def add_raw(self, path: str, status: int, payload: dict | bytes) -> None:
         self.routes[path] = (status, payload)
 
     @property
@@ -91,7 +91,7 @@ class MockKubeAPI:
                 status, payload = route
                 if callable(payload):
                     payload = payload(parse_qs(parsed.query))
-                body = json.dumps(payload).encode()
+                body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))

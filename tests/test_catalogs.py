@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from ricaudit.catalogs import load_catalog_file, load_inventory
+from ricaudit.catalogs import load_catalog_file, load_catalogs, load_inventory
 from ricaudit.errors import CatalogError, IoError
 
 
@@ -93,3 +93,22 @@ def test_inventory_roundtrip(tmp_path):
     path = tmp_path / "inv.yaml"
     path.write_text("- component: helm\n  version: 3.5.4\n")
     assert load_inventory(path) == [("helm", "3.5.4")]
+
+
+def test_frameworks_in_fixed_order_then_user_files(tmp_path):
+    # Framework scores are reported in this order.
+    builtin = ["nsa-cisa", "mitre-attack", "cis-v1.23-t1.0.1"]
+    assert [fw.id for fw in load_catalogs().frameworks] == builtin
+    path = tmp_path / "fw.yaml"
+    path.write_text("frameworks:\n  - {id: org-baseline, controls: [{id: B-1, rule_ids: []}]}\n")
+    assert [fw.id for fw in load_catalogs([path]).frameworks] == [*builtin, "org-baseline"]
+
+
+def test_self_referencing_alias_rejected(tmp_path):
+    path = tmp_path / "cycle.yaml"
+    path.write_text(
+        "rules:\n  - &r {id: X, title: t, severity: low, category: supply-chain,"
+        " applies_to: [Pod], check: {not: *r}}\n"
+    )
+    with pytest.raises(CatalogError, match="nested deeper than 256 levels"):
+        load_catalog_file(path)

@@ -123,6 +123,14 @@ class TestVulns:
         assert len(err.strip().splitlines()) == 1
         assert "UTF-8" in err
 
+    def test_deeply_nested_report_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_bad_source_date_epoch_exits_2(self, capsys, monkeypatch, scan_report_paths):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
         code, out, err = run_cli(capsys, "vulns", "--scan-report", str(scan_report_paths[0]))
@@ -337,14 +345,17 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "scan", "--config", str(config))
         assert code == 1
 
-    def test_invalid_yaml_config_exits_2(self, capsys, tmp_path):
-        config = tmp_path / "cfg.yaml"
-        config.write_text("fail_on: [unclosed\n")
-        code, out, err = run_cli(capsys, "scan", "--config", str(config))
+    @pytest.mark.parametrize("flag", ["--catalog", "--inventory", "--config"])
+    def test_invalid_yaml_input_exits_2(self, capsys, tmp_path, hardened_manifests, flag):
+        # Every YAML input reports invalid YAML as one line naming its kind and path.
+        path = tmp_path / "bad.yaml"
+        path.write_text("fail_on: [unclosed\n")
+        code, out, err = run_cli(capsys, "report", str(hardened_manifests), flag, str(path))
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "invalid YAML" in err
+        assert f"{flag[2:]} {path}: invalid YAML" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["fail_on: severe", "format: xml", "inputs: deploy"])
     def test_invalid_config_value_exits_2(self, capsys, tmp_path, line):
@@ -438,6 +449,24 @@ rules:
         )
         assert (code, out) == (2, "")
         assert "duplicate" in err and ("X-ONE" in err or "fw-one" in err)
+
+    def test_alias_deep_check_exits_2(self, capsys, tmp_path, hardened_manifests):
+        # Each anchor nests 100 levels around the previous one: every level
+        # of the file stays under the YAML depth cap, the check does not.
+        anchors, inner = [], "{path_exists: spec}"
+        for i in range(20):
+            anchors.append(f"  - &a{i} " + "{not: " * 100 + inner + "}" * 100 + "\n")
+            inner = f"*a{i}"
+        catalog = tmp_path / "deep.yaml"
+        catalog.write_text(
+            "anchors:\n" + "".join(anchors)
+            + "rules:\n  - id: X-DEEP\n    title: t\n    severity: low\n"
+            "    category: supply-chain\n    applies_to: [Pod]\n    check: *a19\n"
+        )
+        code, out, err = run_cli(capsys, "scan", str(hardened_manifests), "--catalog", str(catalog))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "nested deeper than 256 levels" in err
 
     def test_broken_catalog_exits_2(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "broken.yaml"

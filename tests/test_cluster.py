@@ -72,6 +72,12 @@ class TestFetchResources:
         with pytest.raises(DecodeError):
             fetch_resources(endpoint_for(mock_cluster), kinds={"Pod"}, namespace="ricplt")
 
+    def test_decode_error_on_body_nested_beyond_recursion_limit(self, mock_cluster):
+        body = b"[" * 100_000 + b"]" * 100_000
+        mock_cluster.add_raw("/api/v1/namespaces/ricplt/pods", 200, body)
+        with pytest.raises(DecodeError):
+            fetch_resources(endpoint_for(mock_cluster), kinds={"Pod"}, namespace="ricplt")
+
     def test_unreachable(self):
         endpoint = ClusterEndpoint(base_url="http://127.0.0.1:9", allow_insecure=True,
                                    request_timeout=0.5)

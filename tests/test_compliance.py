@@ -16,6 +16,7 @@ from ricaudit.compliance import (
 )
 from ricaudit.errors import IncompleteResults, UnknownRuleId
 from ricaudit.manifests import parse_manifest_stream
+from ricaudit.pipeline import audit
 from ricaudit.rules import Finding, evaluate
 from ricaudit.severity import SeverityClass
 
@@ -221,3 +222,14 @@ class TestBundledFrameworks:
     def test_each_framework_has_unautomatable_controls(self):
         for fw in load_catalogs().frameworks:
             assert any(not c.rule_ids for c in fw.controls)
+
+
+def test_evidence_built_once_per_run(monkeypatch, vulnerable_workloads):
+    builds = []
+    build = Evidence.build.__func__
+    monkeypatch.setattr(
+        Evidence, "build", classmethod(lambda cls, *args: builds.append(args) or build(cls, *args))
+    )
+    result = audit(manifests=[vulnerable_workloads], frameworks=())
+    assert len(result.framework_scores) == 3
+    assert len(builds) == 1

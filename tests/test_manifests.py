@@ -3,7 +3,7 @@ from __future__ import annotations
 import yaml
 import pytest
 
-from ricaudit.errors import IoError, MalformedDocument, MissingKind, MissingName
+from ricaudit.errors import DocumentError, IoError, MalformedDocument, MissingKind, MissingName
 from ricaudit.manifests import (
     load_directory,
     parse_manifest_stream,
@@ -64,6 +64,20 @@ def test_missing_kind():
 def test_missing_name():
     with pytest.raises(MissingName):
         parse_manifest_stream("kind: Pod\nmetadata: {namespace: ns}\n", "x.yaml")
+
+
+@pytest.mark.parametrize(
+    "error, text",
+    [
+        (MalformedDocument("f.yaml", 2, "bad"), "f.yaml: document 2: bad"),
+        (MissingKind("f.yaml", 2), "f.yaml: document 2: no kind field"),
+        (MissingName("f.yaml", 2), "f.yaml: document 2: no metadata.name"),
+    ],
+    ids=["malformed", "missing-kind", "missing-name"],
+)
+def test_document_errors_share_one_base(error, text):
+    assert isinstance(error, DocumentError)
+    assert (error.file_path, error.document_index, str(error)) == ("f.yaml", 2, text)
 
 
 def test_syntax_error_reports_document_index():

@@ -140,6 +140,11 @@ class TestParseScanReport:
         with pytest.raises(SchemaError):
             parse_scan_report(b"kind: nope")
 
+    def test_nesting_beyond_recursion_limit(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_scan_report("[" * 100_000 + "]" * 100_000)
+        assert "\n" not in str(exc.value)
+
     def test_bad_vendor_label(self):
         entries = [{"cve_id": "CVE-1", "package": "p", "installed_version": "1",
                     "vendor_severity": "catastrophic"}]

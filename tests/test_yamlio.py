@@ -18,7 +18,7 @@ import yaml
 import ricaudit
 from ricaudit import yamlio
 from ricaudit.catalogs import data_path
-from ricaudit.errors import AuditError, InvalidYaml, MalformedDocument
+from ricaudit.errors import AuditError, InvalidYaml, IoError, MalformedDocument
 from ricaudit.manifests import parse_manifest_stream
 
 POD = "kind: Pod\nmetadata: {name: p, namespace: ns}\n"
@@ -146,6 +146,17 @@ def test_syntax_error_message_has_position():
     with pytest.raises(InvalidYaml) as exc:
         yamlio.load("a: [1, 2\n")
     assert "line 2, column 1" in str(exc.value)
+
+
+def test_load_file_errors_name_the_input(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("a: [1, 2\n")
+    with pytest.raises(IoError) as exc:
+        yamlio.load_file(bad, "thing")
+    assert str(exc.value).startswith(f"thing {bad}: invalid YAML: ")
+    with pytest.raises(IoError) as exc:
+        yamlio.load_file(tmp_path / "none.yaml", "thing")
+    assert str(exc.value).startswith(f"cannot read thing {tmp_path / 'none.yaml'}: ")
 
 
 @pytest.mark.parametrize("content", [b"- component: [x\n", b"- component: \xff\n"])
