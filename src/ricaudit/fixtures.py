@@ -2,9 +2,10 @@
 
 The package ships a desk-scale reproduction corpus: eight container scan
 reports, vulnerable/hardened/planted manifest sets, and a component
-inventory. `verify_fixtures` recomputes every recorded expectation from
-the raw fixture files through the real pipeline, so any edit that changes
-an audited number is caught as drift.
+inventory. `verify_fixtures` recomputes the report payload from the raw
+fixture files through the real pipeline and compares it with every
+recorded expectation, so any edit that changes an audited number is
+caught as drift.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from . import yamlio
 from .catalogs import data_path
 from .errors import FixtureDrift
 from .pipeline import audit
-from .report import AuditResult
-from .severity import TABLE_ORDER
+from .report import AuditResult, to_payload
+from .vulns import ImageRef
 
 AUDIT_NAMESPACE = "ricplt"
 
@@ -58,92 +59,51 @@ class FixtureCheck:
 
 
 def verify_fixtures(root: str | Path | None = None) -> list[FixtureCheck]:
-    """Recompute every recorded fixture expectation and compare.
+    """Compare every recorded fixture expectation with the report payload.
 
-    Returns the full check list on success; raises FixtureDrift naming the
-    first mismatching cell otherwise.
+    The expectations in `index.yaml` use the keys of the canonical JSON
+    payload, recomputed here from the raw fixture files. Returns the full
+    check list on success; raises FixtureDrift naming the first mismatching
+    cell otherwise.
     """
     root = Path(root or fixture_root())
-    index = load_index(root)
-    expected = index["expected"]
-    result = fixture_audit_result(root)
+    expected = load_index(root)["expected"]
+    payload = to_payload(fixture_audit_result(root))
 
-    checks: list[FixtureCheck] = []
-    summaries = {s.container: s for s in result.summaries}
+    containers = {c["container"]: c for c in payload["containers"]}
+    checks = [FixtureCheck("containers", sorted(expected["containers"]), sorted(containers))]
+    for name in sorted(expected["containers"]):
+        want, have = expected["containers"][name], containers.get(name, {})
+        image = have.get("image")
+        checks.append(
+            FixtureCheck(f"{name}.image", want.get("image"), image and ImageRef(**image).render())
+        )
+        for group in ("vulnerabilities", "misconfigurations"):
+            checks.extend(
+                FixtureCheck(f"{name}.{group}.{label}", want[group][label], count)
+                for label, count in have.get(group, {}).items()
+            )
 
-    expected_containers = expected["containers"]
-    checks.append(
-        FixtureCheck("containers", sorted(expected_containers), sorted(summaries))
-    )
-    for name in sorted(expected_containers):
-        want = expected_containers[name]
-        have = summaries.get(name)
-        image = have.image.render() if have and have.image else None
-        checks.append(FixtureCheck(f"{name}.image", want.get("image"), image))
-        for group, histogram in (
-            ("vulnerabilities", have.vuln_histogram if have else {}),
-            ("misconfigurations", have.misconfig_histogram if have else {}),
-        ):
-            for cls in TABLE_ORDER:
-                label = cls.name.lower()
-                checks.append(
-                    FixtureCheck(
-                        f"{name}.{group}.{label}",
-                        want[group][label],
-                        histogram.get(cls),
-                    )
-                )
-
-    totals = expected["totals"]
-    checks.append(
-        FixtureCheck(
-            "totals.vulnerability_occurrences",
-            totals["vulnerability_occurrences"],
-            result.totals.occurrences,
-        )
-    )
-    checks.append(FixtureCheck("totals.unique_cves", totals["unique_cves"], result.totals.unique_cves))
-    checks.append(
-        FixtureCheck(
-            "totals.critical_occurrences",
-            totals["critical_occurrences"],
-            result.critical_occurrences(),
-        )
-    )
-    checks.append(
-        FixtureCheck(
-            "totals.critical_rce_unique", totals["critical_rce_unique"], result.totals.critical_rce
-        )
-    )
-    checks.append(
-        FixtureCheck(
-            "totals.critical_actionable_unique",
-            totals["critical_actionable_unique"],
-            result.totals.critical_actionable,
-        )
+    checks.extend(
+        FixtureCheck(f"totals.{key}", expected["totals"][key], actual)
+        for key, actual in payload["totals"].items()
     )
 
-    expected_versions = expected["version_findings"]
-    actual_versions = {
-        v.component: v for v in result.version_findings
-    }
+    versions = {v["component"]: v for v in payload["version_findings"]}
     checks.append(
         FixtureCheck(
             "version_findings.components",
-            sorted(e["component"] for e in expected_versions),
-            sorted(actual_versions),
+            sorted(e["component"] for e in expected["version_findings"]),
+            sorted(versions),
         )
     )
-    for want in expected_versions:
+    for want in expected["version_findings"]:
         component = want["component"]
-        have = actual_versions.get(component)
-        for fld, actual in (
-            ("installed", str(have.installed) if have else None),
-            ("cve_count", have.matched_entry.cve_count if have else None),
-            ("cvss_min", have.matched_entry.cvss_min if have else None),
-            ("cvss_max", have.matched_entry.cvss_max if have else None),
-        ):
-            checks.append(FixtureCheck(f"versions.{component}.{fld}", want[fld], actual))
+        have = versions.get(component, {})
+        checks.extend(
+            FixtureCheck(f"versions.{component}.{fld}", want[fld], have.get(fld))
+            for fld in ("installed", "cve_count", "cvss_min", "cvss_max")
+        )
 
     for check in checks:
         if not check.ok:
