@@ -66,31 +66,48 @@ def _advisory_from_mapping(raw: Mapping[str, Any]) -> AdvisoryEntry:
         raise CatalogError(f"advisory {raw.get('component')!r}: {exc}") from exc
 
 
-def _nested_deeper_than(node: Any, limit: int) -> bool:
-    """Whether `node`, with every alias expanded, nests deeper than `limit`.
+# Mappings and lists a catalog may hold once its YAML aliases are expanded.
+# The shipped catalogs hold at most 161.
+MAX_EXPANDED_NODES = 10_000
 
-    Walks one nesting level at a time, visiting a node shared by aliases
-    once per level; a self-referencing alias nests without end.
+
+def _reject_alias_blowup(raw: Any, origin: str) -> None:
+    """Reject a catalog that its YAML aliases make too deep or too large.
+
+    The YAML loader caps nesting as written; aliases can nest deeper, deep
+    enough to exhaust the recursion limit when a check is compiled, or
+    repeat a shared node so often that compiling and evaluating its check
+    takes exponential time. Walks one nesting level at a time, visiting a
+    node shared by aliases once per level with the number of paths that
+    reach it; a self-referencing alias nests without end.
     """
-    level = [node] if isinstance(node, (Mapping, list)) else []
-    for _ in range(limit):
-        level = list({
-            id(child): child
-            for parent in level
-            for child in (parent.values() if isinstance(parent, Mapping) else parent)
-            if isinstance(child, (Mapping, list))
-        }.values())
-    return bool(level)
+    depth = yamlio.MAX_DEPTH
+    level = {id(raw): (raw, 1)} if isinstance(raw, (Mapping, list)) else {}
+    expanded = 0
+    for _ in range(depth):
+        if not level:
+            return
+        expanded += sum(paths for _, paths in level.values())
+        if expanded > MAX_EXPANDED_NODES:
+            raise CatalogError(
+                f"{origin}: expands to more than {MAX_EXPANDED_NODES} mappings and lists "
+                "through aliases"
+            )
+        children: dict[int, tuple[Any, int]] = {}
+        for parent, paths in level.values():
+            for child in parent.values() if isinstance(parent, Mapping) else parent:
+                if isinstance(child, (Mapping, list)):
+                    _, reached = children.get(id(child), (child, 0))
+                    children[id(child)] = (child, reached + paths)
+        level = children
+    if level:
+        raise CatalogError(f"{origin}: nested deeper than {depth} levels through aliases")
 
 
 def parse_catalog(raw: Mapping[str, Any], origin: str = "<catalog>") -> CatalogBundle:
     if not isinstance(raw, Mapping):
         raise CatalogError(f"{origin}: catalog must be a mapping")
-    # The YAML loader caps nesting as written; aliases can nest deeper, deep
-    # enough to exhaust the recursion limit when a check is compiled.
-    depth = yamlio.MAX_DEPTH
-    if _nested_deeper_than(raw, depth):
-        raise CatalogError(f"{origin}: nested deeper than {depth} levels through aliases")
+    _reject_alias_blowup(raw, origin)
     known = {"rules", "frameworks", "advisories"}
     if not known & set(raw):
         raise CatalogError(f"{origin}: no rules/frameworks/advisories section found")

@@ -62,7 +62,6 @@ CLUSTER_SCOPED_KINDS = {"Namespace", "Node", "ClusterRole", "ClusterRoleBinding"
 class ClusterEndpoint:
     base_url: str
     bearer_token: str | None = None
-    ca_bundle: str | None = None
     request_timeout: float = 10.0
     allow_insecure: bool = False
 
@@ -72,6 +71,9 @@ class ClusterEndpoint:
             raise ClusterError(f"base_url must be an absolute http(s) URL: {self.base_url!r}")
         if self.request_timeout <= 0:
             raise ClusterError("request_timeout must be positive")
+        # The token becomes a header value; the message never quotes it.
+        if self.bearer_token and not all("!" <= c <= "~" for c in self.bearer_token):
+            raise ClusterError("bearer token must hold only visible ASCII characters")
 
 
 def _list_path(kind: str, namespace: str | None) -> str:
@@ -163,7 +165,7 @@ def fetch_resources(
     session = requests.Session()
     if endpoint.bearer_token:
         session.headers["Authorization"] = f"Bearer {endpoint.bearer_token}"
-    session.verify = endpoint.ca_bundle if endpoint.ca_bundle else True
+    session.verify = True
 
     try:
         with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:

@@ -163,7 +163,10 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
         return lambda node, doc, ctx: not sub(node, doc, ctx)
 
     if op == "kind_is":
-        kinds = {arg} if isinstance(arg, str) else set(arg)
+        listed = [arg] if isinstance(arg, str) else arg
+        _require(isinstance(listed, list) and all(isinstance(k, str) for k in listed),
+                 "kind_is needs a kind or a list of kinds")
+        kinds = set(listed)
         return lambda node, doc, ctx: doc.kind in kinds
 
     if op == "path_exists":
@@ -179,7 +182,10 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
         _require(isinstance(arg, Mapping) and "path" in arg and "pattern" in arg,
                  "path_matches needs a mapping with 'path' and 'pattern'")
         path = str(arg["path"])
-        regex = re.compile(str(arg["pattern"]))
+        try:
+            regex = re.compile(str(arg["pattern"]))
+        except re.error as exc:
+            raise CatalogError(f"path_matches pattern {arg['pattern']!r}: {exc}") from exc
         return lambda node, doc, ctx: any(
             isinstance(v, str) and regex.search(v) for v in resolve_path(node, path)
         )
@@ -230,9 +236,15 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
 
     if op == "credential_data":
         _require(isinstance(arg, Mapping), "credential_data needs a mapping of parameters")
-        patterns = [str(p).lower() for p in arg.get("key_patterns", [])]
-        threshold = float(arg.get("entropy_threshold", 4.0))
-        min_length = int(arg.get("min_value_length", 16))
+        patterns = arg.get("key_patterns", [])
+        threshold = arg.get("entropy_threshold", 4.0)
+        min_length = arg.get("min_value_length", 16)
+        _require(isinstance(patterns, list), "credential_data key_patterns must be a list")
+        _require(isinstance(threshold, (int, float)) and not isinstance(threshold, bool),
+                 "credential_data entropy_threshold must be a number")
+        _require(isinstance(min_length, int) and not isinstance(min_length, bool),
+                 "credential_data min_value_length must be an integer")
+        patterns = [str(p).lower() for p in patterns]
         def check_credentials(node: Any, doc: ResourceDocument, ctx: EvalContext) -> bool:
             data = node.get("data") if isinstance(node, Mapping) else None
             if not isinstance(data, Mapping):

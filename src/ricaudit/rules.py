@@ -60,7 +60,7 @@ def rule_from_mapping(raw: Mapping[str, Any]) -> Rule:
     try:
         applies_to = frozenset(str(k) for k in raw["applies_to"])
         if not applies_to:
-            raise CatalogError(f"rule {raw.get('id')!r}: applies_to must be non-empty")
+            raise ValueError("applies_to must be non-empty")
         return Rule(
             id=str(raw["id"]),
             title=str(raw["title"]),
@@ -75,7 +75,7 @@ def rule_from_mapping(raw: Mapping[str, Any]) -> Rule:
         )
     except KeyError as exc:
         raise CatalogError(f"rule {raw.get('id')!r}: missing field {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, CatalogError) as exc:
         raise CatalogError(f"rule {raw.get('id')!r}: {exc}") from exc
 
 

@@ -313,6 +313,21 @@ class TestClusterIntegration:
         assert mock_cluster.mutating_requests() == []
         assert "Bearer sekrit" in mock_cluster.auth_headers
 
+    @pytest.mark.parametrize("token", ["abc\ndef", "tok\u20acn"])
+    def test_token_outside_visible_ascii_exits_2(self, capsys, monkeypatch, mock_cluster, token):
+        # The token would become a header value; it must never reach the
+        # diagnostic, which CI logs keep.
+        monkeypatch.setenv("RIC_TOKEN", token)
+        code, out, err = run_cli(
+            capsys, "scan", "--endpoint", mock_cluster.base_url, "--namespace", "ricplt",
+            "--token-env", "RIC_TOKEN", "--insecure",
+        )
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not any(part in err for part in token.split("\n"))
+        assert mock_cluster.auth_headers == []
+
     def test_unauthorized_exits_2(self, capsys, mock_cluster):
         mock_cluster.add_raw("/api/v1/namespaces/ricplt/pods", 403, {})
         code, _, err = run_cli(
@@ -468,6 +483,26 @@ rules:
         assert len(err.strip().splitlines()) == 1
         assert "nested deeper than 256 levels" in err
 
+    @pytest.mark.parametrize("check", [
+        "{kind_is: [{a: 1}]}",
+        "{kind_is: 5}",
+        '{path_matches: {path: spec, pattern: "("}}',
+        "{credential_data: {key_patterns: 5}}",
+        "{credential_data: {min_value_length: [1]}}",
+    ])
+    def test_malformed_combinator_argument_exits_2(
+        self, capsys, tmp_path, hardened_manifests, check
+    ):
+        catalog = tmp_path / "bad-arg.yaml"
+        catalog.write_text(
+            "rules:\n  - id: X-BAD\n    title: t\n    severity: low\n"
+            f"    category: supply-chain\n    applies_to: [Pod]\n    check: {check}\n"
+        )
+        code, out, err = run_cli(capsys, "scan", str(hardened_manifests), "--catalog", str(catalog))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("ricaudit: rule 'X-BAD': ")
+
     def test_broken_catalog_exits_2(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "broken.yaml"
         catalog.write_text("rules:\n  - id: X\n")
@@ -501,6 +536,7 @@ def test_verify_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "verify-fixtures")
     assert code == 0
     assert "checks passed" in err
+    assert "fixtures verified: 111 checks passed" in err
 
 
 def test_severity_threshold_choices_match_classes():

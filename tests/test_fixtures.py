@@ -56,6 +56,37 @@ def test_edited_manifest_reported_as_drift(tmp_path):
     assert "ricplt-e2term.misconfigurations" in exc.value.cell
 
 
+def _delete_scan_report(root):
+    (root / "scan-reports" / "influxdb2.json").unlink()
+
+
+def _change_inventory_version(root):
+    inventory = root / "inventory.yaml"
+    inventory.write_text(inventory.read_text().replace("1.16.0", "1.30.0"))
+
+
+def _edit_index_total(root):
+    index = root / "index.yaml"
+    index.write_text(
+        index.read_text().replace("critical_rce_unique: 10", "critical_rce_unique: 11")
+    )
+
+
+@pytest.mark.parametrize("mutate, cell", [
+    (_delete_scan_report, "influxdb2.image"),
+    (_change_inventory_version, "version_findings.components"),
+    (_edit_index_total, "totals.critical_rce_unique"),
+])
+def test_drift_names_first_mismatching_cell(tmp_path, mutate, cell):
+    root = tmp_path / "fixtures"
+    shutil.copytree(fixture_root(), root)
+    mutate(root)
+
+    with pytest.raises(FixtureDrift) as exc:
+        verify_fixtures(root)
+    assert exc.value.cell == cell
+
+
 def test_index_lists_every_asset():
     root = fixture_root()
     listed = {entry["path"] for entry in load_index(root)["assets"]}

@@ -34,16 +34,16 @@ def nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     package_parent = str(Path(ricaudit.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=package_parent), timeout=120,
+        env=dict(os.environ, PYTHONPATH=package_parent), timeout=timeout,
     )
 
 
-def run_ricaudit(*argv: str) -> subprocess.CompletedProcess:
-    return run_python("-m", "ricaudit", *argv)
+def run_ricaudit(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    return run_python("-m", "ricaudit", *argv, timeout=timeout)
 
 
 def assert_one_line_exit_2(proc: subprocess.CompletedProcess) -> None:
@@ -83,6 +83,24 @@ def test_deep_side_input_exits_2(tmp_path, inventory_path, flag, shape):
     assert proc.returncode >= 0
     assert_one_line_exit_2(proc)
     assert "nesting deeper than 256 levels" in proc.stderr
+
+
+def test_catalog_alias_fan_out_exits_2(tmp_path, hardened_manifests):
+    # Each anchor lists the previous one twice: 40 levels in under 2 KB
+    # expand to 2**40 checks. Rejected before any check is compiled, so
+    # the short timeout bounds a regression's time and memory.
+    anchors = ["  - &a0 {path_exists: spec}\n"]
+    for i in range(1, 41):
+        anchors.append(f"  - &a{i} {{all_of: [*a{i - 1}, *a{i - 1}]}}\n")
+    catalog = tmp_path / "fan-out.yaml"
+    catalog.write_text(
+        "anchors:\n" + "".join(anchors)
+        + "rules:\n  - id: X-FAN\n    title: t\n    severity: low\n"
+        "    category: supply-chain\n    applies_to: [Pod]\n    check: *a40\n"
+    )
+    proc = run_ricaudit("scan", str(hardened_manifests), "--catalog", str(catalog), timeout=15)
+    assert_one_line_exit_2(proc)
+    assert "expands to more than 10000 mappings and lists" in proc.stderr
 
 
 def test_depth_limit_is_inclusive():
