@@ -7,14 +7,16 @@ top-level keys discriminate the content (`rules:`, `frameworks:`,
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from . import yamlio
 from .compliance import Control, Framework
-from .errors import CatalogError, IoError
+from .errors import CatalogError, IoError, MalformedVersion
+from .predicates import INTEGER, LIST, NUMBER, STRING, STRINGS, entry_fields
 from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
@@ -28,42 +30,38 @@ class CatalogBundle:
     advisories: list[AdvisoryEntry] = field(default_factory=list)
 
 
-def _framework_from_mapping(raw: Mapping[str, Any]) -> Framework:
-    try:
-        framework_id = str(raw["id"])
-        controls = tuple(
-            Control(
-                framework_id=framework_id,
-                control_id=str(c["id"]),
-                title=str(c.get("title", "")),
-                rule_ids=tuple(str(r) for r in (c.get("rule_ids") or [])),
-            )
-            for c in raw["controls"]
-        )
-    except KeyError as exc:
-        raise CatalogError(f"framework {raw.get('id')!r}: missing field {exc}") from exc
+def _framework_from_mapping(raw: Any) -> Framework:
+    fw = entry_fields(raw, "framework", {
+        "id": STRING, "title": (STRING, ""), "controls": LIST}, key="id")
+    controls = []
+    for raw_control in fw["controls"]:
+        c = entry_fields(raw_control, f"framework {fw['id']!r} control", {
+            "id": STRING, "title": (STRING, ""), "rule_ids": (STRINGS, [])}, key="id")
+        controls.append(Control(fw["id"], c["id"], c["title"], tuple(c["rule_ids"])))
     if not controls:
-        raise CatalogError(f"framework {framework_id}: controls must be non-empty")
-    reject_duplicates((c.control_id for c in controls), f"framework {framework_id}: duplicate control")
-    return Framework(id=framework_id, title=str(raw.get("title", "")), controls=controls)
+        raise CatalogError(f"framework {fw['id']}: controls must be non-empty")
+    reject_duplicates((c.control_id for c in controls), f"framework {fw['id']}: duplicate control")
+    return Framework(id=fw["id"], title=fw["title"], controls=tuple(controls))
 
 
-def _advisory_from_mapping(raw: Mapping[str, Any]) -> AdvisoryEntry:
+def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
+    adv = entry_fields(raw, "advisory", {
+        "component": STRING, "affected": STRING, "cve_count": INTEGER, "cvss_min": NUMBER,
+        "cvss_max": NUMBER, "vulnerability_classes": (STRINGS, []),
+        "recommended_min_version": (STRING, None)}, key="component")
+    recommended = adv["recommended_min_version"]
     try:
-        recommended = raw.get("recommended_min_version")
         return AdvisoryEntry(
-            component=str(raw["component"]).lower(),
-            affected=VersionPredicate.parse(str(raw["affected"])),
-            cve_count=int(raw["cve_count"]),
-            cvss_min=float(raw["cvss_min"]),
-            cvss_max=float(raw["cvss_max"]),
-            vulnerability_classes=tuple(str(c) for c in raw.get("vulnerability_classes", [])),
-            recommended_min_version=parse_version(str(recommended)) if recommended else None,
+            component=adv["component"].lower(),
+            affected=VersionPredicate.parse(adv["affected"]),
+            cve_count=adv["cve_count"],
+            cvss_min=float(adv["cvss_min"]),
+            cvss_max=float(adv["cvss_max"]),
+            vulnerability_classes=tuple(adv["vulnerability_classes"]),
+            recommended_min_version=parse_version(recommended) if recommended else None,
         )
-    except KeyError as exc:
-        raise CatalogError(f"advisory {raw.get('component')!r}: missing field {exc}") from exc
-    except ValueError as exc:
-        raise CatalogError(f"advisory {raw.get('component')!r}: {exc}") from exc
+    except (ValueError, MalformedVersion) as exc:
+        raise CatalogError(f"advisory {adv['component']!r}: {exc}") from exc
 
 
 # Mappings and lists a catalog may hold once its YAML aliases are expanded.
@@ -104,24 +102,17 @@ def _reject_alias_blowup(raw: Any, origin: str) -> None:
         raise CatalogError(f"{origin}: nested deeper than {depth} levels through aliases")
 
 
-def parse_catalog(raw: Mapping[str, Any], origin: str = "<catalog>") -> CatalogBundle:
-    if not isinstance(raw, Mapping):
-        raise CatalogError(f"{origin}: catalog must be a mapping")
+def parse_catalog(raw: Any, origin: str = "<catalog>") -> CatalogBundle:
+    sections = entry_fields(raw, f"catalog {origin}", {
+        "rules": (LIST, []), "frameworks": (LIST, []), "advisories": (LIST, [])})
     _reject_alias_blowup(raw, origin)
-    known = {"rules", "frameworks", "advisories"}
-    if not known & set(raw):
+    if not set(sections) & set(raw):
         raise CatalogError(f"{origin}: no rules/frameworks/advisories section found")
-    bundle = CatalogBundle()
-    for section, parser, target in (
-        ("rules", rule_from_mapping, bundle.rules),
-        ("frameworks", _framework_from_mapping, bundle.frameworks),
-        ("advisories", _advisory_from_mapping, bundle.advisories),
-    ):
-        entries = raw.get(section) or []
-        if not isinstance(entries, list):
-            raise CatalogError(f"{origin}: section {section!r} must be a list")
-        for entry in entries:
-            target.append(parser(entry))
+    bundle = CatalogBundle(
+        rules=[rule_from_mapping(entry) for entry in sections["rules"]],
+        frameworks=[_framework_from_mapping(entry) for entry in sections["frameworks"]],
+        advisories=[_advisory_from_mapping(entry) for entry in sections["advisories"]],
+    )
     reject_duplicates((rule.id for rule in bundle.rules), f"{origin}: duplicate rule id")
     reject_duplicates((fw.id for fw in bundle.frameworks), f"{origin}: duplicate framework id")
     return bundle
@@ -179,9 +170,6 @@ def load_inventory(path: str | Path) -> list[tuple[str, str]]:
     raw = yamlio.load_file(path, "inventory")
     if not isinstance(raw, list):
         raise IoError(f"{path}: inventory must be a list of {{component, version}} entries")
-    inventory = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, Mapping) or "component" not in entry or "version" not in entry:
-            raise IoError(f"{path}: entry {i} must have 'component' and 'version'")
-        inventory.append((str(entry["component"]), str(entry["version"])))
-    return inventory
+    item = {"component": STRING, "version": STRING}
+    return [tuple(entry_fields(entry, f"{path}: inventory entry", item, key="component").values())
+            for entry in raw]

@@ -22,6 +22,7 @@ from . import __version__, yamlio
 from .errors import AuditError, IoError
 from .fixtures import verify_fixtures
 from .pipeline import audit
+from .predicates import SHAPES, STRING, STRINGS
 from .report import (
     EXIT_CLEAN,
     EXIT_TOOL_ERROR,
@@ -119,7 +120,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise IoError(f"config {args.config} must be a mapping")
         file_values = raw or {}
 
-    def pick(flag: Any, key: str, default: Any, valid=lambda v: isinstance(v, str)) -> Any:
+    def pick(flag: Any, key: str, default: Any, valid=SHAPES[STRING]) -> Any:
         """The flag if given, else the config value if `valid`, else `default`."""
         if flag is not None:
             return flag
@@ -130,17 +131,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise IoError(f"config {args.config}: invalid value for {key}: {value!r}")
         return value
 
-    def strings(value: Any) -> bool:
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
     fail_on = pick(args.fail_on, "fail_on", "critical",
                    lambda v: isinstance(v, str) and v.strip().lower() in SEVERITIES)
     return RunConfig(
-        inputs=list(pick(getattr(args, "inputs", None) or None, "inputs", [], strings)),
+        inputs=list(pick(getattr(args, "inputs", None) or None, "inputs", [], SHAPES[STRINGS])),
         namespace=pick(args.namespace, "namespace", None),
-        catalogs=list(pick(args.catalogs, "catalogs", [], strings)),
-        frameworks=list(pick(args.frameworks, "frameworks", [], strings)),
-        scan_reports=list(pick(args.scan_reports, "scan_reports", [], strings)),
+        catalogs=list(pick(args.catalogs, "catalogs", [], SHAPES[STRINGS])),
+        frameworks=list(pick(args.frameworks, "frameworks", [], SHAPES[STRINGS])),
+        scan_reports=list(pick(args.scan_reports, "scan_reports", [], SHAPES[STRINGS])),
         inventory=pick(args.inventory, "inventory", None),
         endpoint=pick(args.endpoint, "endpoint", None),
         token_env=pick(args.token_env, "token_env", None),

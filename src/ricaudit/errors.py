@@ -57,7 +57,7 @@ class IoError(AuditError):
 
 
 class CatalogError(AuditError):
-    """A rule or framework catalog violates its invariants."""
+    """A catalog entry or inventory item has the wrong shape or breaks an invariant."""
 
 
 class UnknownRuleId(CatalogError):

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from collections import Counter
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any
 
 from .errors import CatalogError
 from .manifests import ResourceDocument, resource_ref
@@ -134,10 +136,40 @@ def _require(condition: bool, message: str) -> None:
         raise CatalogError(message)
 
 
-def _compile_path_value(arg: Any, op: str) -> tuple[str, Any]:
-    _require(isinstance(arg, Mapping) and "path" in arg and "value" in arg,
-             f"{op} needs a mapping with 'path' and 'value'")
-    return str(arg["path"]), arg["value"]
+# Field shapes, named as in diagnostics. A YAML boolean is never a number.
+STRING, INTEGER, NUMBER, STRINGS, LIST, ANY = (
+    "a string", "an integer", "a number", "a list of strings", "a list", "any value")
+SHAPES: dict[str, Callable[[Any], bool]] = {
+    STRING: lambda v: isinstance(v, str),
+    INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    STRINGS: lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+    LIST: lambda v: isinstance(v, list),
+    ANY: lambda v: True,
+}
+
+
+def entry_fields(raw: Any, what: str, fields: Mapping[str, Any],
+                 key: str | None = None) -> dict[str, Any]:
+    """The values of `fields` in a catalog entry, each checked for its shape.
+
+    `fields` maps a required field's name to its shape and an optional one's
+    to (shape, default), the value taken when the field is absent or null.
+    Values are quoted by `reprlib`, bounded: aliases can make them huge.
+    """
+    if not isinstance(raw, Mapping):
+        raise CatalogError(f"{what} must be a mapping, got {reprlib.repr(raw)}")
+    label = what if key is None else f"{what} {reprlib.repr(raw.get(key))}"
+    values = {}
+    for name, shape in fields.items():
+        if isinstance(shape, tuple):
+            shape, values[name] = shape
+            if raw.get(name) is None:
+                continue
+        _require(name in raw, f"{label}: missing field {name!r}")
+        _require(SHAPES[shape](raw[name]), f"{label}: {name} must be {shape}")
+        values[name] = raw[name]
+    return values
 
 
 def compile_check(spec: Mapping[str, Any]) -> Check:
@@ -164,42 +196,35 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
 
     if op == "kind_is":
         listed = [arg] if isinstance(arg, str) else arg
-        _require(isinstance(listed, list) and all(isinstance(k, str) for k in listed),
-                 "kind_is needs a kind or a list of kinds")
+        _require(SHAPES[STRINGS](listed), "kind_is needs a kind or a list of kinds")
         kinds = set(listed)
         return lambda node, doc, ctx: doc.kind in kinds
 
-    if op == "path_exists":
-        path = str(arg)
-        return lambda node, doc, ctx: bool(resolve_path(node, path))
-    if op == "path_absent":
-        path = str(arg)
-        return lambda node, doc, ctx: not resolve_path(node, path)
-    if op == "path_equals":
-        path, value = _compile_path_value(arg, op)
-        return lambda node, doc, ctx: any(v == value for v in resolve_path(node, path))
-    if op == "path_matches":
-        _require(isinstance(arg, Mapping) and "path" in arg and "pattern" in arg,
-                 "path_matches needs a mapping with 'path' and 'pattern'")
-        path = str(arg["path"])
-        try:
-            regex = re.compile(str(arg["pattern"]))
-        except re.error as exc:
-            raise CatalogError(f"path_matches pattern {arg['pattern']!r}: {exc}") from exc
-        return lambda node, doc, ctx: any(
-            isinstance(v, str) and regex.search(v) for v in resolve_path(node, path)
-        )
-    if op == "path_contains":
-        path, value = _compile_path_value(arg, op)
+    if op == "path_exists" or op == "path_absent":
+        _require(isinstance(arg, str), f"{op} must be a string")
+        if op == "path_exists":
+            return lambda node, doc, ctx: bool(resolve_path(node, arg))
+        return lambda node, doc, ctx: not resolve_path(node, arg)
+    if op == "path_equals" or op == "path_contains":
+        path, value = entry_fields(arg, op, {"path": STRING, "value": ANY}).values()
+        if op == "path_equals":
+            return lambda node, doc, ctx: any(v == value for v in resolve_path(node, path))
         return lambda node, doc, ctx: any(
             isinstance(v, list) and value in v for v in resolve_path(node, path)
         )
+    if op == "path_matches":
+        path, pattern = entry_fields(arg, op, {"path": STRING, "pattern": STRING}).values()
+        try:
+            regex = re.compile(pattern)
+        except re.error as exc:
+            raise CatalogError(f"path_matches pattern {pattern!r}: {exc}") from exc
+        return lambda node, doc, ctx: any(
+            isinstance(v, str) and regex.search(v) for v in resolve_path(node, path)
+        )
 
     if op == "any_item" or op == "all_items":
-        _require(isinstance(arg, Mapping) and "path" in arg and "check" in arg,
-                 f"{op} needs a mapping with 'path' and 'check'")
-        path = str(arg["path"])
-        sub = compile_check(arg["check"])
+        path, check = entry_fields(arg, op, {"path": STRING, "check": ANY}).values()
+        sub = compile_check(check)
         if op == "any_item":
             return lambda node, doc, ctx: any(
                 sub(item, doc, ctx)
@@ -227,24 +252,19 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
         return lambda node, doc, ctx: all(sub(c, doc, ctx) for c in containers_of(doc))
 
     if op == "image_registry_not_in":
-        _require(isinstance(arg, list) and arg, "image_registry_not_in needs a non-empty list")
-        allowed = {str(r).lower() for r in arg}
+        _require(SHAPES[STRINGS](arg) and arg,
+                 "image_registry_not_in needs a non-empty list of strings")
+        allowed = {r.lower() for r in arg}
         def check_registry(node: Any, doc: ResourceDocument, ctx: EvalContext) -> bool:
             image = node.get("image") if isinstance(node, Mapping) else None
             return isinstance(image, str) and image_registry(image) not in allowed
         return check_registry
 
     if op == "credential_data":
-        _require(isinstance(arg, Mapping), "credential_data needs a mapping of parameters")
-        patterns = arg.get("key_patterns", [])
-        threshold = arg.get("entropy_threshold", 4.0)
-        min_length = arg.get("min_value_length", 16)
-        _require(isinstance(patterns, list), "credential_data key_patterns must be a list")
-        _require(isinstance(threshold, (int, float)) and not isinstance(threshold, bool),
-                 "credential_data entropy_threshold must be a number")
-        _require(isinstance(min_length, int) and not isinstance(min_length, bool),
-                 "credential_data min_value_length must be an integer")
-        patterns = [str(p).lower() for p in patterns]
+        patterns, threshold, min_length = entry_fields(arg, op, {
+            "key_patterns": (STRINGS, []), "entropy_threshold": (NUMBER, 4.0),
+            "min_value_length": (INTEGER, 16)}).values()
+        patterns = [p.lower() for p in patterns]
         def check_credentials(node: Any, doc: ResourceDocument, ctx: EvalContext) -> bool:
             data = node.get("data") if isinstance(node, Mapping) else None
             if not isinstance(data, Mapping):
@@ -259,8 +279,8 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
         return check_credentials
 
     if op == "namespace_lacks_kind":
-        kind = str(arg)
-        return lambda node, doc, ctx: kind not in ctx.namespace_kinds.get(doc.namespace, set())
+        _require(isinstance(arg, str), f"{op} must be a string")
+        return lambda node, doc, ctx: arg not in ctx.namespace_kinds.get(doc.namespace, set())
 
     if op == "duplicate_ref":
         return lambda node, doc, ctx: ctx.ref_counts[resource_ref(doc)] > 1

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import CatalogError
 from .manifests import ResourceDocument, resource_ref
-from .predicates import Check, EvalContext, compile_check
+from .predicates import ANY, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields
 from .severity import SeverityClass, ThreatCategory, empty_counts
 
 WILDCARD_KIND = "*"
@@ -56,27 +56,24 @@ def parse_control_ref(ref: str) -> tuple[str, str]:
     return framework_id, control_id
 
 
-def rule_from_mapping(raw: Mapping[str, Any]) -> Rule:
+def rule_from_mapping(raw: Any) -> Rule:
+    fields = entry_fields(raw, "rule", {
+        "id": STRING, "title": STRING, "description": (STRING, ""), "severity": STRING,
+        "category": STRING, "applies_to": STRINGS, "check": ANY,
+        "control_refs": (STRINGS, []), "remediation": (STRING, "")}, key="id")
     try:
-        applies_to = frozenset(str(k) for k in raw["applies_to"])
-        if not applies_to:
+        if not fields["applies_to"]:
             raise ValueError("applies_to must be non-empty")
-        return Rule(
-            id=str(raw["id"]),
-            title=str(raw["title"]),
-            description=str(raw.get("description", "")),
-            severity=SeverityClass.from_label(raw["severity"]),
-            category=ThreatCategory(raw["category"]),
-            applies_to=applies_to,
-            check=raw["check"],
-            control_refs=tuple(parse_control_ref(str(r)) for r in raw.get("control_refs", [])),
-            remediation=str(raw.get("remediation", "")),
-            predicate=compile_check(raw["check"]),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"rule {raw.get('id')!r}: missing field {exc}") from exc
+        return Rule(**{
+            **fields,
+            "severity": SeverityClass.from_label(fields["severity"]),
+            "category": ThreatCategory(fields["category"]),
+            "applies_to": frozenset(fields["applies_to"]),
+            "control_refs": tuple(parse_control_ref(r) for r in fields["control_refs"]),
+            "predicate": compile_check(fields["check"]),
+        })
     except (ValueError, CatalogError) as exc:
-        raise CatalogError(f"rule {raw.get('id')!r}: {exc}") from exc
+        raise CatalogError(f"rule {fields['id']!r}: {exc}") from exc
 
 
 def reject_duplicates(ids: Iterable[str], message: str) -> None:
@@ -95,9 +92,6 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None =
     against a loaded framework.
     """
     reject_duplicates((rule.id for rule in catalog), "duplicate rule id:")
-    for rule in catalog:
-        if not rule.applies_to:
-            raise CatalogError(f"rule {rule.id}: applies_to must be non-empty")
     if frameworks is not None:
         known = {
             (fw.id, control.control_id) for fw in frameworks for control in fw.controls

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from conftest import pod_item
 from ricaudit.cli import main
@@ -384,6 +388,25 @@ class TestConfigFile:
         assert f"invalid value for {line.split(':')[0]}" in err
 
 
+# Valid entries of every kind; tests replace one field of one.
+CONTROL = {"id": "C-1", "title": "t", "rule_ids": ["X-1"]}
+BASES = {
+    "rule": {"id": "X-1", "title": "t", "description": "d", "severity": "low",
+             "category": "supply-chain", "applies_to": ["Pod"],
+             "check": {"path_exists": "spec"}, "control_refs": [], "remediation": "r"},
+    "framework": {"id": "fw", "title": "t", "controls": [CONTROL]},
+    "control": CONTROL,
+    "advisory": {"component": "helm", "affected": "<= 3.1.0", "cve_count": 1,
+                 "cvss_min": 1.0, "cvss_max": 2.0, "vulnerability_classes": ["x"],
+                 "recommended_min_version": "3.2.0"},
+    "inventory": {"component": "helm", "version": "3.1.0"},
+}
+
+
+def replaced(kind: str, **fields) -> dict:
+    return {**BASES[kind], **fields}
+
+
 class TestUserCatalogs:
     def test_extra_rule_catalog(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "extra.yaml"
@@ -489,6 +512,10 @@ rules:
         '{path_matches: {path: spec, pattern: "("}}',
         "{credential_data: {key_patterns: 5}}",
         "{credential_data: {min_value_length: [1]}}",
+        "{credential_data: {key_patterns: [5]}}",
+        "{path_exists: [a]}",
+        "{any_item: {path: 5, check: {path_exists: a}}}",
+        "{image_registry_not_in: [5]}",
     ])
     def test_malformed_combinator_argument_exits_2(
         self, capsys, tmp_path, hardened_manifests, check
@@ -502,6 +529,65 @@ rules:
         assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("ricaudit: rule 'X-BAD': ")
+
+    @pytest.mark.parametrize("section, entry, message", [
+        # Each of these crashed with a TypeError or AttributeError.
+        ("rules", replaced("rule", applies_to=5),
+         "rule 'X-1': applies_to must be a list of strings"),
+        ("rules", 5, "rule must be a mapping, got 5"),
+        ("rules", replaced("rule", severity=["low"]), "rule 'X-1': severity must be a string"),
+        ("rules", replaced("rule", control_refs=5),
+         "rule 'X-1': control_refs must be a list of strings"),
+        ("frameworks", replaced("framework", controls=5),
+         "framework 'fw': controls must be a list"),
+        ("frameworks", replaced("framework", controls=[5]),
+         "framework 'fw' control must be a mapping, got 5"),
+        ("frameworks", replaced("framework", controls=[replaced("control", rule_ids=5)]),
+         "framework 'fw' control 'C-1': rule_ids must be a list of strings"),
+        ("frameworks", 5, "framework must be a mapping, got 5"),
+        ("advisories", replaced("advisory", vulnerability_classes=5),
+         "advisory 'helm': vulnerability_classes must be a list of strings"),
+        ("advisories", replaced("advisory", cve_count=[1]),
+         "advisory 'helm': cve_count must be an integer"),
+        ("advisories", replaced("advisory", cvss_min=[1]),
+         "advisory 'helm': cvss_min must be a number"),
+        ("advisories", 5, "advisory must be a mapping, got 5"),
+        # Each of these was coerced and loaded with a different value.
+        ("advisories", replaced("advisory", cve_count=1.9),
+         "advisory 'helm': cve_count must be an integer"),
+        ("advisories", replaced("advisory", cve_count=True),
+         "advisory 'helm': cve_count must be an integer"),
+        ("advisories", replaced("advisory", vulnerability_classes="abc"),
+         "advisory 'helm': vulnerability_classes must be a list of strings"),
+        ("rules", replaced("rule", title=["a"]), "rule 'X-1': title must be a string"),
+        # A conversion error names the entry too.
+        ("advisories", replaced("advisory", affected="3.x"),
+         "advisory 'helm': not a numeric version: '3.x'"),
+    ])
+    def test_entry_of_wrong_shape_exits_2(
+        self, capsys, tmp_path, hardened_manifests, inventory_path, section, entry, message
+    ):
+        catalog = tmp_path / "entry.yaml"
+        catalog.write_text(yaml.safe_dump({section: [entry]}))
+        argv = {
+            "rules": ["scan", str(hardened_manifests)],
+            "frameworks": ["score", str(hardened_manifests)],
+            "advisories": ["versions", "--inventory", str(inventory_path)],
+        }[section]
+        code, out, err = run_cli(capsys, *argv, "--catalog", str(catalog))
+        assert (code, out, err) == (2, "", f"ricaudit: {message}\n")
+
+    def test_unquoted_inventory_version_exits_2(self, capsys, tmp_path):
+        # YAML reads 3.10 as the number 3.1, which matched this advisory.
+        catalog = tmp_path / "adv.yaml"
+        catalog.write_text(yaml.safe_dump({"advisories": [BASES["advisory"]]}))
+        inv = tmp_path / "inv.yaml"
+        inv.write_text("- component: helm\n  version: 3.10\n")
+        code, out, err = run_cli(
+            capsys, "versions", "--inventory", str(inv), "--catalog", str(catalog)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"ricaudit: {inv}: inventory entry 'helm': version must be a string\n"
 
     def test_broken_catalog_exits_2(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "broken.yaml"
@@ -543,3 +629,42 @@ def test_severity_threshold_choices_match_classes():
     assert {c.name.lower() for c in SeverityClass} == {
         "critical", "high", "medium", "low", "negligible",
     }
+
+
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from([(kind, name) for kind, base in BASES.items() for name in base]),
+    yaml_values,
+)
+def test_entry_with_any_field_value_never_crashes(
+    tmp_path_factory, hardened_manifests, target, value
+):
+    kind, name = target
+    entries = {**BASES, kind: replaced(kind, **{name: value})}
+    if kind == "control":
+        entries["framework"] = replaced("framework", controls=[entries["control"]])
+    root = tmp_path_factory.mktemp("fuzz")
+    catalog, inventory = root / "catalog.yaml", root / "inventory.yaml"
+    catalog.write_text(yaml.safe_dump({
+        "rules": [entries["rule"]],
+        "frameworks": [entries["framework"]],
+        "advisories": [entries["advisory"]],
+    }))
+    inventory.write_text(yaml.safe_dump([entries["inventory"]]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "report", str(hardened_manifests), "--inventory", str(inventory),
+            "--catalog", str(catalog),
+        ])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -126,6 +126,12 @@ class TestCombinators:
         assert run({"path_equals": {"path": "kind", "value": "Pod"}}, POD)
         assert not run({"path_equals": {"path": "kind", "value": "Job"}}, POD)
 
+    def test_path_equals_false_and_null(self):
+        pod = {**POD, "spec": {**POD["spec"], "hostNetwork": False, "nodeName": None}}
+        assert run({"path_equals": {"path": "spec.hostNetwork", "value": False}}, pod)
+        assert run({"path_equals": {"path": "spec.nodeName", "value": None}}, pod)
+        assert not run({"path_equals": {"path": "spec.hostNetwork", "value": None}}, pod)
+
     def test_path_matches(self):
         assert run({"path_matches": {"path": "spec.containers.*.image", "pattern": "^docker"}}, POD)
 
