@@ -76,8 +76,6 @@ class SchemaError(AuditError):
 
     def __init__(self, reason: str, entry_index: int | None = None):
         self.entry_index = entry_index
-        if entry_index is not None:
-            reason = f"entry {entry_index}: {reason}"
         super().__init__(reason)
 
 

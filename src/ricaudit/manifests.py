@@ -8,6 +8,7 @@ are retained: an auditor must not drop evidence it does not understand.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -152,6 +153,13 @@ class DirectoryLoad:
     errors: list[ParseFailure] = field(default_factory=list)
 
 
+def file_identity(path: str | Path) -> tuple[int, int]:
+    """Device and inode: they identify a file as resolving its path would,
+    with one stat call instead of one per path component."""
+    stat = os.stat(path)
+    return stat.st_dev, stat.st_ino
+
+
 def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) -> DirectoryLoad:
     """Recursively load every manifest file under each root, root by root.
 
@@ -175,10 +183,7 @@ def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) 
                 key=lambda p: str(p),
             )
         for path in found:
-            # Device and inode identify the file as resolving its path would,
-            # with one stat call instead of one per path component.
-            stat = path.stat()
-            files.setdefault((stat.st_dev, stat.st_ino), path)
+            files.setdefault(file_identity(path), path)
 
     result = DirectoryLoad()
     for path in files.values():

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 from . import __version__
 from .catalogs import load_catalogs, load_inventory
 from .compliance import Evidence, FrameworkScore, score_framework
-from .errors import AuditError
-from .manifests import ResourceDocument, load_directory
+from .errors import AuditError, IoError
+from .manifests import ResourceDocument, file_identity, load_directory
 from .report import AuditResult
 from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
 from .versions import VersionAudit, audit_components
@@ -129,8 +129,19 @@ def audit(
             scores = [score_framework(fw, evidence)[0] for fw in selected]
 
     records: list[VulnRecord] = []
+    read: set[tuple[int, int]] = set()
     for path in scan_reports:
-        report = parse_scan_report(Path(path).read_bytes())
+        # A report reached twice (the same path, a symlink or a hard link)
+        # is read once, as manifest files are.
+        try:
+            identity = file_identity(path)
+            if identity in read:
+                continue
+            text = Path(path).read_bytes()
+        except OSError as exc:
+            raise IoError(f"cannot read scan report {path}: {exc}") from exc
+        read.add(identity)
+        report = parse_scan_report(text, origin=str(path))
         for rejected in report.rejected:
             diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
         records.extend(report.records)

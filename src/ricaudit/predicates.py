@@ -136,39 +136,48 @@ def _require(condition: bool, message: str) -> None:
         raise CatalogError(message)
 
 
-# Field shapes, named as in diagnostics. A YAML boolean is never a number.
-STRING, INTEGER, NUMBER, STRINGS, LIST, ANY = (
-    "a string", "an integer", "a number", "a list of strings", "a list", "any value")
+# Field shapes, named as in diagnostics. A YAML or JSON boolean is never a number.
+STRING, NONEMPTY, INTEGER, NUMBER, BOOLEAN, STRINGS, LIST, ANY = (
+    "a string", "a non-empty string", "an integer", "a number", "a boolean",
+    "a list of strings", "a list", "any value")
 SHAPES: dict[str, Callable[[Any], bool]] = {
     STRING: lambda v: isinstance(v, str),
+    NONEMPTY: lambda v: isinstance(v, str) and v != "",
     INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
     NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    BOOLEAN: lambda v: isinstance(v, bool),
     STRINGS: lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
     LIST: lambda v: isinstance(v, list),
     ANY: lambda v: True,
 }
+_ABSENT = object()
 
 
-def entry_fields(raw: Any, what: str, fields: Mapping[str, Any],
-                 key: str | None = None) -> dict[str, Any]:
-    """The values of `fields` in a catalog entry, each checked for its shape.
+def entry_fields(raw: Any, what: str, fields: Mapping[str, Any], key: str | None = None,
+                 error: Callable[[str], Exception] = CatalogError) -> dict[str, Any]:
+    """The values of `fields` in a catalog entry or scan report, each checked for its shape.
 
     `fields` maps a required field's name to its shape and an optional one's
     to (shape, default), the value taken when the field is absent or null.
-    Values are quoted by `reprlib`, bounded: aliases can make them huge.
+    A failed check raises `error` with a one-line message that names `what`,
+    followed by the value of its `key` field if given. Values are quoted by
+    `reprlib`, bounded: aliases can make them huge.
     """
     if not isinstance(raw, Mapping):
-        raise CatalogError(f"{what} must be a mapping, got {reprlib.repr(raw)}")
-    label = what if key is None else f"{what} {reprlib.repr(raw.get(key))}"
+        raise error(f"{what} must be a mapping, got {reprlib.repr(raw)}")
     values = {}
     for name, shape in fields.items():
+        value = raw.get(name, _ABSENT)
         if isinstance(shape, tuple):
-            shape, values[name] = shape
-            if raw.get(name) is None:
+            shape, default = shape
+            if value is None or value is _ABSENT:
+                values[name] = default
                 continue
-        _require(name in raw, f"{label}: missing field {name!r}")
-        _require(SHAPES[shape](raw[name]), f"{label}: {name} must be {shape}")
-        values[name] = raw[name]
+        if value is _ABSENT or not SHAPES[shape](value):
+            label = what if key is None else f"{what} {reprlib.repr(raw.get(key))}"
+            problem = f"missing field {name!r}" if value is _ABSENT else f"{name} must be {shape}"
+            raise error(f"{label}: {problem}")
+        values[name] = value
     return values
 
 

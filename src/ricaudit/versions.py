@@ -106,10 +106,12 @@ class AdvisoryEntry:
     recommended_min_version: Version | None = None
 
     def __post_init__(self) -> None:
-        if self.cvss_min > self.cvss_max:
-            raise ValueError(f"{self.component}: cvss_min > cvss_max")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not 0.0 <= self.cvss_min <= self.cvss_max <= 10.0:
+            raise ValueError(f"cvss_min {self.cvss_min} and cvss_max {self.cvss_max} "
+                             "must satisfy 0 <= cvss_min <= cvss_max <= 10")
         if self.cve_count < 1:
-            raise ValueError(f"{self.component}: cve_count must be >= 1")
+            raise ValueError("cve_count must be >= 1")
 
 
 @dataclass(frozen=True)

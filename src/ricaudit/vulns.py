@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SchemaError
+from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, entry_fields
 from .rules import Finding, severity_histogram
 from .severity import SeverityClass, empty_counts
 
@@ -37,8 +38,7 @@ class ImageRef:
         return cls(registry=registry, repository=repository, tag=tag)
 
 
-@dataclass(frozen=True)
-class VulnRecord:
+class VulnRecord(NamedTuple):
     """One CVE occurrence in one container image."""
 
     cve_id: str
@@ -95,97 +95,65 @@ class ScanReport:
     rejected: list[RejectedEntry] = field(default_factory=list)
 
 
-def _entry_str(entry: Mapping[str, Any], key: str, index: int) -> str:
-    value = entry.get(key)
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"missing or non-string field {key!r}", entry_index=index)
-    return value
+# The fields of a scan report, of its image and of each of its entries.
+REPORT_FIELDS = {"container": NONEMPTY, "image": ANY, "entries": LIST}
+IMAGE_FIELDS = {"registry": STRING, "repository": STRING, "tag": STRING}
+ENTRY_FIELDS = {
+    "cve_id": NONEMPTY, "package": NONEMPTY, "installed_version": NONEMPTY,
+    "fixed_version": (STRING, None), "cvss": (NUMBER, None),
+    "vendor_severity": (STRING, None), "rce": (BOOLEAN, False),
+}
 
 
-def parse_scan_report(text: bytes | str) -> ScanReport:
-    """Parse one native scan-report document.
+def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport:
+    """Parse one native scan-report document read from `origin`.
 
     Unknown fields are ignored. Entries whose CVSS score is outside
     [0, 10] are rejected individually and reported; structural problems
-    (missing fields, wrong types) raise SchemaError with the entry index.
+    (missing fields, wrong shapes) raise SchemaError, with the entry index
+    for an entry.
     """
+    what = f"scan report {origin}"
     try:
         raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"not valid UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the interpreter's recursion limit.
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise SchemaError("report must be a JSON object")
+        raise SchemaError(f"{what}: not valid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSON syntax error or an integer literal longer than
+        # the interpreter converts. RecursionError: nesting deeper than the
+        # interpreter's recursion limit.
+        raise SchemaError(f"{what}: not valid JSON: {exc}") from exc
 
-    container = raw.get("container")
-    if not isinstance(container, str) or not container:
-        raise SchemaError("missing or non-string field 'container'")
-    image_raw = raw.get("image")
-    if not isinstance(image_raw, Mapping):
-        raise SchemaError("missing field 'image'")
-    try:
-        image = ImageRef(
-            registry=str(image_raw["registry"]),
-            repository=str(image_raw["repository"]),
-            tag=str(image_raw["tag"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"image is missing field {exc}") from exc
-    entries = raw.get("entries")
-    if not isinstance(entries, list):
-        raise SchemaError("missing or non-list field 'entries'")
+    # Every diagnostic carries the index of the entry being read, if any.
+    index = None
 
+    def error(message: str) -> SchemaError:
+        return SchemaError(message, entry_index=index)
+
+    container, image, entries = entry_fields(raw, what, REPORT_FIELDS, error=error).values()
+    image = ImageRef(*entry_fields(image, f"{what}: image", IMAGE_FIELDS, error=error).values())
     report = ScanReport(container=container, image=image)
     for index, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
-            raise SchemaError("entry must be an object", entry_index=index)
-        cve_id = _entry_str(entry, "cve_id", index)
-        package = _entry_str(entry, "package", index)
-        installed = _entry_str(entry, "installed_version", index)
-
-        fixed = entry.get("fixed_version")
-        if fixed is not None and not isinstance(fixed, str):
-            raise SchemaError("fixed_version must be a string", entry_index=index)
-
-        cvss = entry.get("cvss")
+        label = f"{what}: entry {index}"
+        cve_id, package, installed, fixed, cvss, vendor, rce = entry_fields(
+            entry, label, ENTRY_FIELDS, error=error).values()
         if cvss is not None:
-            if not isinstance(cvss, (int, float)) or isinstance(cvss, bool):
-                raise SchemaError("cvss must be a number", entry_index=index)
-            cvss = float(cvss)
-            if not 0.0 <= cvss <= 10.0:
+            # Checked before float(), which overflows on a huge JSON integer.
+            if not 0 <= cvss <= 10:
                 report.rejected.append(
                     RejectedEntry(index, f"cvss {cvss} outside [0.0, 10.0] for {cve_id}")
                 )
                 continue
-
-        vendor_raw = entry.get("vendor_severity")
-        vendor = None
-        if vendor_raw is not None:
+            cvss = float(cvss)
+        if vendor is not None:
             try:
-                vendor = SeverityClass.from_label(str(vendor_raw))
+                vendor = SeverityClass.from_label(vendor)
             except ValueError as exc:
-                raise SchemaError(str(exc), entry_index=index) from exc
-
-        rce = entry.get("rce", False)
-        if not isinstance(rce, bool):
-            raise SchemaError("rce must be a boolean", entry_index=index)
-
-        report.records.append(
-            VulnRecord(
-                cve_id=cve_id,
-                package=package,
-                installed_version=installed,
-                fixed_version=fixed,
-                cvss=cvss,
-                vendor_severity=vendor,
-                severity=classify_severity(cvss, vendor),
-                remote_code_execution=rce,
-                container=container,
-                image=image,
-            )
-        )
+                raise error(f"{label}: {exc}") from exc
+        report.records.append(VulnRecord(
+            cve_id, package, installed, fixed, cvss, vendor,
+            classify_severity(cvss, vendor), rce, container, image,
+        ))
     return report
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import pod_item
 from ricaudit.cli import main
@@ -21,6 +21,18 @@ def run_cli(capsys, *argv):
 
 def json_payload(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
+
+
+# A valid one-entry scan report; tests replace fields of it.
+REPORT_ENTRY = {"cve_id": "CVE-1", "package": "p", "installed_version": "1",
+                "fixed_version": "2", "cvss": 5.0, "vendor_severity": "medium", "rce": False}
+REPORT = {"container": "c1", "image": {"registry": "r", "repository": "a", "tag": "1"},
+          "entries": [REPORT_ENTRY]}
+
+
+def replaced_report(image: dict = {}, entry: dict = {}, **fields) -> dict:
+    return {**REPORT, "image": {**REPORT["image"], **image},
+            "entries": [{**REPORT_ENTRY, **entry}], **fields}
 
 
 class TestScan:
@@ -142,6 +154,73 @@ class TestVulns:
         assert len(err.strip().splitlines()) == 1
         assert "SOURCE_DATE_EPOCH" in err
 
+    @pytest.mark.parametrize("report, message", [
+        (replaced_report(entry={"cve_id": 5}), "entry 0: cve_id must be a non-empty string"),
+        (replaced_report(entry={"cve_id": None}), "entry 0: cve_id must be a non-empty string"),
+        ({**REPORT, "entries": [{"package": "p", "installed_version": "1"}]},
+         "entry 0: missing field 'cve_id'"),
+        ({**REPORT, "entries": [REPORT_ENTRY, 5]}, "entry 1 must be a mapping, got 5"),
+        (replaced_report(entry={"vendor_severity": "catastrophic"}),
+         "entry 0: unknown severity class: 'catastrophic'"),
+        # Each of these was coerced with str() and rendered, with exit 0.
+        (replaced_report(image={"repository": ["r"]}), "image: repository must be a string"),
+        (replaced_report(image={"tag": 1.10}), "image: tag must be a string"),
+        (replaced_report(entry={"vendor_severity": 5}),
+         "entry 0: vendor_severity must be a string"),
+        (replaced_report(container=""), "container must be a non-empty string"),
+        ({**REPORT, "image": 5}, "image must be a mapping, got 5"),
+    ])
+    def test_malformed_report_names_file_and_entry(self, capsys, tmp_path, report, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"ricaudit: scan report {path}: {message}\n"
+
+    def test_unreadable_report_names_it(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ricaudit: cannot read scan report {path}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_report_not_a_mapping_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[5]")
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(path))
+        assert (code, out, err) == (2, "", f"ricaudit: scan report {path} must be a mapping, got [5]\n")
+
+    def test_null_optional_fields_take_defaults(self, capsys, tmp_path):
+        entry = {**REPORT_ENTRY, "fixed_version": None, "cvss": None,
+                 "vendor_severity": None, "rce": None}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**REPORT, "entries": [entry]}))
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json_payload(out)["containers"][0]["vulnerabilities"]["negligible"] == 1
+
+    @pytest.mark.parametrize("second, occurrences", [
+        ("same", 84), ("symlink", 84), ("copy", 168),
+    ])
+    def test_report_reached_twice_is_read_once(
+        self, capsys, tmp_path, scan_report_paths, second, occurrences
+    ):
+        # A copy is another file for the same container: it is read, and
+        # merges into the same row.
+        path = next(p for p in scan_report_paths if p.name == "influxdb2.json")
+        other = {"same": path, "symlink": tmp_path / "link.json", "copy": tmp_path / "copy.json"}
+        other["symlink"].symlink_to(path)
+        other["copy"].write_bytes(path.read_bytes())
+        code, out, err = run_cli(
+            capsys, "vulns", "--scan-report", str(path), "--scan-report", str(other[second]),
+            "--format", "json",
+        )
+        assert (code, err) == (1, "")
+        payload = json_payload(out)
+        assert payload["totals"]["vulnerability_occurrences"] == occurrences
+        [row] = payload["containers"]
+        assert (row["container"], row["vulnerabilities"]["critical"]) == (
+            "influxdb2", 10 * occurrences // 84)
 
 class TestScore:
     def test_hardened_scores_100(self, capsys, hardened_manifests):
@@ -563,6 +642,22 @@ rules:
         # A conversion error names the entry too.
         ("advisories", replaced("advisory", affected="3.x"),
          "advisory 'helm': not a numeric version: '3.x'"),
+        # A CVSS outside [0, 10] was loaded; NaN and infinity then rendered as
+        # non-JSON tokens in the payload.
+        ("advisories", replaced("advisory", cvss_min=float("nan"), cvss_max=float("inf")),
+         "advisory 'helm': cvss_min nan and cvss_max inf "
+         "must satisfy 0 <= cvss_min <= cvss_max <= 10"),
+        ("advisories", replaced("advisory", cvss_max=42),
+         "advisory 'helm': cvss_min 1.0 and cvss_max 42.0 "
+         "must satisfy 0 <= cvss_min <= cvss_max <= 10"),
+        ("advisories", replaced("advisory", cvss_min=float("-inf")),
+         "advisory 'helm': cvss_min -inf and cvss_max 2.0 "
+         "must satisfy 0 <= cvss_min <= cvss_max <= 10"),
+        ("advisories", replaced("advisory", cvss_min=3.0),
+         "advisory 'helm': cvss_min 3.0 and cvss_max 2.0 "
+         "must satisfy 0 <= cvss_min <= cvss_max <= 10"),
+        ("advisories", replaced("advisory", cve_count=0),
+         "advisory 'helm': cve_count must be >= 1"),
     ])
     def test_entry_of_wrong_shape_exits_2(
         self, capsys, tmp_path, hardened_manifests, inventory_path, section, entry, message
@@ -668,3 +763,48 @@ def test_entry_with_any_field_value_never_crashes(
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+def run_report_bytes(tmp_path_factory, text: bytes) -> int:
+    """Exit code of `vulns` on one scan report, in this process, held to the CI contract."""
+    path = tmp_path_factory.mktemp("fuzz") / "report.json"
+    path.write_bytes(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["vulns", "--scan-report", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code
+
+
+REPORT_TARGETS = [("report", name) for name in REPORT] + [
+    ("image", name) for name in REPORT["image"]] + [("entry", name) for name in REPORT_ENTRY]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(REPORT_TARGETS), yaml_values)
+@example(("image", "repository"), ["r"])
+@example(("image", "tag"), 1.10)
+@example(("entry", "cvss"), 10**400)  # float() of it overflowed
+def test_report_with_any_field_value_never_crashes(tmp_path_factory, target, value):
+    kind, name = target
+    report = {"report": {**REPORT, name: value}, "image": replaced_report(image={name: value}),
+              "entry": replaced_report(entry={name: value})}[kind]
+    code = run_report_bytes(tmp_path_factory, json.dumps(report).encode())
+    if kind == "image":
+        # Nothing is coerced: an image field is a string or the report is refused.
+        assert code == (0 if isinstance(value, str) else 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.binary(max_size=64)
+    | yaml_values.map(lambda v: json.dumps(v).encode())
+    | st.dictionaries(st.sampled_from(sorted(REPORT)), yaml_values)
+    .map(lambda v: json.dumps(v).encode())
+)
+@example(b'{"container": 1' + b"0" * 5000 + b"}")  # longer than int() converts
+def test_any_report_bytes_never_crash(tmp_path_factory, text):
+    run_report_bytes(tmp_path_factory, text)

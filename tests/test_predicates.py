@@ -5,11 +5,15 @@ import math
 import pytest
 import yaml
 
-from ricaudit.errors import CatalogError
+from ricaudit.errors import CatalogError, SchemaError
 from ricaudit.manifests import parse_manifest_stream
 from ricaudit.predicates import (
+    BOOLEAN,
+    NONEMPTY,
+    STRING,
     EvalContext,
     compile_check,
+    entry_fields,
     image_registry,
     resolve_path,
     shannon_entropy,
@@ -102,6 +106,26 @@ class TestImageRegistry:
     )
     def test_registry_extraction(self, image, expected):
         assert image_registry(image) == expected
+
+
+class TestEntryFields:
+    FIELDS = {"id": NONEMPTY, "note": (STRING, "-"), "flag": (BOOLEAN, False)}
+
+    def test_values_in_field_order_with_defaults(self):
+        raw = {"flag": True, "id": "a", "note": None, "extra": 1}
+        assert entry_fields(raw, "item", self.FIELDS) == {"id": "a", "note": "-", "flag": True}
+
+    @pytest.mark.parametrize("raw, message", [
+        ({}, "item: missing field 'id'"),
+        ({"id": ""}, "item: id must be a non-empty string"),
+        ({"id": None}, "item: id must be a non-empty string"),
+        ({"id": "a", "flag": 0}, "item: flag must be a boolean"),
+        ([], "item must be a mapping, got []"),
+    ])
+    def test_raises_the_given_error(self, raw, message):
+        with pytest.raises(SchemaError) as exc:
+            entry_fields(raw, "item", self.FIELDS, error=SchemaError)
+        assert str(exc.value) == message
 
 
 class TestCombinators:
