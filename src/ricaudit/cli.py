@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -41,15 +42,15 @@ SEVERITIES = tuple(c.name.lower() for c in SeverityClass)
 # value must have, the flag's argparse keywords). "inputs" is the positional
 # argument. Rows are in --help order.
 SETTINGS: dict[str, tuple[str, str, Any, Callable[[Any], bool], dict[str, Any]]] = {
-    "manifests": ("inputs", "inputs", [], SHAPES[STRINGS],
+    "manifests": ("inputs", "inputs", (), SHAPES[STRINGS],
                   dict(nargs="*", help="manifest files or directories")),
     "namespace": ("--namespace", "namespace", None, SHAPES[STRING],
                   dict(help="restrict the audit to one namespace")),
-    "catalogs": ("--catalog", "catalogs", [], SHAPES[STRINGS], dict(action="append", metavar="PATH",
+    "catalogs": ("--catalog", "catalogs", (), SHAPES[STRINGS], dict(action="append", metavar="PATH",
                  help="extra rule/framework/advisory data file (repeatable)")),
-    "frameworks": ("--framework", "frameworks", [], SHAPES[STRINGS], dict(action="append",
+    "frameworks": ("--framework", "frameworks", (), SHAPES[STRINGS], dict(action="append",
                    metavar="ID", help="score only this framework id (repeatable)")),
-    "scan_reports": ("--scan-report", "scan_reports", [], SHAPES[STRINGS], dict(action="append",
+    "scan_reports": ("--scan-report", "scan_reports", (), SHAPES[STRINGS], dict(action="append",
                      metavar="PATH", help="container scan report to ingest (repeatable)")),
     "inventory": ("--inventory", "inventory", None, SHAPES[STRING],
                   dict(metavar="PATH", help="component inventory file")),
@@ -130,7 +131,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
         keys = {SETTINGS[name][1] for name in names}
         for key in file_values:
             if key not in keys:
-                raise IoError(f"config {args.config}: unknown key {key!r} for {args.command}")
+                raise IoError(f"config {args.config}: unknown key {reprlib.repr(key)} "
+                              f"for {args.command}")
     values = {}
     for name in names:
         _, key, default, valid, _ = SETTINGS[name]
@@ -140,7 +142,9 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
             if value is None:
                 value = default
             elif not valid(value):
-                raise IoError(f"config {args.config}: invalid value for {key}: {value!r}")
+                # Bounded: aliases can make a value huge.
+                raise IoError(f"config {args.config}: invalid value for {key}: "
+                              f"{reprlib.repr(value)}")
         values[name] = value
     return values
 

@@ -57,11 +57,15 @@ def parse_resource_ref(ref: str) -> tuple[str | None, str, str]:
     return (None if namespace == CLUSTER_SCOPE else namespace, kind, name)
 
 
-def _labels_of(raw: Mapping[str, Any]) -> dict[str, str]:
+def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str]:
     labels = (raw.get("metadata") or {}).get("labels") or {}
     if not isinstance(labels, Mapping):
         return {}
-    return {str(k): str(v) for k, v in labels.items()}
+    for key, value in labels.items():
+        # Nothing is coerced: `tier: 2` would become "2", `app: 1.10` "1.1".
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise DocumentError(origin, index, f"label {key!r} must be a string")
+    return dict(labels)
 
 
 def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument:
@@ -83,7 +87,7 @@ def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument
         kind=kind,
         name=name,
         namespace=namespace,
-        labels=_labels_of(raw),
+        labels=_labels_of(raw, origin, index),
         body=raw,
         source=SourceLocation(file_path=origin, document_index=index),
     )

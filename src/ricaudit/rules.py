@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import CatalogError
+from .errors import CatalogError, UnknownRuleId
 from .manifests import ResourceDocument, resource_ref
 from .predicates import ANY, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields
 from .severity import SeverityClass, ThreatCategory, empty_counts
@@ -89,13 +89,20 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None =
     """Check catalog invariants; raises CatalogError before any evaluation.
 
     With `frameworks` given, also requires every control_ref to resolve
-    against a loaded framework.
+    against a loaded framework, and every control's rule_ids against a rule
+    (UnknownRuleId).
     """
     reject_duplicates((rule.id for rule in catalog), "duplicate rule id:")
     if frameworks is not None:
-        known = {
-            (fw.id, control.control_id) for fw in frameworks for control in fw.controls
-        }
+        rule_ids = {rule.id for rule in catalog}
+        known = set()
+        for fw in frameworks:
+            for control in fw.controls:
+                known.add((fw.id, control.control_id))
+                for rule_id in control.rule_ids:
+                    if rule_id not in rule_ids:
+                        raise UnknownRuleId(f"control {fw.id}/{control.control_id} references "
+                                            f"unknown rule {rule_id!r}")
         for rule in catalog:
             for ref in rule.control_refs:
                 if ref not in known:

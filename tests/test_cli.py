@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import re
 
 import pytest
 import yaml
@@ -75,6 +77,15 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", str(tmp_path), "--format", "json")
         assert "parse error" in err
         json_payload(out)  # stdout stays machine-readable
+
+    def test_label_not_a_string_is_a_parse_error(self, capsys, tmp_path):
+        # Read through str(), the label would name a container "['x', 'y']".
+        path = tmp_path / "lab.yaml"
+        path.write_text("kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")
+        code, out, err = run_cli(capsys, "scan", str(path), "--format", "json")
+        assert (code, json_payload(out)["containers"]) == (0, [])
+        assert err == (f"ricaudit: parse error in {path}: "
+                       f"{path}: document 0: label 'app' must be a string\n")
 
     def test_scan_requires_input(self, capsys):
         code, _, err = run_cli(capsys, "scan")
@@ -455,6 +466,44 @@ class TestConfigFile:
         assert f"{flag[2:]} {path}: invalid YAML" in err
         assert "Traceback" not in err
 
+    def test_misspelt_key_exits_2(self, capsys, tmp_path, planted_manifests):
+        # Ignoring `fail-on: low` would pass the scan at the default threshold.
+        config = tmp_path / "cfg.yaml"
+        config.write_text("fail-on: low\n")
+        code, out, err = run_cli(capsys, "scan", str(planted_manifests), "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"ricaudit: config {config}: unknown key 'fail-on' for scan\n"
+        code, _, _ = run_cli(capsys, "scan", str(planted_manifests), "--fail-on", "low")
+        assert code == 1
+
+    @pytest.mark.parametrize("command, line", [
+        ("vulns", "inventory: inv.yaml"),
+        ("vulns", "inputs: [deploy]"),
+        ("versions", "namespace: ricplt"),
+        ("scan", "frameworks: [nsa-cisa]"),
+        ("scan", "scan_reports: [r.json]"),
+        ("report", "config: other.yaml"),
+    ])
+    def test_key_of_an_input_not_read_exits_2(self, capsys, tmp_path, command, line):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        key = line.split(":")[0]
+        assert err == f"ricaudit: config {config}: unknown key {key!r} for {command}\n"
+
+    def test_aliased_invalid_value_is_quoted_bounded(self, capsys, tmp_path):
+        # Six levels of ten aliases expand to a million strings (5 MB quoted
+        # in full); reprlib quotes at most six items on each of six levels.
+        levels = ["&a0 [x, x, x, x, x, x, x, x, x, x]"] + [
+            f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 6)]
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"format: [{', '.join(levels)}]\n")
+        code, out, err = run_cli(capsys, "scan", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ricaudit: config {config}: invalid value for format: [[")
+        assert len(err.splitlines()) == 1 and len(err) < 500_000
+
     @pytest.mark.parametrize("line", ["fail_on: severe", "format: xml", "inputs: deploy"])
     def test_invalid_config_value_exits_2(self, capsys, tmp_path, line):
         # A bad value is a tool error, never a traceback, a silently empty
@@ -465,6 +514,56 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1
         assert f"invalid value for {line.split(':')[0]}" in err
+
+
+# The flags each sub-command takes ("inputs" is the positional argument),
+# written out here rather than read from the program.
+SCAN_FLAGS = {"inputs", "--config", "--namespace", "--catalog", "--endpoint", "--token-env",
+              "--insecure", "--format", "--fail-on", "--output"}
+FLAGS = {
+    "scan": SCAN_FLAGS,
+    "vulns": {"--config", "--scan-report", "--format", "--fail-on", "--output"},
+    "score": SCAN_FLAGS | {"--framework"},
+    "versions": {"--config", "--catalog", "--inventory", "--format", "--fail-on", "--output"},
+    "report": SCAN_FLAGS | {"--framework", "--scan-report", "--inventory"},
+    "verify-fixtures": set(),
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags_taken(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^  (--[a-z-]+|inputs)\b", out, re.MULTILINE))
+        assert listed == FLAGS[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in sorted(FLAGS)
+        for flag in sorted(FLAGS["report"] - FLAGS[command])
+    ])
+    def test_any_other_flag_exits_2(self, capsys, command, flag):
+        argv = [command, "x"] if flag == "inputs" else [command, flag, "x"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_vulns_refuses_inventory(self, capsys, scan_report_paths, inventory_path):
+        # Ignoring the flag would drop the version audit without a word.
+        with pytest.raises(SystemExit) as exc:
+            main(["vulns", "--scan-report", str(scan_report_paths[0]),
+                  "--inventory", str(inventory_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --inventory {inventory_path}" in capsys.readouterr().err
+
+    def test_verify_fixtures_refuses_namespace(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-fixtures", "--namespace", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --namespace x" in capsys.readouterr().err
 
 
 # Valid entries of every kind; tests replace one field of one.
@@ -684,6 +783,26 @@ rules:
         assert (code, out) == (2, "")
         assert err == f"ricaudit: {inv}: inventory entry 'helm': version must be a string\n"
 
+    @pytest.mark.parametrize("command", ["scan", "score", "versions", "report"])
+    def test_control_with_unknown_rule_exits_2_at_load(
+        self, capsys, tmp_path, hardened_manifests, inventory_path, scan_report_paths, command
+    ):
+        # scan, versions and report without manifests load catalogs but score
+        # no framework, so only the catalog load can catch a dangling control.
+        catalog = tmp_path / "dangling.yaml"
+        catalog.write_text(yaml.safe_dump({"frameworks": [replaced(
+            "framework", id="extra", controls=[replaced("control", id="X-1",
+                                                        rule_ids=["NO-SUCH-RULE"])])]}))
+        argv = {
+            "scan": ["scan", str(hardened_manifests)],
+            "score": ["score", str(hardened_manifests)],
+            "versions": ["versions", "--inventory", str(inventory_path)],
+            "report": ["report", "--scan-report", str(scan_report_paths[0])],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, "--catalog", str(catalog))
+        assert (code, out) == (2, "")
+        assert err == "ricaudit: control extra/X-1 references unknown rule 'NO-SUCH-RULE'\n"
+
     def test_broken_catalog_exits_2(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "broken.yaml"
         catalog.write_text("rules:\n  - id: X\n")
@@ -808,3 +927,101 @@ def test_report_with_any_field_value_never_crashes(tmp_path_factory, target, val
 @example(b'{"container": 1' + b"0" * 5000 + b"}")  # longer than int() converts
 def test_any_report_bytes_never_crash(tmp_path_factory, text):
     run_report_bytes(tmp_path_factory, text)
+
+
+def run_in(directory, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of `main(argv)` run in `directory`, held to the CI contract."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code, err.getvalue()
+
+
+# Config values hold no "/" or ".", so that no path they name leaves the
+# example's own empty directory, and no endpoint they name is a URL.
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_characters="/."), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_KEYS = ["inputs", "namespace", "catalogs", "frameworks", "scan_reports", "inventory",
+               "endpoint", "token_env", "insecure", "format", "fail_on", "output"]
+
+
+def run_with_config(tmp_path_factory, command: str, config) -> int:
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "work").mkdir()
+    (root / "config.yaml").write_text(yaml.safe_dump(config))
+    return run_in(root / "work", [command, "--config", str(root / "config.yaml")])[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(sorted(set(FLAGS) - {"verify-fixtures"})),
+    config_values | st.dictionaries(st.sampled_from(CONFIG_KEYS), config_values, max_size=4),
+)
+@example("scan", {"fail-on": "low"})
+def test_any_config_never_crashes(tmp_path_factory, command, config):
+    run_with_config(tmp_path_factory, command, config)
+
+
+def valid_config(fixture_root) -> dict:
+    """A config for `report` that sets every key but endpoint to a working value."""
+    return {
+        "inputs": [str(fixture_root / "manifests" / "hardened")], "namespace": "ricplt",
+        "catalogs": [], "frameworks": ["nsa-cisa"],
+        "scan_reports": [str(sorted((fixture_root / "scan-reports").glob("*.json"))[0])],
+        "inventory": str(fixture_root / "inventory.yaml"), "token_env": "RICAUDIT_FUZZ_TOKEN",
+        "insecure": False, "format": "json", "fail_on": "critical", "output": "payload",
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(CONFIG_KEYS), config_values)
+@example("fail_on", " LOW ")
+@example("inputs", [""])
+def test_config_with_any_value_never_crashes(tmp_path_factory, fixture_root, key, value):
+    run_with_config(tmp_path_factory, "report", {**valid_config(fixture_root), key: value})
+
+
+def test_valid_config_runs(tmp_path_factory, fixture_root):
+    assert run_with_config(tmp_path_factory, "report", valid_config(fixture_root)) == 1
+
+
+# Manifest-shaped trees, so that examples reach past the kind and name checks.
+manifest_trees = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["Pod", "Deployment", "ConfigMap", "PodList", "List"]) | yaml_values},
+    optional={
+        "apiVersion": yaml_values,
+        "metadata": st.fixed_dictionaries(
+            {"name": st.just("m") | yaml_values},
+            optional={"namespace": yaml_values, "labels": yaml_values}) | yaml_values,
+        "spec": yaml_values,
+        "items": yaml_values,
+        "data": yaml_values,
+    },
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.binary(max_size=64)
+    | st.lists(yaml_values | manifest_trees, max_size=3)
+    .map(lambda docs: yaml.safe_dump_all(docs).encode())
+)
+@example(b"kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")
+def test_any_manifest_never_crashes(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "m.yaml").write_bytes(text)
+    run_in(root, ["scan", "m.yaml", "--format", "json", "--fail-on", "low"])

@@ -117,9 +117,30 @@ def test_list_kind_flattened():
 
 
 def test_labels_extracted():
-    text = "kind: Pod\nmetadata:\n  name: x\n  labels: {app: web, tier: 2}\n"
+    text = "kind: Pod\nmetadata:\n  name: x\n  labels: {app: web, tier: \"2\"}\n"
     doc = parse_manifest_stream(text, "x.yaml")[0]
     assert doc.labels == {"app": "web", "tier": "2"}
+
+
+@pytest.mark.parametrize("label,key", [
+    ("tier: 2", "'tier'"), ("app: 1.10", "'app'"), ("app: [x, y]", "'app'"), ("1: x", "1"),
+])
+def test_label_not_a_string_is_a_document_error(label, key):
+    # Nothing is coerced: `app: 1.10` is not the label "1.1", nor [x, y] "['x', 'y']".
+    text = f"kind: Pod\nmetadata:\n  name: x\n  labels: {{{label}}}\n"
+    with pytest.raises(DocumentError) as exc:
+        parse_manifest_stream(text, "x.yaml")
+    assert str(exc.value) == f"x.yaml: document 0: label {key} must be a string"
+
+
+def test_label_not_a_string_skips_the_file(tmp_path):
+    (tmp_path / "lab.yaml").write_text(
+        "kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")
+    (tmp_path / "ok.yaml").write_text(POD)
+    load = load_directory(tmp_path)
+    assert [doc.name for doc in load.documents] == ["e2term"]
+    assert [str(failure.error) for failure in load.errors] == [
+        f"{tmp_path / 'lab.yaml'}: document 0: label 'app' must be a string"]
 
 
 def test_body_round_trips():
