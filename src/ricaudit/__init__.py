@@ -22,6 +22,7 @@ from .vulns import (
     ContainerScanSummary,
     ImageRef,
     VulnRecord,
+    VulnTally,
     VulnTotals,
     aggregate_by_container,
     classify_severity,
@@ -64,6 +65,7 @@ __all__ = [
     "ContainerScanSummary",
     "ImageRef",
     "VulnRecord",
+    "VulnTally",
     "VulnTotals",
     "aggregate_by_container",
     "classify_severity",

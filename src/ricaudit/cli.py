@@ -15,8 +15,9 @@ import argparse
 import os
 import reprlib
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any
 
 from . import __version__, yamlio
 from .errors import AuditError, IoError

@@ -8,9 +8,10 @@ endpoints are refused unless explicitly overridden.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any
 from urllib.parse import urlencode, urlparse
 
 import requests

@@ -11,9 +11,9 @@ compliance.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import IncompleteResults, UnknownRuleId
 from .manifests import ResourceDocument, resource_ref

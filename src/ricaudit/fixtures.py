@@ -10,9 +10,10 @@ caught as drift.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from . import yamlio
 from .catalogs import data_path

@@ -9,9 +9,10 @@ are retained: an auditor must not drop evidence it does not understand.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from . import yamlio
 from .errors import DocumentError, InvalidYaml, IoError, MalformedDocument, MissingKind, MissingName
@@ -58,14 +59,14 @@ def parse_resource_ref(ref: str) -> tuple[str | None, str, str]:
 
 
 def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str]:
-    labels = (raw.get("metadata") or {}).get("labels") or {}
-    if not isinstance(labels, Mapping):
-        return {}
-    for key, value in labels.items():
+    labels = raw["metadata"].get("labels")
+    if not isinstance(labels, (Mapping, type(None))):
+        raise DocumentError(origin, index, f"labels must be a mapping (got {type(labels).__name__})")
+    for key, value in (labels or {}).items():
         # Nothing is coerced: `tier: 2` would become "2", `app: 1.10` "1.1".
         if not (isinstance(key, str) and isinstance(value, str)):
             raise DocumentError(origin, index, f"label {key!r} must be a string")
-    return dict(labels)
+    return dict(labels or {})
 
 
 def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument:

@@ -21,13 +21,7 @@ from .manifests import ResourceDocument, file_identity, load_directory
 from .report import AuditResult
 from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
 from .versions import VersionAudit, audit_components
-from .vulns import (
-    VulnRecord,
-    VulnTotals,
-    aggregate_by_container,
-    occurrence_and_unique_totals,
-    parse_scan_report,
-)
+from .vulns import VulnTally, aggregate_by_container, occurrence_and_unique_totals, parse_scan_report
 
 
 def default_timestamp() -> str:
@@ -45,7 +39,7 @@ def default_timestamp() -> str:
 
 def build_result(
     *,
-    records: Sequence[VulnRecord] = (),
+    tally: VulnTally,
     findings: Sequence[Finding] = (),
     resources: Sequence[ResourceDocument] = (),
     framework_scores: Sequence[FrameworkScore] = (),
@@ -54,14 +48,12 @@ def build_result(
 ) -> AuditResult:
     """Assemble one AuditResult from whatever workflows actually ran."""
     misconfig_map = group_findings_by_app(list(findings), list(resources))
-    summaries = aggregate_by_container(list(records), misconfig_map)
-    totals: VulnTotals = occurrence_and_unique_totals(records)
     return AuditResult(
-        summaries=tuple(summaries),
+        summaries=tuple(tally.summaries(misconfig_map)),
         findings=tuple(findings),
         framework_scores=tuple(framework_scores),
         version_findings=tuple(version_audit.findings) if version_audit else (),
-        totals=totals,
+        totals=occurrence_and_unique_totals(tally),
         generated_at=generated_at if generated_at is not None else default_timestamp(),
         tool_version=__version__,
     )
@@ -128,7 +120,9 @@ def audit(
             evidence = Evidence.build(findings, resources, bundle.rules)
             scores = [score_framework(fw, evidence)[0] for fw in selected]
 
-    records: list[VulnRecord] = []
+    # Each report is folded into one tally as it is read, and its records
+    # dropped, so memory is bounded by the largest report, not the corpus.
+    tally = VulnTally()
     read: set[tuple[int, int]] = set()
     for path in scan_reports:
         # A report reached twice (the same path, a symlink or a hard link)
@@ -144,7 +138,7 @@ def audit(
         report = parse_scan_report(text, origin=str(path))
         for rejected in report.rejected:
             diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
-        records.extend(report.records)
+        tally.merge(aggregate_by_container(report.records))
 
     version_audit = None
     if inventory:
@@ -153,7 +147,7 @@ def audit(
             diag(f"inventory entry {item.component!r}: {item.error}")
 
     return build_result(
-        records=records,
+        tally=tally,
         findings=findings,
         resources=resources,
         framework_scores=scores,

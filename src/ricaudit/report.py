@@ -9,8 +9,9 @@ masked out so reproducibility checks stay meaningful.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .severity import TABLE_ORDER, SeverityClass
 from .versions import VersionFinding, VersionPredicate, AdvisoryEntry, parse_version

@@ -8,8 +8,9 @@ two evaluations of the same inputs produce identical findings.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 from .errors import CatalogError, UnknownRuleId
 from .manifests import ResourceDocument, resource_ref

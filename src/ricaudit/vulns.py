@@ -2,15 +2,20 @@
 
 Scan reports use a scanner-neutral schema (one JSON document per
 container); each entry is classified into the five severity classes at
-parse time. Aggregation merges immutable histograms, so it is associative,
-commutative, and safe to parallelize.
+parse time. Each report's records are folded into a VulnTally (per-container
+image and histogram, occurrence count, CVE-id sets), and tallies merge in
+input order, so a corpus is aggregated one report at a time and memory is
+bounded by the largest report. Merging adds histograms and unites id sets,
+so the histograms and totals do not depend on the split or the order; a
+container's image is that of its first record in merge order.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import SchemaError
 from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, entry_fields
@@ -167,38 +172,6 @@ class ContainerScanSummary:
     misconfig_histogram: Mapping[SeverityClass, int]
 
 
-def aggregate_by_container(
-    records: Sequence[VulnRecord],
-    misconfig_findings_by_container: Mapping[str, Sequence[Finding]] | None = None,
-) -> list[ContainerScanSummary]:
-    """One summary per distinct container, sorted by container name.
-
-    Containers come from the records and from the misconfiguration map, so
-    a manifest-only audit still produces rows. Histograms are zero-filled
-    over all five classes.
-    """
-    misconfig = misconfig_findings_by_container or {}
-    by_container: dict[str, list[VulnRecord]] = {}
-    for record in records:
-        by_container.setdefault(record.container, []).append(record)
-
-    summaries = []
-    for container in sorted(set(by_container) | set(misconfig)):
-        container_records = by_container.get(container, [])
-        vuln_counts = empty_counts()
-        for record in container_records:
-            vuln_counts[record.severity] += 1
-        summaries.append(
-            ContainerScanSummary(
-                container=container,
-                image=container_records[0].image if container_records else None,
-                vuln_histogram=vuln_counts,
-                misconfig_histogram=severity_histogram(misconfig.get(container, [])),
-            )
-        )
-    return summaries
-
-
 class VulnTotals(NamedTuple):
     occurrences: int
     unique_cves: int
@@ -206,27 +179,70 @@ class VulnTotals(NamedTuple):
     critical_actionable: int
 
 
-def occurrence_and_unique_totals(records: Iterable[VulnRecord]) -> VulnTotals:
-    """Occurrence and deduplicated totals over a record set.
+@dataclass
+class VulnTally:
+    """A record set reduced to what a report shows of it, holding no record.
+
+    Per container, the image of its first record and a severity histogram;
+    overall, the occurrence count and the distinct, critical-RCE and
+    critical-actionable CVE ids.
+    """
+
+    containers: dict[str, tuple[ImageRef, dict[SeverityClass, int]]] = field(default_factory=dict)
+    occurrences: int = 0
+    unique: set[str] = field(default_factory=set)
+    critical_rce: set[str] = field(default_factory=set)
+    critical_actionable: set[str] = field(default_factory=set)
+
+    def merge(self, other: VulnTally) -> VulnTally:
+        """Add `other` into this tally, as if its records came after ours."""
+        for container, (image, counts) in other.containers.items():
+            mine = self.containers.setdefault(container, (image, empty_counts()))[1]
+            for severity, count in counts.items():
+                mine[severity] += count
+        self.occurrences += other.occurrences
+        self.unique |= other.unique
+        self.critical_rce |= other.critical_rce
+        self.critical_actionable |= other.critical_actionable
+        return self
+
+    def summaries(
+        self, misconfig_findings_by_container: Mapping[str, Sequence[Finding]] | None = None
+    ) -> list[ContainerScanSummary]:
+        """One row per container of the records or of the misconfiguration
+        map (so a manifest-only audit has rows too), sorted by name."""
+        misconfig = misconfig_findings_by_container or {}
+        rows = []
+        for container in sorted(self.containers.keys() | misconfig.keys()):
+            image, counts = self.containers.get(container, (None, empty_counts()))
+            rows.append(ContainerScanSummary(
+                container, image, dict(counts), severity_histogram(misconfig.get(container, []))))
+        return rows
+
+
+def aggregate_by_container(records: Sequence[VulnRecord]) -> VulnTally:
+    """Tally a record set in one pass."""
+    tally = VulnTally(occurrences=len(records))
+    for record in records:
+        entry = tally.containers.get(record.container)
+        if entry is None:
+            entry = tally.containers[record.container] = (record.image, empty_counts())
+        entry[1][record.severity] += 1
+        tally.unique.add(record.cve_id)
+        if record.severity is SeverityClass.CRITICAL:
+            if record.remote_code_execution:
+                tally.critical_rce.add(record.cve_id)
+            if record.actionable:
+                tally.critical_actionable.add(record.cve_id)
+    return tally
+
+
+def occurrence_and_unique_totals(tally: VulnTally) -> VulnTotals:
+    """Occurrence and deduplicated totals of a tally.
 
     Both are always reported because a multi-container sum and a distinct
     CVE count answer different questions; neither substitutes for the
     other. Critical sub-counts are over distinct CVE ids.
     """
-    records = list(records)
-    unique: set[str] = set()
-    critical_rce: set[str] = set()
-    critical_actionable: set[str] = set()
-    for record in records:
-        unique.add(record.cve_id)
-        if record.severity is SeverityClass.CRITICAL:
-            if record.remote_code_execution:
-                critical_rce.add(record.cve_id)
-            if record.actionable:
-                critical_actionable.add(record.cve_id)
-    return VulnTotals(
-        occurrences=len(records),
-        unique_cves=len(unique),
-        critical_rce=len(critical_rce),
-        critical_actionable=len(critical_actionable),
-    )
+    return VulnTotals(tally.occurrences, len(tally.unique), len(tally.critical_rce),
+                      len(tally.critical_actionable))

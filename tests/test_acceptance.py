@@ -35,6 +35,7 @@ from ricaudit.vulns import (
     ContainerScanSummary,
     ImageRef,
     VulnTotals,
+    aggregate_by_container,
     classify_severity,
     occurrence_and_unique_totals,
     parse_scan_report,
@@ -126,7 +127,7 @@ def test_criterion_2_critical_totals():
         if record.severity is SeverityClass.CRITICAL:
             per_container[record.container] = per_container.get(record.container, 0) + 1
     assert per_container == {"ricplt-dbass-redis": 6, "influxdb2": 10}
-    totals = occurrence_and_unique_totals(records)
+    totals = occurrence_and_unique_totals(aggregate_by_container(records))
     critical_occurrences = sum(per_container.values())
     assert critical_occurrences == 16
     assert totals.critical_rce == 10

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+from ricaudit import pipeline, vulns
 from ricaudit.vulns import parse_scan_report
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -47,3 +49,27 @@ def test_scan_report_counter_counts_records(scan_report_paths):
     traced(path.read_bytes(), origin=str(path))
     assert tracer.count_errors == set()
     assert (tracer.counts["vulns.records"], tracer.counts["vulns.rejected"]) == (84, 0)
+
+
+def test_traced_audit_times_every_vulns_layer(scan_report_paths):
+    # A layer whose function audit() no longer calls would report 0 ms.
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    saved = [(module, dict(vars(module))) for name, module in list(sys.modules.items())
+             if (name == "ricaudit" or name.startswith("ricaudit.")) and module is not None]
+    try:
+        tracer.install(tracing.LAYERS)
+        result = pipeline.audit(scan_reports=scan_report_paths)
+    finally:
+        for module, namespace in saved:
+            for attr, value in namespace.items():
+                if getattr(module, attr) is not value:
+                    setattr(module, attr, value)
+    assert vulns.parse_scan_report is parse_scan_report
+    calls = {}
+    for span in tracer.spans:
+        calls[span[tracing.NAME]] = calls.get(span[tracing.NAME], 0) + 1
+    assert (calls.get("vulns.parse"), calls.get("vulns.aggregate")) == (8, 8)
+    assert calls.get("vulns.totals") == 1
+    assert tracer.count_errors == set()
+    assert tracer.counts["vulns.records"] == result.totals.occurrences == 888

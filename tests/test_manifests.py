@@ -133,6 +133,21 @@ def test_label_not_a_string_is_a_document_error(label, key):
     assert str(exc.value) == f"x.yaml: document 0: label {key} must be a string"
 
 
+@pytest.mark.parametrize("labels,shape", [("[app, web]", "list"), ("web", "str"), ("[]", "list")])
+def test_labels_not_a_mapping_is_a_document_error(labels, shape):
+    # Read as "no labels", `labels: [app, web]` gave findings but no container row.
+    text = f"kind: Pod\nmetadata:\n  name: x\n  labels: {labels}\n"
+    with pytest.raises(DocumentError) as exc:
+        parse_manifest_stream(text, "x.yaml")
+    assert str(exc.value) == f"x.yaml: document 0: labels must be a mapping (got {shape})"
+
+
+@pytest.mark.parametrize("labels", ["", "null", "{}"])
+def test_null_or_empty_labels_are_no_labels(labels):
+    text = f"kind: Pod\nmetadata:\n  name: x\n  labels: {labels}\n"
+    assert parse_manifest_stream(text, "x.yaml")[0].labels == {}
+
+
 def test_label_not_a_string_skips_the_file(tmp_path):
     (tmp_path / "lab.yaml").write_text(
         "kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ricaudit.errors import SchemaError
+from ricaudit.pipeline import audit
 from ricaudit.severity import SeverityClass, empty_counts
 from ricaudit.vulns import (
     ImageRef,
     VulnRecord,
+    VulnTally,
     aggregate_by_container,
     classify_severity,
     occurrence_and_unique_totals,
@@ -92,7 +95,7 @@ class TestParseScanReport:
         path = next(p for p in scan_report_paths if p.name == "influxdb2.json")
         report = parse_scan_report(path.read_bytes())
         assert len(report.records) == 84
-        summary = aggregate_by_container(report.records)[0]
+        summary = aggregate_by_container(report.records).summaries()[0]
         assert summary.vuln_histogram == {
             SeverityClass.CRITICAL: 10,
             SeverityClass.HIGH: 44,
@@ -152,7 +155,8 @@ class TestParseScanReport:
             parse_scan_report(report_payload(entries))
 
 
-def record(cve_id, container, severity=SeverityClass.MEDIUM, rce=False, fixed=None):
+def record(cve_id, container, severity=SeverityClass.MEDIUM, rce=False, fixed=None,
+           image=ImageRef("r.example", "app", "1")):
     return VulnRecord(
         cve_id=cve_id,
         package="pkg",
@@ -163,7 +167,7 @@ def record(cve_id, container, severity=SeverityClass.MEDIUM, rce=False, fixed=No
         severity=severity,
         remote_code_execution=rce,
         container=container,
-        image=ImageRef("r.example", "app", "1"),
+        image=image,
     )
 
 
@@ -172,7 +176,7 @@ class TestAggregation:
         records = [
             r for path in scan_report_paths for r in parse_scan_report(path.read_bytes()).records
         ]
-        summaries = aggregate_by_container(records)
+        summaries = aggregate_by_container(records).summaries()
         assert [s.container for s in summaries] == sorted(s.container for s in summaries)
         cells = {
             s.container: tuple(s.vuln_histogram[c] for c in sorted(SeverityClass, reverse=True))
@@ -192,7 +196,7 @@ class TestAggregation:
         assert critical_total == 16
 
     def test_single_container(self):
-        summaries = aggregate_by_container([record("CVE-1", "only")])
+        summaries = aggregate_by_container([record("CVE-1", "only")]).summaries()
         assert len(summaries) == 1
         assert summaries[0].container == "only"
         assert sum(summaries[0].vuln_histogram.values()) == 1
@@ -200,14 +204,14 @@ class TestAggregation:
     def test_histogram_sums_match_record_counts(self, scan_report_paths):
         for path in scan_report_paths:
             report = parse_scan_report(path.read_bytes())
-            summary = aggregate_by_container(report.records)[0]
+            summary = aggregate_by_container(report.records).summaries()[0]
             assert sum(summary.vuln_histogram.values()) == len(report.records)
 
     def test_misconfig_only_container_gets_row(self):
         from ricaudit.rules import Finding
 
         finding = Finding("R", "ns/Pod/x", SeverityClass.LOW, "m", "r")
-        summaries = aggregate_by_container([], {"appx": [finding]})
+        summaries = aggregate_by_container([]).summaries({"appx": [finding]})
         assert summaries[0].container == "appx"
         assert summaries[0].image is None
         assert summaries[0].misconfig_histogram[SeverityClass.LOW] == 1
@@ -229,29 +233,29 @@ class TestAggregation:
         split = min(split, len(records))
         merged: dict[str, dict] = {}
         for part in (records[:split], records[split:]):
-            for summary in aggregate_by_container(part):
+            for summary in aggregate_by_container(part).summaries():
                 bucket = merged.setdefault(summary.container, empty_counts())
                 for cls, count in summary.vuln_histogram.items():
                     bucket[cls] += count
-        whole = {s.container: dict(s.vuln_histogram) for s in aggregate_by_container(records)}
+        whole = {s.container: dict(s.vuln_histogram) for s in aggregate_by_container(records).summaries()}
         assert merged == whole
 
 
 class TestTotals:
     def test_same_cve_in_three_containers(self):
         records = [record("CVE-1", c) for c in ("a", "b", "c")]
-        totals = occurrence_and_unique_totals(records)
+        totals = occurrence_and_unique_totals(aggregate_by_container(records))
         assert totals.occurrences == 3
         assert totals.unique_cves == 1
 
     def test_empty(self):
-        assert occurrence_and_unique_totals([]) == (0, 0, 0, 0)
+        assert occurrence_and_unique_totals(aggregate_by_container([])) == (0, 0, 0, 0)
 
     def test_unique_never_exceeds_occurrences(self, scan_report_paths):
         records = [
             r for path in scan_report_paths for r in parse_scan_report(path.read_bytes()).records
         ]
-        totals = occurrence_and_unique_totals(records)
+        totals = occurrence_and_unique_totals(aggregate_by_container(records))
         assert totals.unique_cves <= totals.occurrences
 
     def test_critical_sub_counts_are_distinct_ids(self):
@@ -260,15 +264,142 @@ class TestTotals:
             record("CVE-C", "b", SeverityClass.CRITICAL, rce=True, fixed="2.0"),
             record("CVE-D", "a", SeverityClass.CRITICAL, rce=False, fixed=None),
         ]
-        totals = occurrence_and_unique_totals(records)
+        totals = occurrence_and_unique_totals(aggregate_by_container(records))
         assert totals == (3, 2, 1, 1)
 
     def test_fixture_totals(self, scan_report_paths):
         records = [
             r for path in scan_report_paths for r in parse_scan_report(path.read_bytes()).records
         ]
-        totals = occurrence_and_unique_totals(records)
+        totals = occurrence_and_unique_totals(aggregate_by_container(records))
         assert totals.occurrences == 888
         assert totals.unique_cves == 355
         assert totals.critical_rce == 10
         assert totals.critical_actionable == 13
+
+
+records_st = st.lists(
+    st.builds(
+        record,
+        cve_id=st.sampled_from([f"CVE-{n}" for n in range(8)]),
+        container=st.sampled_from(["a", "b", "c"]),
+        severity=st.sampled_from(list(SeverityClass)),
+        rce=st.booleans(),
+        fixed=st.sampled_from([None, "2.0"]),
+        image=st.builds(ImageRef, st.just("r.example"), st.just("app"), st.sampled_from("123")),
+    ),
+    max_size=40,
+)
+
+
+def rows(tally):
+    return [(s.container, s.image, dict(s.vuln_histogram)) for s in tally.summaries()]
+
+
+def histograms(tally):
+    return {container: counts for container, (_, counts) in tally.containers.items()}
+
+
+def expected_rows_and_totals(records):
+    """What the tally must hold, computed straight from the records."""
+    by_container = {}
+    for r in records:
+        image, counts = by_container.setdefault(r.container, (r.image, empty_counts()))
+        counts[r.severity] += 1
+    critical = [r for r in records if r.severity is SeverityClass.CRITICAL]
+    totals = (
+        len(records),
+        len({r.cve_id for r in records}),
+        len({r.cve_id for r in critical if r.remote_code_execution}),
+        len({r.cve_id for r in critical if r.fixed_version is not None}),
+    )
+    return [(c, *by_container[c]) for c in sorted(by_container)], totals
+
+
+class TestTally:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(records_st, st.lists(st.integers(0, 40), max_size=5))
+    def test_any_split_merges_to_the_whole(self, records, cuts):
+        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+        folded = VulnTally()
+        for lo, hi in zip(bounds, bounds[1:]):
+            folded.merge(aggregate_by_container(records[lo:hi]))
+        whole = aggregate_by_container(records)
+        expected_rows, expected_totals = expected_rows_and_totals(records)
+        assert rows(folded) == rows(whole) == expected_rows
+        totals = occurrence_and_unique_totals(folded)
+        assert totals == occurrence_and_unique_totals(whole) == expected_totals
+        # Histogram conservation: every record lands in exactly one cell.
+        assert sum(sum(row[2].values()) for row in rows(folded)) == totals.occurrences
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(records_st, max_size=6), st.data())
+    def test_report_order_changes_no_histogram_or_total(self, reports, data):
+        order = data.draw(st.permutations(range(len(reports))))
+
+        def fold(sequence):
+            tally = VulnTally()
+            for report in sequence:
+                tally.merge(aggregate_by_container(report))
+            return tally
+
+        given_order, reordered = fold(reports), fold([reports[i] for i in order])
+        assert histograms(given_order) == histograms(reordered)
+        assert (occurrence_and_unique_totals(given_order)
+                == occurrence_and_unique_totals(reordered))
+
+
+def write_report(path, container, tag, cvss_values):
+    entries = [{"cve_id": f"CVE-{i}", "package": "p", "installed_version": "1", "cvss": cvss}
+               for i, cvss in enumerate(cvss_values)]
+    payload = json.loads(report_payload(entries, container))
+    payload["image"]["tag"] = tag
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestFold:
+    def test_edge_cases_of_folding_reports(self, tmp_path):
+        paths = [
+            write_report(tmp_path / "1.json", "c", "1", [11.0, 12.0]),  # nothing accepted
+            write_report(tmp_path / "2.json", "c", "2", [9.5]),
+            write_report(tmp_path / "3.json", "d", "1", [11.0]),  # nothing accepted
+            write_report(tmp_path / "4.json", "c", "3", [5.0, 13.0]),
+        ]
+        lines = []
+        result = audit(scan_reports=paths, diag=lines.append)
+        # The image of "c" is that of its first accepted record; "d" has no row.
+        assert [(s.container, s.image.tag, s.vuln_histogram[SeverityClass.CRITICAL],
+                 sum(s.vuln_histogram.values())) for s in result.summaries] == [("c", "2", 1, 2)]
+        assert result.totals == (2, 1, 0, 0)  # CVE-0 twice
+        assert lines == [
+            "c: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-0",
+            "c: rejected entry 1: cvss 12.0 outside [0.0, 10.0] for CVE-1",
+            "d: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-0",
+            "c: rejected entry 1: cvss 13.0 outside [0.0, 10.0] for CVE-1",
+        ]
+
+    def test_audit_memory_bounded_by_largest_report(self, tmp_path, scan_report_paths):
+        texts = [path.read_bytes() for path in scan_report_paths]
+
+        def corpus(copies):
+            directory = tmp_path / str(copies)
+            directory.mkdir()
+            paths = []
+            for copy in range(copies):
+                for i, text in enumerate(texts):
+                    paths.append(directory / f"{copy}-{i}.json")
+                    paths[-1].write_bytes(text)
+            return paths
+
+        def peak(paths):
+            tracemalloc.start()
+            try:
+                audit(scan_reports=paths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = corpus(4), corpus(40)
+        peak(small)  # warm up: first-call allocations are not the corpus's
+        assert peak(large) < 2 * peak(small)
