@@ -39,12 +39,23 @@ POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
 }
 
 
+PodView = tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]
+
+
 @dataclass
 class EvalContext:
-    """Cross-resource facts available to context-sensitive combinators."""
+    """Cross-resource facts available to context-sensitive combinators.
+
+    It also keeps the pod spec and containers of the last document asked
+    for, so that the rules evaluated on one document in turn walk its pod
+    spec once.
+    """
 
     namespace_kinds: dict[str | None, set[str]] = field(default_factory=dict)
     ref_counts: Counter = field(default_factory=Counter)
+    # (document, its pod). Holding the document keeps the `is` test in `pod`
+    # from matching a new object that reuses a freed one's address.
+    last_pod: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, documents: Sequence[ResourceDocument]) -> "EvalContext":
@@ -53,6 +64,13 @@ class EvalContext:
             ctx.namespace_kinds.setdefault(doc.namespace, set()).add(doc.kind)
             ctx.ref_counts[resource_ref(doc)] += 1
         return ctx
+
+    def pod(self, doc: ResourceDocument) -> PodView:
+        """`pod_of(doc)`, walked once for consecutive calls on the same document."""
+        last = self.last_pod
+        if last[0] is not doc:
+            last = self.last_pod = (doc, pod_of(doc))
+        return last[1]
 
 
 Check = Callable[[Any, ResourceDocument, EvalContext], bool]
@@ -107,16 +125,17 @@ def pod_spec_of(doc: ResourceDocument) -> Mapping[str, Any] | None:
     return node if isinstance(node, Mapping) else None
 
 
-def containers_of(doc: ResourceDocument) -> list[Mapping[str, Any]]:
+def pod_of(doc: ResourceDocument) -> PodView:
+    """The pod spec of `doc` (None if it has none) and its containers and init containers."""
     spec = pod_spec_of(doc)
     if spec is None:
-        return []
+        return None, []
     found = []
     for key in ("containers", "initContainers"):
         items = spec.get(key)
         if isinstance(items, list):
             found.extend(c for c in items if isinstance(c, Mapping))
-    return found
+    return spec, found
 
 
 def image_registry(image: str) -> str:
@@ -251,14 +270,14 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
     if op == "pod_spec":
         sub = compile_check(arg)
         return lambda node, doc, ctx: (
-            (spec_node := pod_spec_of(doc)) is not None and sub(spec_node, doc, ctx)
+            (spec_node := ctx.pod(doc)[0]) is not None and sub(spec_node, doc, ctx)
         )
     if op == "any_container":
         sub = compile_check(arg)
-        return lambda node, doc, ctx: any(sub(c, doc, ctx) for c in containers_of(doc))
+        return lambda node, doc, ctx: any(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
     if op == "all_containers":
         sub = compile_check(arg)
-        return lambda node, doc, ctx: all(sub(c, doc, ctx) for c in containers_of(doc))
+        return lambda node, doc, ctx: all(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
 
     if op == "image_registry_not_in":
         _require(SHAPES[STRINGS](arg) and arg,

@@ -117,20 +117,22 @@ def evaluate(catalog: Sequence[Rule], resources: Sequence[ResourceDocument]) -> 
 
     One Finding per (rule, resource) pair whose check fires. Output is
     sorted by severity descending, then rule id, then resource ref, so the
-    result is independent of input order.
+    result is independent of input order. Each resource meets every rule in
+    turn, so that its pod spec is walked and its ref rendered once (see
+    `EvalContext.pod`).
     """
     validate_catalog(catalog)
     ctx = EvalContext.build(resources)
     findings = [
         Finding(
             rule_id=rule.id,
-            resource=resource_ref(doc),
+            resource=ref,
             severity=rule.severity,
             message=rule.title,
             remediation=rule.remediation,
         )
+        for doc, ref in zip(resources, map(resource_ref, resources))
         for rule in catalog
-        for doc in resources
         if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, ctx)
     ]
     findings.sort(key=lambda f: (-f.severity, f.rule_id, f.resource))

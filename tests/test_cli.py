@@ -1025,3 +1025,40 @@ def test_any_manifest_never_crashes(tmp_path_factory, text):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "m.yaml").write_bytes(text)
     run_in(root, ["scan", "m.yaml", "--format", "json", "--fail-on", "low"])
+
+
+# Whole catalog and inventory files: arbitrary bytes, arbitrary YAML trees,
+# and trees of the right outline whose entries are valid or arbitrary.
+catalog_trees = st.fixed_dictionaries({}, optional={
+    section: st.lists(st.just(BASES[kind]) | yaml_values, max_size=2) | yaml_values
+    for section, kind in (("rules", "rule"), ("frameworks", "framework"),
+                          ("advisories", "advisory"))
+})
+inventory_trees = st.lists(
+    st.just(BASES["inventory"])
+    | st.fixed_dictionaries({"component": st.just("helm") | yaml_values,
+                             "version": st.just("3.1.0") | yaml_values})
+    | yaml_values,
+    max_size=3,
+)
+
+
+def yaml_files(trees):
+    return st.binary(max_size=64) | (yaml_values | trees).map(lambda v: yaml.safe_dump(v).encode())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(yaml_files(catalog_trees))
+def test_any_catalog_file_never_crashes(tmp_path_factory, hardened_manifests, inventory_path, text):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "catalog.yaml").write_bytes(text)
+    run_in(root, ["report", str(hardened_manifests), "--inventory", str(inventory_path),
+                  "--catalog", "catalog.yaml"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(yaml_files(inventory_trees))
+def test_any_inventory_file_never_crashes(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "inventory.yaml").write_bytes(text)
+    run_in(root, ["versions", "--inventory", "inventory.yaml"])

@@ -5,19 +5,23 @@ import math
 import pytest
 import yaml
 
+from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import CatalogError, SchemaError
-from ricaudit.manifests import parse_manifest_stream
+from ricaudit.manifests import parse_manifest_stream, resource_ref
 from ricaudit.predicates import (
     BOOLEAN,
     NONEMPTY,
+    POD_SPEC_PATHS,
     STRING,
     EvalContext,
     compile_check,
     entry_fields,
     image_registry,
+    pod_of,
     resolve_path,
     shannon_entropy,
 )
+from ricaudit.rules import evaluate
 
 
 def doc_of(mapping: dict):
@@ -251,3 +255,95 @@ class TestCredentialData:
 
     def test_no_data_section(self):
         assert not run(self.CHECK, {"kind": "ConfigMap", "metadata": {"name": "c"}})
+
+
+class TestPodRecord:
+    """EvalContext walks a document's pod spec once for the rules it meets in
+    turn; checks must not notice."""
+
+    CONTAINER = {"name": "c", "image": "docker.io/app:1", "securityContext": {"privileged": True}}
+    SPECS = [
+        {"containers": [CONTAINER], "initContainers": [{"name": "i", "image": "quay.io/i:1"}]},
+        {"containers": {"c": CONTAINER}},  # not a list
+        {"containers": ["c", None, CONTAINER, 3]},  # non-mapping items
+        {"initContainers": [CONTAINER]},  # init containers only
+        {"containers": []},
+        [CONTAINER],  # a spec that is not a mapping
+        None,  # no spec at all
+    ]
+    CHECKS = [
+        {"pod_spec": {"path_exists": "containers"}},
+        {"pod_spec": {"path_absent": "initContainers"}},
+        {"any_container": {"path_equals": {"path": "securityContext.privileged", "value": True}}},
+        {"all_containers": {"path_exists": "image"}},
+        {"not": {"any_container": {"image_registry_not_in": ["docker.io"]}}},
+    ]
+
+    @staticmethod
+    def templated(kind: str, spec, name: str = "p") -> dict:
+        """A `kind` manifest whose pod spec, at the path for its kind, is `spec`."""
+        node: dict = {}
+        if spec is not None:
+            *outer, last = POD_SPEC_PATHS[kind]
+            node = {last: spec}
+            for segment in reversed(outer):
+                node = {segment: node}
+        return {"apiVersion": "v1", "kind": kind,
+                "metadata": {"name": name, "namespace": "ns"}, **node}
+
+    def documents(self) -> list:
+        manifests = [self.templated(kind, spec, f"p{i}") for kind in POD_SPEC_PATHS
+                     for i, spec in enumerate(self.SPECS)]
+        manifests.append({"apiVersion": "v1", "kind": "List", "items": [
+            self.templated("Pod", self.SPECS[0], "item0"), self.templated("Job", self.SPECS[2], "item1"),
+            {"apiVersion": "v1", "kind": "ConfigMap", "metadata": {"name": "cm"}, "data": {}},
+        ]})
+        text = yaml.safe_dump_all(manifests)
+        return parse_manifest_stream(text, "pods.yaml")
+
+    @staticmethod
+    def walked(doc):
+        """The pod spec and containers of `doc`, found by walking its body again."""
+        path = POD_SPEC_PATHS.get(doc.kind)
+        specs = resolve_path(doc.body, ".".join(path)) if path else []
+        spec = specs[0] if specs and isinstance(specs[0], dict) else None
+        containers = [c for key in ("containers", "initContainers")
+                      for items in [(spec or {}).get(key)] if isinstance(items, list)
+                      for c in items if isinstance(c, dict)]
+        return spec, containers
+
+    def test_pod_matches_a_fresh_walk(self):
+        docs = self.documents()
+        assert len(docs) == len(POD_SPEC_PATHS) * len(self.SPECS) + 3  # the List is flattened
+        ctx = EvalContext.build(docs)
+        for doc in docs + docs[::-1]:
+            assert ctx.pod(doc) == self.walked(doc) == pod_of(doc)
+
+    def test_evaluate_matches_brute_force(self):
+        docs = self.documents()
+        rules = load_catalogs().rules
+        ctx = EvalContext.build(docs)
+
+        def walking():
+            """A context that has walked no document yet."""
+            return EvalContext(ctx.namespace_kinds, ctx.ref_counts)
+
+        expected = sorted(
+            (rule.id, resource_ref(doc)) for rule in rules for doc in docs
+            if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, walking()))
+        assert expected  # the pod rules do fire on these documents
+        assert sorted((f.rule_id, f.resource) for f in evaluate(rules, docs)) == expected
+        for check in map(compile_check, self.CHECKS):
+            for doc in docs:
+                assert check(doc.body, doc, ctx) == check(doc.body, doc, walking())
+
+    def test_check_judges_its_own_document(self):
+        privileged, plain = (doc_of(self.templated("Pod", spec))
+                             for spec in ({"containers": [self.CONTAINER]},
+                                          {"containers": [{"name": "c", "image": "x"}]}))
+        check = compile_check(self.CHECKS[2])
+        ctx = EvalContext.build([privileged])
+        for doc, fires in ((privileged, True), (plain, False), (plain, False), (privileged, True)):
+            assert check(doc.body, doc, ctx) is fires
+        assert check(plain.body, plain, EvalContext.build([privileged])) is False
+        assert check(privileged.body, privileged, EvalContext.build([plain])) is True

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import ricaudit
 from ricaudit import yamlio
@@ -145,6 +146,213 @@ def test_long_single_line_value_parses():
     text = f"kind: ConfigMap\nmetadata: {{name: big, namespace: ns}}\ndata: {{blob: {value}}}\n"
     [doc] = parse_manifest_stream(text, "big.yaml")
     assert doc.body["data"]["blob"] == value
+
+
+# --- indicator prefilter and plain-tree constructor --------------------------
+#
+# load_all runs the event scan only on a text holding more than MAX_DEPTH of
+# the characters "[{-:?", because each mapping or sequence start needs one of
+# its own. Texts below mix both styles with everything that could break that:
+# anchors and aliases (to scalars and collections), !!map/!!seq tags,
+# indicator characters inside quoted and escaped scalars and comments, and
+# several documents, some nested just around the cap. The same streams, with
+# leaves the plain-tree walk must hand to the safe constructor, check that
+# load_all yields the documents and raises the errors PyYAML's own does.
+
+INDICATORS = "[{-:?"
+SCALARS = ["x", "a-b", "'- [c]: {d}?'", '"?: #-"', '"\\x5b\\u007b\\x2d"', "1", "null",
+           "[]", "{}"]
+# Leaves the plain walk must leave to the safe constructor, or build exactly as it does.
+ODD_LEAVES = SCALARS + [
+    "!!int 7", "!!bool yes", "!!float 2", "!!null ''", "!!str 3", "0x1F", "1:30", ".nan", "~",
+    "2001-12-14", "!!binary aGk=", "!!int x", "!!bool maybe", "!custom x",
+    "{<<: {m: 1}, n: 2}", "{? [a]: b}", "{1: a, true: b}", "!!set {a, b}", "!!omap [a: 1]",
+    "!!str [a]", "!!map x",
+]
+
+
+def trees(leaves: list[str]):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.tuples(st.sampled_from(["seq", "map"]), st.booleans(), st.booleans(),
+                                st.booleans(), st.lists(inner, min_size=1, max_size=3)),
+        max_leaves=12,
+    )
+
+
+class Document:
+    """Renders one generated tree as YAML, each collection in flow or block style."""
+
+    def __init__(self, draw_alias: list[bool]) -> None:
+        self.anchors: list[str] = []
+        self.draw_alias = iter(draw_alias)
+
+    def scalar(self, value: str) -> str:
+        """`value`, or for a drawn True an alias to the last anchor, or an anchor if none."""
+        if not next(self.draw_alias, False):
+            return value
+        if self.anchors:
+            return f"*{self.anchors[-1]}"
+        self.anchors.append("a0")
+        return f"&a0 {value}"
+
+    def properties(self, kind: str, tagged: bool, anchored: bool) -> str:
+        """Tag and anchor of a collection, called once its items are rendered so
+        that none of them refers to the collection itself."""
+        anchor = ""
+        if anchored:
+            self.anchors.append(f"a{len(self.anchors)}")
+            anchor = f"&{self.anchors[-1]} "
+        return anchor + (f"!!{kind} " if tagged else "")
+
+    def flow(self, tree) -> str:
+        if isinstance(tree, str):
+            return self.scalar(tree)
+        kind, _, tagged, anchored, items = tree
+        body = ", ".join(
+            self.flow(item) if kind == "seq" else f"k{i}: {self.flow(item)}"
+            for i, item in enumerate(items))
+        brackets = "[]" if kind == "seq" else "{}"
+        return f"{self.properties(kind, tagged, anchored)}{brackets[0]}{body}{brackets[1]}"
+
+    def block(self, tree, indent: int) -> str:
+        """`tree` as the value after a "- ", "k: " or "--- " indicator, with a newline."""
+        if isinstance(tree, str) or tree[1]:
+            return self.flow(tree) + " # -{:[?\n"
+        kind, _, tagged, anchored, items = tree
+        pad = " " * indent
+        lines = "".join(
+            f"{pad}- {self.block(item, indent + 2)}" if kind == "seq"
+            else f"{pad}k{i}: {self.block(item, indent + 2)}"
+            for i, item in enumerate(items))
+        return f"{self.properties(kind, tagged, anchored)}\n{lines}"
+
+
+@st.composite
+def yaml_streams(draw, leaves=SCALARS, depths=(0, 0, yamlio.MAX_DEPTH - 2, yamlio.MAX_DEPTH)):
+    """A stream of generated documents, some wrapped in nesting around MAX_DEPTH."""
+    documents = []
+    for tree in draw(st.lists(trees(leaves), min_size=1, max_size=3)):
+        document = Document(draw(st.lists(st.booleans(), max_size=12)))
+        depth = draw(st.sampled_from(depths))
+        if depth:
+            wrap, close = draw(st.sampled_from([("[", "]"), ("{k: ", "}"), ("- ", "")]))
+            text = wrap * depth + document.flow(tree) + close * depth + "\n"
+            documents.append("\n" + text if wrap == "- " else text)
+        else:
+            documents.append(document.block(tree, 0))
+    return "".join(f"--- {text}" + "# [{-:? between documents\n" for text in documents)
+
+
+def collection_starts(text: str) -> int:
+    """Mapping and sequence start events libyaml emits before the stream ends or fails."""
+    starts, parser = 0, yamlio.Loader(text)
+    try:
+        for event in iter(parser.get_event, None):
+            starts += isinstance(event, (yaml.MappingStartEvent, yaml.SequenceStartEvent))
+    except yaml.YAMLError:
+        pass
+    finally:
+        parser.dispose()
+    return starts
+
+
+# The alphabet spells the indicators out, so that one missing from the
+# loader's own set still turns up in the texts.
+short_texts = st.text(st.sampled_from(INDICATORS + "ab&*!'\"\\# \n\t,"), max_size=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(yaml_streams() | short_texts)
+@example("[[x]]")
+@example("{a: {b: c}}")
+@example("- - x")
+@example("? ? x")
+@example("[a: [b: c]]")
+@example("[a: b, ? c, {d: [e]}]")
+@example("- ? - a\n  : - b\n")
+@example("k:\n- k:\n  - x\n")
+@example(nested(yamlio.MAX_DEPTH))
+def test_collection_starts_never_exceed_indicators(text):
+    indicators = sum(map(text.count, yamlio._COLLECTION_INDICATORS))
+    assert collection_starts(text) <= indicators
+    if indicators <= yamlio.MAX_DEPTH:
+        assert yamlio._first_too_deep(text) is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(yaml_streams())
+def test_depth_error_exactly_where_the_event_scan_finds_it(text):
+    too_deep = yamlio._first_too_deep(text)
+    if too_deep is None:
+        list(yamlio.load_all(text))  # generated streams are otherwise valid
+        return
+    with pytest.raises(InvalidYaml, match="nesting deeper than 256 levels") as exc:
+        list(yamlio.load_all(text))
+    assert exc.value.document_index == too_deep
+
+
+def outcome(documents) -> tuple[list, Exception | None]:
+    """The documents an iterator yields, and the error that ended it, if any."""
+    loaded = []
+    try:
+        for document in documents:
+            loaded.append(document)
+    except Exception as exc:  # the error is part of the outcome compared
+        return loaded, exc
+    return loaded, None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(yaml_streams(depths=[0]) | yaml_streams(ODD_LEAVES, depths=[0]) | short_texts)
+@example("a: &x {b: 1}\nc: *x\n")
+@example("a: &x [1]\nb: {<<: {c: *x}}\n")
+@example("a: {<<: {m: 1}, n: 2}\n")
+@example("? [a]\n: b\n")
+@example("a: !!int x\n---\nb: !!bool maybe\n")
+@example("a: 1\n---\nb: !!bool maybe\n")
+def test_documents_and_errors_match_the_safe_constructor(text):
+    expected, error = outcome(yaml.load_all(text, Loader=yamlio.Loader))
+    loaded, raised = outcome(yamlio.load_all(text))
+    assert repr(loaded) == repr(expected)  # repr: a NaN is not equal to itself
+    if isinstance(error, (yaml.YAMLError, ValueError)):
+        assert isinstance(raised, InvalidYaml)
+        assert (str(raised), raised.document_index) == (yamlio._one_line(error), len(expected))
+    else:  # such as the KeyError of `!!bool maybe`, which escapes both today
+        assert (type(raised), str(raised)) == (type(error), str(error))
+
+
+def test_aliases_still_share_one_object():
+    document = yamlio.load("a: &x {b: [1]}\nc: *x\n")
+    assert document["a"] is document["c"]
+
+
+@pytest.fixture
+def event_scans(monkeypatch) -> list[str]:
+    """The texts `_first_too_deep` is called on from now on."""
+    calls: list[str] = []
+    scan = yamlio._first_too_deep
+
+    def counted(text: str):
+        calls.append(text)
+        return scan(text)
+
+    monkeypatch.setattr(yamlio, "_first_too_deep", counted)
+    return calls
+
+
+def test_shipped_manifests_skip_the_event_scan(event_scans):
+    manifests = sorted(Path(data_path(), "fixtures", "manifests").rglob("*.yaml"))
+    assert len(manifests) >= 20
+    for path in manifests:
+        assert list(yamlio.load_all(path.read_bytes()))
+    assert event_scans == []
+
+
+def test_many_indicators_still_get_the_event_scan(event_scans):
+    text = "- x\n" * 300  # shallow, but more than MAX_DEPTH indicators
+    assert yamlio.load(text) == ["x"] * 300
+    assert event_scans == [text]
 
 
 # --- one-line errors --------------------------------------------------------
