@@ -3,99 +3,42 @@
 Static misconfiguration scanning, container vulnerability aggregation,
 framework compliance scoring, and outdated-component auditing, with report
 output suitable for CI gates.
+
+Each public name is imported from its module the first time it is asked
+for (PEP 562), so `import ricaudit` loads none of the stages.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .severity import SeverityClass, ThreatCategory
-from .manifests import (
-    DirectoryLoad,
-    ResourceDocument,
-    SourceLocation,
-    load_directory,
-    parse_manifest_stream,
-    parse_resource_ref,
-    resource_ref,
-)
-from .rules import Finding, Rule, evaluate, severity_histogram
-from .vulns import (
-    ContainerScanSummary,
-    ImageRef,
-    VulnRecord,
-    VulnTally,
-    VulnTotals,
-    aggregate_by_container,
-    classify_severity,
-    occurrence_and_unique_totals,
-    parse_scan_report,
-)
-from .compliance import (
-    Control,
-    ControlResult,
-    Evidence,
-    Framework,
-    FrameworkScore,
-    control_compliance,
-    framework_score,
-)
-from .versions import (
-    AdvisoryEntry,
-    Version,
-    VersionFinding,
-    audit_components,
-    parse_version,
-)
-from .report import AuditResult, exit_code, render_json, render_table
+_EXPORTS = {
+    "severity": ("SeverityClass", "ThreatCategory"),
+    "manifests": ("DirectoryLoad", "ResourceDocument", "SourceLocation", "load_directory",
+                  "parse_manifest_stream", "parse_resource_ref", "resource_ref"),
+    "rules": ("Finding", "Rule", "evaluate", "severity_histogram"),
+    "vulns": ("ContainerScanSummary", "ImageRef", "VulnRecord", "VulnTally", "VulnTotals",
+              "aggregate_by_container", "classify_severity", "occurrence_and_unique_totals",
+              "parse_scan_report"),
+    "compliance": ("Control", "ControlResult", "Evidence", "Framework", "FrameworkScore",
+                   "control_compliance", "framework_score"),
+    "versions": ("AdvisoryEntry", "Version", "VersionFinding", "audit_components",
+                 "parse_version"),
+    "cluster": ("ClusterEndpoint", "fetch_resources"),
+    "report": ("AuditResult", "exit_code", "render_json", "render_table"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "SeverityClass",
-    "ThreatCategory",
-    "DirectoryLoad",
-    "ResourceDocument",
-    "SourceLocation",
-    "load_directory",
-    "parse_manifest_stream",
-    "parse_resource_ref",
-    "resource_ref",
-    "Finding",
-    "Rule",
-    "evaluate",
-    "severity_histogram",
-    "ContainerScanSummary",
-    "ImageRef",
-    "VulnRecord",
-    "VulnTally",
-    "VulnTotals",
-    "aggregate_by_container",
-    "classify_severity",
-    "occurrence_and_unique_totals",
-    "parse_scan_report",
-    "Control",
-    "ControlResult",
-    "Evidence",
-    "Framework",
-    "FrameworkScore",
-    "control_compliance",
-    "framework_score",
-    "AdvisoryEntry",
-    "Version",
-    "VersionFinding",
-    "audit_components",
-    "parse_version",
-    "ClusterEndpoint",
-    "fetch_resources",
-    "AuditResult",
-    "exit_code",
-    "render_json",
-    "render_table",
-]
+__all__ = ["__version__", *_MODULE_OF]
 
 
 def __getattr__(name: str):
-    # The cluster client pulls in `requests`; load it only when asked for.
-    if name in ("ClusterEndpoint", "fetch_resources"):
-        from . import cluster
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return getattr(cluster, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

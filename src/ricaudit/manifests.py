@@ -9,7 +9,7 @@ are retained: an auditor must not drop evidence it does not understand.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -165,7 +165,7 @@ def file_identity(path: str | Path) -> tuple[int, int]:
     return stat.st_dev, stat.st_ino
 
 
-def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) -> DirectoryLoad:
+def load_directory(*roots: str | Path) -> DirectoryLoad:
     """Recursively load every manifest file under each root, root by root.
 
     Parse errors are collected per file, not raised, so one malformed file
@@ -173,8 +173,7 @@ def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) 
     (through two roots, a symlink or a hard link) is loaded once, under the
     first path that reached it. Document order is deterministic: root
     order, then lexicographic by file path within a root, then document
-    index. Namespace filtering keeps only documents whose namespace is in
-    the set (cluster-scoped documents are excluded by a namespace filter).
+    index.
     """
     files: dict[tuple[int, int], Path] = {}
     for root in map(Path, roots):
@@ -203,8 +202,4 @@ def load_directory(*roots: str | Path, namespaces: Iterable[str] | None = None) 
             result.errors.append(ParseFailure(str(path), exc))
             continue
         result.documents.extend(docs)
-
-    if namespaces:
-        namespace_set = set(namespaces)
-        result.documents = [d for d in result.documents if d.namespace in namespace_set]
     return result

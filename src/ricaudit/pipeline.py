@@ -91,16 +91,19 @@ def audit(
             missing = [fid for fid in frameworks if fid not in by_id]
             if missing:
                 raise AuditError(f"unknown framework id(s): {', '.join(missing)}")
-            selected = [by_id[fid] for fid in frameworks]
+            # A framework named twice is scored once, at its first place.
+            selected = [by_id[fid] for fid in dict.fromkeys(frameworks)]
 
     resources: list[ResourceDocument] = []
     findings: list[Finding] = []
     scores: list[FrameworkScore] = []
     if manifests or endpoint:
-        load = load_directory(*manifests, namespaces=[namespace] if namespace else None)
+        load = load_directory(*manifests)
         for failure in load.errors:
             diag(f"parse error in {failure.file_path}: {failure.error}")
-        resources = load.documents
+        # The namespace scopes file documents here and the cluster fetch
+        # below; a cluster-scoped file document is outside every namespace.
+        resources = [d for d in load.documents if not namespace or d.namespace == namespace]
         if endpoint:
             # Imported here so that file-only runs never load `requests`.
             from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources

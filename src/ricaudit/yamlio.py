@@ -5,7 +5,9 @@ and the fixture index, each a single document, through `load_file`. The
 loader is libyaml's safe loader when PyYAML was built with it and PyYAML's
 pure-Python safe loader otherwise; both produce the same trees for the
 shipped data. Where they disagree on odd input the libyaml behaviour is
-kept (see tests/test_yamlio.py).
+kept (see tests/test_yamlio.py). An explicit bool, int, float or timestamp
+tag on a value that does not convert (`!!bool maybe`, `!!int ''`) is a
+construction error at the value's position, like any other.
 
 libyaml composes nodes recursively on the C stack, so a deeply nested
 document can kill the process with a segmentation fault. A document nested
@@ -35,7 +37,10 @@ import yaml
 
 from .errors import InvalidYaml, IoError
 
-Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, whose scalar constructors refuse what they cannot read."""
+
 
 MAX_DEPTH = 256
 
@@ -64,6 +69,29 @@ _STR, _MAP, _SEQ = _TAG + "str", _TAG + "map", _TAG + "seq"
 _SCALAR_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float"))
 
 
+def _refusing(construct: Any) -> Any:
+    """`construct`, raising a ConstructorError at the node for a value it cannot read.
+
+    PyYAML's own constructors let KeyError (`!!bool maybe`), IndexError
+    (`!!int ''`), AttributeError (`!!timestamp x`) and ValueError escape.
+    """
+
+    def construct_or_refuse(loader: Any, node: yaml.Node) -> Any:
+        try:
+            return construct(loader, node)
+        except (KeyError, IndexError, AttributeError, ValueError) as exc:
+            tag = node.tag.replace(_TAG, "!!")
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {node.value!r} as {tag}", node.start_mark
+            ) from exc
+
+    return construct_or_refuse
+
+
+for _name in ("bool", "int", "float", "timestamp"):
+    Loader.add_constructor(_TAG + _name, _refusing(Loader.yaml_constructors[_TAG + _name]))
+
+
 class _Unusual(Exception):
     """A node that `_build` leaves to the loader's own constructor."""
 
@@ -83,7 +111,7 @@ def _build(loader: Any, node: yaml.Node, seen: set[int]) -> Any:
         if tag in _SCALAR_TAGS:
             try:
                 return loader.yaml_constructors[tag](loader, node)
-            except (ValueError, KeyError):
+            except yaml.constructor.ConstructorError:
                 pass  # left to the loader's constructor, which raises it in its order
     elif kind is yaml.MappingNode and tag == _MAP:
         mapping = {}
@@ -160,8 +188,7 @@ def load_all(data: bytes | str) -> Iterator[Any]:
                 raise InvalidYaml(f"nesting deeper than {MAX_DEPTH} levels", index)
             yield _construct(loader, loader.get_node())
             index += 1
-    except (yaml.YAMLError, ValueError) as exc:
-        # ValueError: an explicit tag whose value does not convert (!!int x).
+    except yaml.YAMLError as exc:
         raise InvalidYaml(_one_line(exc), index) from exc
     finally:
         loader.dispose()

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+from typing import NamedTuple
 
 import pytest
 import yaml
@@ -86,6 +87,17 @@ class TestScan:
         assert (code, json_payload(out)["containers"]) == (0, [])
         assert err == (f"ricaudit: parse error in {path}: "
                        f"{path}: document 0: label 'app' must be a string\n")
+
+    @pytest.mark.parametrize("line", [
+        "spec: !!timestamp x", "spec: !!bool maybe", "spec: !!int ''", "spec: {!!float '': x}",
+    ])
+    def test_tag_that_does_not_convert_is_a_parse_error(self, capsys, tmp_path, line):
+        path = tmp_path / "tagged.yaml"
+        path.write_text(f"kind: Pod\nmetadata: {{name: p, namespace: ns}}\n{line}\n")
+        code, out, err = run_cli(capsys, "scan", str(path), "--format", "json")
+        assert (code, json_payload(out)["containers"]) == (0, [])
+        assert err.startswith(f"ricaudit: parse error in {path}: {path}: document 0: cannot read ")
+        assert len(err.splitlines()) == 1
 
     def test_scan_requires_input(self, capsys):
         code, _, err = run_cli(capsys, "scan")
@@ -273,6 +285,20 @@ class TestScore:
         )
         payload = json_payload(out)
         assert [s["framework_id"] for s in payload["framework_scores"]] == ["mitre-attack"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_framework_named_twice_scored_once(self, capsys, tmp_path, hardened_manifests, source):
+        ids = ["nsa-cisa", "mitre-attack", "nsa-cisa"]
+        if source == "flag":
+            args = [arg for fid in ids for arg in ("--framework", fid)]
+        else:
+            config = tmp_path / "cfg.yaml"
+            config.write_text(f"frameworks: [{', '.join(ids)}]\n")
+            args = ["--config", str(config)]
+        code, out, err = run_cli(capsys, "score", str(hardened_manifests), *args, "--format", "json")
+        assert (code, err) == (0, "")
+        scored = [s["framework_id"] for s in json_payload(out)["framework_scores"]]
+        assert scored == ["nsa-cisa", "mitre-attack"]
 
     def test_unknown_framework_exits_2(self, capsys, hardened_manifests):
         code, _, err = run_cli(
@@ -465,6 +491,18 @@ class TestConfigFile:
         assert len(err.strip().splitlines()) == 1
         assert f"{flag[2:]} {path}: invalid YAML" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--catalog", "--inventory", "--config"])
+    @pytest.mark.parametrize("text", ["fail_on: !!bool maybe\n", "- !!timestamp x\n",
+                                      "{!!int '': x}\n"])
+    def test_tag_that_does_not_convert_exits_2(self, capsys, tmp_path, hardened_manifests,
+                                               flag, text):
+        path = tmp_path / "tagged.yaml"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", str(hardened_manifests), flag, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ricaudit: {flag[2:]} {path}: invalid YAML: cannot read ")
+        assert len(err.splitlines()) == 1
 
     def test_misspelt_key_exits_2(self, capsys, tmp_path, planted_manifests):
         # Ignoring `fail-on: low` would pass the scan at the default threshold.
@@ -853,6 +891,42 @@ yaml_values = st.recursive(
 )
 
 
+class Tagged(NamedTuple):
+    """A scalar written under an explicit tag, which yaml.safe_dump never writes."""
+
+    tag: str
+    value: str
+
+
+class TaggingDumper(yaml.SafeDumper):
+    """The safe dumper, writing each Tagged scalar under its tag."""
+
+
+TaggingDumper.add_representer(Tagged, lambda dumper, s: dumper.represent_scalar(s.tag, s.value))
+
+# Values PyYAML's constructors cannot read under some of these tags.
+tagged_scalars = st.builds(
+    Tagged,
+    st.sampled_from(["bool", "int", "float", "timestamp", "binary", "null"])
+    .map("tag:yaml.org,2002:".__add__),
+    st.sampled_from(["maybe", "", "-", "_", "0x", "x", "1:x", "2001-13-01"]),
+)
+
+
+@st.composite
+def tagged_texts(draw, trees):
+    """The YAML text of a drawn tree, with any scalar or key put under an explicit tag."""
+
+    def tag(tree):
+        if isinstance(tree, dict):
+            return {tag(key): tag(value) for key, value in tree.items()}
+        if isinstance(tree, list):
+            return [tag(item) for item in tree]
+        return draw(st.just(tree) | tagged_scalars)
+
+    return yaml.dump(tag(draw(trees)), Dumper=TaggingDumper).encode()
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     st.sampled_from([(kind, name) for kind, base in BASES.items() for name in base]),
@@ -957,19 +1031,23 @@ config_values = st.recursive(
 )
 CONFIG_KEYS = ["inputs", "namespace", "catalogs", "frameworks", "scan_reports", "inventory",
                "endpoint", "token_env", "insecure", "format", "fail_on", "output"]
+config_trees = config_values | st.dictionaries(st.sampled_from(CONFIG_KEYS), config_values,
+                                              max_size=4)
 
 
 def run_with_config(tmp_path_factory, command: str, config) -> int:
+    """Exit code of `command --config`, `config` given as a tree or as the file's bytes."""
     root = tmp_path_factory.mktemp("fuzz")
     (root / "work").mkdir()
-    (root / "config.yaml").write_text(yaml.safe_dump(config))
+    (root / "config.yaml").write_bytes(
+        config if isinstance(config, bytes) else yaml.safe_dump(config).encode())
     return run_in(root / "work", [command, "--config", str(root / "config.yaml")])[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     st.sampled_from(sorted(set(FLAGS) - {"verify-fixtures"})),
-    config_values | st.dictionaries(st.sampled_from(CONFIG_KEYS), config_values, max_size=4),
+    config_trees | tagged_texts(config_trees),
 )
 @example("scan", {"fail-on": "low"})
 def test_any_config_never_crashes(tmp_path_factory, command, config):
@@ -1019,6 +1097,7 @@ manifest_trees = st.fixed_dictionaries(
     st.binary(max_size=64)
     | st.lists(yaml_values | manifest_trees, max_size=3)
     .map(lambda docs: yaml.safe_dump_all(docs).encode())
+    | tagged_texts(manifest_trees)
 )
 @example(b"kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")
 def test_any_manifest_never_crashes(tmp_path_factory, text):
@@ -1044,7 +1123,8 @@ inventory_trees = st.lists(
 
 
 def yaml_files(trees):
-    return st.binary(max_size=64) | (yaml_values | trees).map(lambda v: yaml.safe_dump(v).encode())
+    return (st.binary(max_size=64) | (yaml_values | trees).map(lambda v: yaml.safe_dump(v).encode())
+            | tagged_texts(yaml_values | trees))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

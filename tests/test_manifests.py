@@ -10,6 +10,7 @@ from ricaudit.manifests import (
     parse_resource_ref,
     resource_ref,
 )
+from ricaudit.pipeline import audit
 
 POD = """\
 apiVersion: v1
@@ -190,12 +191,15 @@ def test_load_missing_directory(tmp_path):
         load_directory(tmp_path / "nope")
 
 
-def test_load_directory_namespace_filter(vulnerable_workloads):
-    load = load_directory(vulnerable_workloads)
-    assert len(load.documents) == 9
-    filtered = load_directory(vulnerable_workloads, namespaces=["ricplt"])
-    assert len(filtered.documents) == 8
-    assert not filtered.errors
+def test_load_directory_namespace_filter(vulnerable_manifests):
+    # load_directory keeps every namespace; pipeline.audit scopes the loaded
+    # documents to --namespace, and a cluster-scoped one is outside it.
+    load = load_directory(vulnerable_manifests)
+    assert {None, "ricplt", "other"} <= {d.namespace for d in load.documents}
+    everything = audit(manifests=[vulnerable_manifests])
+    scoped = audit(manifests=[vulnerable_manifests], namespace="ricplt")
+    assert {f.resource.split("/")[0] for f in everything.findings} >= {"_cluster", "other"}
+    assert set(scoped.findings) == {f for f in everything.findings if f.resource.startswith("ricplt/")}
 
 
 def test_malformed_file_recorded_not_fatal(tmp_path):

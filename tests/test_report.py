@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
 from ricaudit.catalogs import data_path
@@ -20,6 +21,7 @@ from ricaudit.report import (
 )
 from ricaudit.rules import Finding
 from ricaudit.severity import TABLE_ORDER, SeverityClass
+from ricaudit.versions import AdvisoryEntry, VersionFinding, VersionPredicate, parse_version
 from ricaudit.vulns import ContainerScanSummary, ImageRef, VulnTotals
 
 
@@ -170,3 +172,39 @@ class TestExitCode:
         # Once clean at some threshold, raising it further stays clean.
         for lower, higher in zip(codes, codes[1:]):
             assert not (lower == 0 and higher == 1)
+
+
+# The --fail-on classes from lowest to highest, written out here rather than
+# read from the program.
+FAIL_ON = ["negligible", "low", "medium", "high", "critical"]
+severities = st.sampled_from(list(SeverityClass))
+histograms = st.dictionaries(severities, st.integers(0, 2))
+ADVISORY = AdvisoryEntry("c", VersionPredicate("<=", parse_version("1.0.0")), 1, 5.0, 5.0, ("x",))
+
+
+@st.composite
+def audit_results(draw):
+    summaries = tuple(
+        summary(f"c{i}", vuln=draw(histograms), misconfig=draw(histograms))
+        for i in range(draw(st.integers(0, 3))))
+    findings = tuple(Finding("R", f"ns/Pod/p{i}", severity, "m", "r")
+                     for i, severity in enumerate(draw(st.lists(severities, max_size=3))))
+    version_findings = tuple(VersionFinding("c", parse_version("1.0.0"), ADVISORY, severity)
+                             for severity in draw(st.lists(severities, max_size=3)))
+    occurrences = sum(sum(s.vuln_histogram.values()) for s in summaries)
+    return result_with(summaries=summaries, findings=findings, version_findings=version_findings,
+                       totals=VulnTotals(occurrences, 0, 0, 0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(audit_results())
+def test_exit_1_exactly_when_payload_holds_something_at_fail_on(result):
+    payload = json.loads(render_json(result))
+    for fail_on in FAIL_ON:
+        at_or_above = set(FAIL_ON[FAIL_ON.index(fail_on):])
+        expected = int(
+            any(f["severity"] in at_or_above for f in payload["findings"])
+            or any(c["vulnerabilities"][name] > 0
+                   for c in payload["containers"] for name in at_or_above)
+            or any(v["severity"] in at_or_above for v in payload["version_findings"]))
+        assert exit_code(result, SeverityClass.from_label(fail_on)) == expected, fail_on

@@ -194,12 +194,13 @@ class TestEvaluate:
     def test_adding_resource_never_removes_findings(self, vulnerable_workloads):
         # Holds whenever the added resource does not itself change namespace
         # context (a new NetworkPolicy is supposed to clear MISC-NETPOL).
-        load = load_directory(vulnerable_workloads, namespaces=["ricplt"])
+        documents = [d for d in load_directory(vulnerable_workloads).documents
+                     if d.namespace == "ricplt"]
         base: set[tuple[str, str]] = set()
-        for count in range(1, len(load.documents) + 1):
+        for count in range(1, len(documents) + 1):
             findings = {
                 (f.rule_id, f.resource)
-                for f in evaluate(load_catalogs().rules, load.documents[:count])
+                for f in evaluate(load_catalogs().rules, documents[:count])
             }
             assert base <= findings
             base = findings
@@ -234,9 +235,10 @@ class TestSeverityHistogram:
 
 class TestGrouping:
     def test_group_by_app_label(self, vulnerable_manifests):
-        load = load_directory(vulnerable_manifests, namespaces=["ricplt"])
-        findings = evaluate(load_catalogs().rules, load.documents)
-        grouped = group_findings_by_app(findings, load.documents)
+        documents = [d for d in load_directory(vulnerable_manifests).documents
+                     if d.namespace == "ricplt"]
+        findings = evaluate(load_catalogs().rules, documents)
+        grouped = group_findings_by_app(findings, documents)
         assert len(grouped) == 8
         assert all(len(group) == 13 for group in grouped.values())
         # Cluster-scoped findings stay unattributed.

@@ -165,7 +165,8 @@ SCALARS = ["x", "a-b", "'- [c]: {d}?'", '"?: #-"', '"\\x5b\\u007b\\x2d"', "1", "
 # Leaves the plain walk must leave to the safe constructor, or build exactly as it does.
 ODD_LEAVES = SCALARS + [
     "!!int 7", "!!bool yes", "!!float 2", "!!null ''", "!!str 3", "0x1F", "1:30", ".nan", "~",
-    "2001-12-14", "!!binary aGk=", "!!int x", "!!bool maybe", "!custom x",
+    "2001-12-14", "!!binary aGk=", "!!int x", "!!bool maybe", "!!timestamp x", "!!float ''",
+    "!custom x",
     "{<<: {m: 1}, n: 2}", "{? [a]: b}", "{1: a, true: b}", "!!set {a, b}", "!!omap [a: 1]",
     "!!str [a]", "!!map x",
 ]
@@ -315,11 +316,12 @@ def test_documents_and_errors_match_the_safe_constructor(text):
     expected, error = outcome(yaml.load_all(text, Loader=yamlio.Loader))
     loaded, raised = outcome(yamlio.load_all(text))
     assert repr(loaded) == repr(expected)  # repr: a NaN is not equal to itself
-    if isinstance(error, (yaml.YAMLError, ValueError)):
+    if error is None:
+        assert raised is None
+    else:
+        assert isinstance(error, yaml.YAMLError)  # `!!bool maybe` included
         assert isinstance(raised, InvalidYaml)
         assert (str(raised), raised.document_index) == (yamlio._one_line(error), len(expected))
-    else:  # such as the KeyError of `!!bool maybe`, which escapes both today
-        assert (type(raised), str(raised)) == (type(error), str(error))
 
 
 def test_aliases_still_share_one_object():
@@ -366,6 +368,27 @@ def test_errors_are_one_line(text):
     with pytest.raises(InvalidYaml) as exc:
         yamlio.load(text)
     assert "\n" not in str(exc.value)
+
+
+# Each tag on each value, as a mapping value and as a key: PyYAML's own
+# constructors let a KeyError (`!!bool maybe`), an AttributeError
+# (`!!timestamp x`) or an IndexError (`!!int ''`) escape on some of them.
+EXPLICIT_TAGS = ["!!str", "!!null", "!!bool", "!!int", "!!float", "!!timestamp", "!!binary",
+                 "!!map", "!!seq", "!!set", "!!omap", "!!pairs", "!!merge", "!!value", "!custom",
+                 "!<tag:yaml.org,2002:python/none>"]
+TAGGED_VALUES = ["maybe", "x", "''", "'-'", "'+'", "_", "0b", "0x", "1:x", ".", "2001-13-01",
+                 "2001-01-01 25:00:00", "2001-01-01 00:00:00 +99", "é", "~", "[a]", "{a: b}"]
+
+
+@pytest.mark.parametrize("place", ["value", "key"])
+@pytest.mark.parametrize("tag", EXPLICIT_TAGS)
+def test_explicit_tag_loads_or_is_a_one_line_error(tag, place):
+    for value in TAGGED_VALUES:
+        spec = f"{tag} {value}" if place == "value" else f"{{{tag} {value}: x}}"
+        try:
+            list(yamlio.load_all(f"kind: Pod\nmetadata: {{name: p}}\nspec: {spec}\n"))
+        except InvalidYaml as exc:
+            assert "\n" not in str(exc), spec
 
 
 def test_syntax_error_message_has_position():
@@ -459,6 +482,42 @@ def test_cli_import_leaves_network_stack_unloaded():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys, ricaudit\n"
+        "loaded = [m for m in sys.modules if m.startswith('ricaudit.') or m == 'yaml']\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The package's public names, written out here rather than read from it.
+PUBLIC_NAMES = {
+    "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
+    "SourceLocation", "load_directory", "parse_manifest_stream", "parse_resource_ref",
+    "resource_ref", "Finding", "Rule", "evaluate", "severity_histogram", "ContainerScanSummary",
+    "ImageRef", "VulnRecord", "VulnTally", "VulnTotals", "aggregate_by_container",
+    "classify_severity", "occurrence_and_unique_totals", "parse_scan_report", "Control",
+    "ControlResult", "Evidence", "Framework", "FrameworkScore", "control_compliance",
+    "framework_score", "AdvisoryEntry", "Version", "VersionFinding", "audit_components",
+    "parse_version", "ClusterEndpoint", "fetch_resources", "AuditResult", "exit_code",
+    "render_json", "render_table",
+}
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    assert set(ricaudit.__all__) == PUBLIC_NAMES and len(ricaudit.__all__) == len(PUBLIC_NAMES)
+    star: dict = {}
+    exec("from ricaudit import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+    for name in PUBLIC_NAMES - {"__version__"}:
+        value = getattr(ricaudit, name)
+        assert value.__module__.startswith("ricaudit."), name
+        assert getattr(sys.modules[value.__module__], name) is value is star[name]
+    assert PUBLIC_NAMES <= set(dir(ricaudit))
 
 
 def test_unknown_package_attribute_raises():
