@@ -30,13 +30,22 @@ class CatalogBundle:
     advisories: list[AdvisoryEntry] = field(default_factory=list)
 
 
+# The fields of each catalog section and entry, and of an inventory entry.
+CATALOG_FIELDS = {"rules": (LIST, []), "frameworks": (LIST, []), "advisories": (LIST, [])}
+FRAMEWORK_FIELDS = {"id": STRING, "title": (STRING, ""), "controls": LIST}
+CONTROL_FIELDS = {"id": STRING, "title": (STRING, ""), "rule_ids": (STRINGS, [])}
+ADVISORY_FIELDS = {
+    "component": STRING, "affected": STRING, "cve_count": INTEGER, "cvss_min": NUMBER,
+    "cvss_max": NUMBER, "vulnerability_classes": (STRINGS, []),
+    "recommended_min_version": (STRING, None)}
+INVENTORY_FIELDS = {"component": STRING, "version": STRING}
+
+
 def _framework_from_mapping(raw: Any) -> Framework:
-    fw = entry_fields(raw, "framework", {
-        "id": STRING, "title": (STRING, ""), "controls": LIST}, key="id")
+    fw = entry_fields(raw, "framework", FRAMEWORK_FIELDS, key="id")
     controls = []
     for raw_control in fw["controls"]:
-        c = entry_fields(raw_control, f"framework {fw['id']!r} control", {
-            "id": STRING, "title": (STRING, ""), "rule_ids": (STRINGS, [])}, key="id")
+        c = entry_fields(raw_control, f"framework {fw['id']!r} control", CONTROL_FIELDS, key="id")
         controls.append(Control(fw["id"], c["id"], c["title"], tuple(c["rule_ids"])))
     if not controls:
         raise CatalogError(f"framework {fw['id']}: controls must be non-empty")
@@ -45,10 +54,7 @@ def _framework_from_mapping(raw: Any) -> Framework:
 
 
 def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
-    adv = entry_fields(raw, "advisory", {
-        "component": STRING, "affected": STRING, "cve_count": INTEGER, "cvss_min": NUMBER,
-        "cvss_max": NUMBER, "vulnerability_classes": (STRINGS, []),
-        "recommended_min_version": (STRING, None)}, key="component")
+    adv = entry_fields(raw, "advisory", ADVISORY_FIELDS, key="component")
     recommended = adv["recommended_min_version"]
     try:
         return AdvisoryEntry(
@@ -103,8 +109,7 @@ def _reject_alias_blowup(raw: Any, origin: str) -> None:
 
 
 def parse_catalog(raw: Any, origin: str = "<catalog>") -> CatalogBundle:
-    sections = entry_fields(raw, f"catalog {origin}", {
-        "rules": (LIST, []), "frameworks": (LIST, []), "advisories": (LIST, [])})
+    sections = entry_fields(raw, f"catalog {origin}", CATALOG_FIELDS)
     _reject_alias_blowup(raw, origin)
     if not set(sections) & set(raw):
         raise CatalogError(f"{origin}: no rules/frameworks/advisories section found")
@@ -170,6 +175,6 @@ def load_inventory(path: str | Path) -> list[tuple[str, str]]:
     raw = yamlio.load_file(path, "inventory")
     if not isinstance(raw, list):
         raise IoError(f"{path}: inventory must be a list of {{component, version}} entries")
-    item = {"component": STRING, "version": STRING}
-    return [tuple(entry_fields(entry, f"{path}: inventory entry", item, key="component").values())
+    return [tuple(entry_fields(entry, f"{path}: inventory entry", INVENTORY_FIELDS,
+                               key="component").values())
             for entry in raw]

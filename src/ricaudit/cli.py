@@ -5,8 +5,10 @@ misconfigurations), `vulns` (scan-report aggregation), `score` (framework
 compliance), `versions` (outdated components), and `report` (everything
 combined). Each only chooses which of its inputs to hand to the one
 `pipeline.audit`. Exit codes are a CI contract: 0 clean at the threshold, 1 at
-least one finding at/above it, 2 tool error. Diagnostics go to stderr;
-the report payload goes to stdout or --output, never interleaved.
+least one finding at/above it, 2 tool error; an unexpected exception is a
+one-line `internal error` with exit 2, and its traceback is printed only when
+RICAUDIT_DEBUG is set to a non-empty value. Diagnostics go to stderr; the
+report payload goes to stdout or --output, never interleaved.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Any
 
 from . import __version__, yamlio
 from .errors import AuditError, IoError
-from .fixtures import verify_fixtures
 from .pipeline import audit
 from .predicates import BOOLEAN, SHAPES, STRING, STRINGS
 from .report import (
@@ -168,6 +169,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify-fixtures":
+            from .fixtures import verify_fixtures  # the only command that needs it
+
             checks = verify_fixtures()
             print(f"fixtures verified: {len(checks)} checks passed", file=sys.stderr)
             return EXIT_CLEAN
@@ -184,6 +187,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AuditError, OSError) as exc:
         # Covers fixture drift too: corrupt shipped data is a tool error.
         _diag(str(exc))
+        return EXIT_TOOL_ERROR
+    except Exception as exc:
+        # A defect in ricaudit is a tool error too, never a finding (exit 1).
+        if os.environ.get("RICAUDIT_DEBUG"):
+            import traceback
+
+            traceback.print_exc()
+        _diag(f"internal error: {type(exc).__name__}: {reprlib.repr(str(exc))}")
         return EXIT_TOOL_ERROR
 
 

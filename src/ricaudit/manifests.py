@@ -8,7 +8,9 @@ are retained: an auditor must not drop evidence it does not understand.
 
 from __future__ import annotations
 
+import errno
 import os
+import stat
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,8 +163,13 @@ class DirectoryLoad:
 def file_identity(path: str | Path) -> tuple[int, int]:
     """Device and inode: they identify a file as resolving its path would,
     with one stat call instead of one per path component."""
-    stat = os.stat(path)
-    return stat.st_dev, stat.st_ino
+    status = os.stat(path)
+    return status.st_dev, status.st_ino
+
+
+# Stat errors that mean a path names no file, as `Path.is_file` reads them:
+# a dangling or looping symlink, for example.
+_NO_FILE = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP}
 
 
 def load_directory(*roots: str | Path) -> DirectoryLoad:
@@ -183,11 +190,19 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
             found = [root]
         else:
             found = sorted(
-                (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in MANIFEST_EXTENSIONS),
+                (p for p in root.rglob("*") if p.suffix.lower() in MANIFEST_EXTENSIONS),
                 key=lambda p: str(p),
             )
         for path in found:
-            files.setdefault(file_identity(path), path)
+            # One stat both keeps regular files and identifies them.
+            try:
+                status = os.stat(path)
+            except OSError as exc:
+                if exc.errno in _NO_FILE:
+                    continue
+                raise
+            if stat.S_ISREG(status.st_mode):
+                files.setdefault((status.st_dev, status.st_ino), path)
 
     result = DirectoryLoad()
     for path in files.values():

@@ -200,6 +200,58 @@ def entry_fields(raw: Any, what: str, fields: Mapping[str, Any], key: str | None
     return values
 
 
+class _AnyType:
+    def __contains__(self, kind: type) -> bool:
+        return True
+
+
+# The exact types whose values a shape accepts without a closer look; a
+# subclass, or any value of a shape with none listed, goes to `entry_fields`.
+_EXACT_TYPES: dict[str, Any] = {
+    STRING: (str,), NONEMPTY: (str,), INTEGER: (int,), NUMBER: (int, float), BOOLEAN: (bool,),
+    STRINGS: (), LIST: (list,), ANY: _AnyType(),
+}
+_REQUIRED = object()
+
+
+def field_reader(fields: Mapping[str, Any]) -> Callable[..., list[Any]]:
+    """`fields`, as `entry_fields` takes them, compiled once into a reader.
+
+    The reader takes `entry_fields`' other arguments and returns the field
+    values in the order of `fields`. Its fast path accepts a dict in which
+    each field holds a value of an exact type its shape allows (non-empty for
+    a non-empty string), or is optional and absent or null, and then takes
+    its default. Any other entry goes to `entry_fields`, which accepts it or
+    words the failure, so `SHAPES` stays the one definition of a shape. `what`
+    may be a function returning the label, called only then.
+    """
+    plan = []
+    for name, shape in fields.items():
+        shape, default = shape if isinstance(shape, tuple) else (shape, _REQUIRED)
+        plan.append((name, _EXACT_TYPES[shape], default, shape == NONEMPTY))
+
+    def read(raw: Any, what: str | Callable[[], str], key: str | None = None,
+             error: Callable[[str], Exception] = CatalogError) -> list[Any]:
+        if type(raw) is dict:
+            get = raw.get
+            values = []
+            for name, types, default, nonempty in plan:
+                value = get(name)
+                if value is None:
+                    if default is _REQUIRED:
+                        break
+                    value = default
+                elif type(value) not in types or nonempty and not value:
+                    break
+                values.append(value)
+            else:
+                return values
+        label = what if isinstance(what, str) else what()
+        return list(entry_fields(raw, label, fields, key, error).values())
+
+    return read
+
+
 def compile_check(spec: Mapping[str, Any]) -> Check:
     """Compile a check mapping into a callable predicate.
 

@@ -57,11 +57,15 @@ def parse_control_ref(ref: str) -> tuple[str, str]:
     return framework_id, control_id
 
 
+# The fields of a rule entry.
+RULE_FIELDS = {
+    "id": STRING, "title": STRING, "description": (STRING, ""), "severity": STRING,
+    "category": STRING, "applies_to": STRINGS, "check": ANY,
+    "control_refs": (STRINGS, []), "remediation": (STRING, "")}
+
+
 def rule_from_mapping(raw: Any) -> Rule:
-    fields = entry_fields(raw, "rule", {
-        "id": STRING, "title": STRING, "description": (STRING, ""), "severity": STRING,
-        "category": STRING, "applies_to": STRINGS, "check": ANY,
-        "control_refs": (STRINGS, []), "remediation": (STRING, "")}, key="id")
+    fields = entry_fields(raw, "rule", RULE_FIELDS, key="id")
     try:
         if not fields["applies_to"]:
             raise ValueError("applies_to must be non-empty")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SchemaError
-from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, entry_fields
+from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, field_reader
 from .rules import Finding, severity_histogram
 from .severity import SeverityClass, empty_counts
 
@@ -108,6 +108,11 @@ ENTRY_FIELDS = {
     "fixed_version": (STRING, None), "cvss": (NUMBER, None),
     "vendor_severity": (STRING, None), "rce": (BOOLEAN, False),
 }
+_read_report = field_reader(REPORT_FIELDS)
+_read_image = field_reader(IMAGE_FIELDS)
+_read_entry = field_reader(ENTRY_FIELDS)
+# Vendor ratings as scanners usually write them; other text goes to from_label.
+_VENDOR_CLASSES = {c.name.lower(): c for c in SeverityClass}
 
 
 def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport:
@@ -135,13 +140,16 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
     def error(message: str) -> SchemaError:
         return SchemaError(message, entry_index=index)
 
-    container, image, entries = entry_fields(raw, what, REPORT_FIELDS, error=error).values()
-    image = ImageRef(*entry_fields(image, f"{what}: image", IMAGE_FIELDS, error=error).values())
+    def label() -> str:
+        return f"{what}: entry {index}"
+
+    container, image, entries = _read_report(raw, what, error=error)
+    image = ImageRef(*_read_image(image, f"{what}: image", error=error))
     report = ScanReport(container=container, image=image)
+    records = report.records
     for index, entry in enumerate(entries):
-        label = f"{what}: entry {index}"
-        cve_id, package, installed, fixed, cvss, vendor, rce = entry_fields(
-            entry, label, ENTRY_FIELDS, error=error).values()
+        cve_id, package, installed, fixed, cvss, vendor, rce = _read_entry(
+            entry, label, error=error)
         if cvss is not None:
             # Checked before float(), which overflows on a huge JSON integer.
             if not 0 <= cvss <= 10:
@@ -151,11 +159,14 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
                 continue
             cvss = float(cvss)
         if vendor is not None:
-            try:
-                vendor = SeverityClass.from_label(vendor)
-            except ValueError as exc:
-                raise error(f"{label}: {exc}") from exc
-        report.records.append(VulnRecord(
+            severity = _VENDOR_CLASSES.get(vendor)
+            if severity is None:
+                try:
+                    severity = SeverityClass.from_label(vendor)
+                except ValueError as exc:
+                    raise error(f"{label()}: {exc}") from exc
+            vendor = severity
+        records.append(VulnRecord(
             cve_id, package, installed, fixed, cvss, vendor,
             classify_severity(cvss, vendor), rce, container, image,
         ))
@@ -221,13 +232,18 @@ class VulnTally:
 
 
 def aggregate_by_container(records: Sequence[VulnRecord]) -> VulnTally:
-    """Tally a record set in one pass."""
+    """Tally a record set in one pass, looking a container's histogram up
+    once per run of consecutive records that share the container."""
     tally = VulnTally(occurrences=len(records))
+    container, counts = object(), None  # the first record starts a run
     for record in records:
-        entry = tally.containers.get(record.container)
-        if entry is None:
-            entry = tally.containers[record.container] = (record.image, empty_counts())
-        entry[1][record.severity] += 1
+        if record.container != container:
+            container = record.container
+            entry = tally.containers.get(container)
+            if entry is None:
+                entry = tally.containers[container] = (record.image, empty_counts())
+            counts = entry[1]
+        counts[record.severity] += 1
         tally.unique.add(record.cve_id)
         if record.severity is SeverityClass.CRITICAL:
             if record.remote_code_execution:

@@ -26,6 +26,13 @@ def json_payload(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def assert_no_crash(err: str) -> None:
+    """Neither a traceback nor the last-resort handler's line: a fuzzer
+    must see the defects the handler turns into exit 2."""
+    assert "Traceback" not in err
+    assert "internal error" not in err, err
+
+
 # A valid one-entry scan report; tests replace fields of it.
 REPORT_ENTRY = {"cve_id": "CVE-1", "package": "p", "installed_version": "1",
                 "fixed_version": "2", "cvss": 5.0, "vendor_severity": "medium", "rce": False}
@@ -877,6 +884,28 @@ def test_verify_fixtures_command(capsys):
     assert "fixtures verified: 111 checks passed" in err
 
 
+@pytest.mark.parametrize("debug", [None, "", "1"])
+def test_unexpected_exception_is_one_line_exit_2(capsys, monkeypatch, scan_report_paths, debug):
+    def broken_audit(**given):
+        raise KeyError("x" * 1000)
+
+    monkeypatch.setattr("ricaudit.cli.audit", broken_audit)
+    if debug is None:
+        monkeypatch.delenv("RICAUDIT_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("RICAUDIT_DEBUG", debug)
+    code, out, err = run_cli(capsys, "vulns", "--scan-report", str(scan_report_paths[0]))
+    assert (code, out) == (2, "")
+    *trace, line = err.splitlines()
+    # The message is quoted bounded, so a huge one keeps the line short.
+    assert line.startswith("ricaudit: internal error: KeyError: \"'xxx") and len(line) < 100
+    if debug:
+        assert trace[0] == "Traceback (most recent call last):"
+        assert trace[-1].startswith("KeyError: 'xxx")
+    else:
+        assert trace == []
+
+
 def test_severity_threshold_choices_match_classes():
     assert {c.name.lower() for c in SeverityClass} == {
         "critical", "high", "medium", "low", "negligible",
@@ -954,6 +983,7 @@ def test_entry_with_any_field_value_never_crashes(
             "--catalog", str(catalog),
         ])
     assert code in (0, 1, 2)
+    assert_no_crash(err.getvalue())
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
@@ -966,7 +996,7 @@ def run_report_bytes(tmp_path_factory, text: bytes) -> int:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["vulns", "--scan-report", str(path)])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert_no_crash(err.getvalue())
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     return code
@@ -1014,7 +1044,7 @@ def run_in(directory, argv: list[str]) -> tuple[int, str]:
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert_no_crash(err.getvalue())
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     return code, err.getvalue()

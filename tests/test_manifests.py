@@ -237,3 +237,21 @@ def test_completeness_accounting(tmp_path):
     load = load_directory(tmp_path)
     assert len(load.documents) == 2
     assert len(load.errors) == 1
+
+
+def test_only_regular_manifest_files_load_each_once(tmp_path):
+    (tmp_path / "pod.yaml").write_text(POD)
+    (tmp_path / "a-link.yaml").symlink_to(tmp_path / "pod.yaml")  # reaches pod.yaml first
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "again.yml").symlink_to(tmp_path / "pod.yaml")
+    (tmp_path / "notes.txt").write_text("kind: [unclosed\n")  # another suffix
+    (tmp_path / "dangling.yaml").symlink_to(tmp_path / "gone.yaml")
+    (tmp_path / "loop.yaml").symlink_to(tmp_path / "loop.yaml")
+    (tmp_path / "dir.yaml").mkdir()
+    (tmp_path / "dir.yaml" / "inner.json").write_text(THREE_DOCS)
+    load = load_directory(tmp_path, tmp_path / "pod.yaml")
+    assert load.errors == []
+    assert [(d.source.file_path, d.name) for d in load.documents] == [
+        (str(tmp_path / "a-link.yaml"), "e2term"),
+        *((str(tmp_path / "dir.yaml" / "inner.json"), name) for name in "abc"),
+    ]

@@ -1,21 +1,30 @@
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
+from ricaudit import catalogs, rules, vulns
 from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import CatalogError, SchemaError
 from ricaudit.manifests import parse_manifest_stream, resource_ref
 from ricaudit.predicates import (
+    ANY,
     BOOLEAN,
+    INTEGER,
+    LIST,
     NONEMPTY,
+    NUMBER,
     POD_SPEC_PATHS,
     STRING,
+    STRINGS,
     EvalContext,
     compile_check,
     entry_fields,
+    field_reader,
     image_registry,
     pod_of,
     resolve_path,
@@ -130,6 +139,102 @@ class TestEntryFields:
         with pytest.raises(SchemaError) as exc:
             entry_fields(raw, "item", self.FIELDS, error=SchemaError)
         assert str(exc.value) == message
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# Every field spec the code declares.
+FIELD_SPECS = [
+    vulns.REPORT_FIELDS, vulns.IMAGE_FIELDS, vulns.ENTRY_FIELDS, rules.RULE_FIELDS,
+    catalogs.CATALOG_FIELDS, catalogs.FRAMEWORK_FIELDS, catalogs.CONTROL_FIELDS,
+    catalogs.ADVISORY_FIELDS, catalogs.INVENTORY_FIELDS,
+]
+# Values at the edges of the shapes: a bool is no number, "" no non-empty
+# string, and a subclass passes the shape test but not the exact-type test.
+EDGE_VALUES = [
+    True, False, "", "x", 1.5, None, math.nan, math.inf, -math.inf, 10**400, -(10**400), Text(""),
+    Text("x"), Count(3), [], [Text("a")], [1], ["a", None], {}, {"a": 1}, (), b"x",
+]
+odd_values = (st.sampled_from(EDGE_VALUES) | st.none() | st.booleans() | st.integers()
+              | st.floats() | st.text(max_size=3))
+shaped_values = {
+    STRING: st.text(max_size=3), NONEMPTY: st.text(min_size=1, max_size=3),
+    INTEGER: st.integers(), NUMBER: st.integers() | st.floats(),
+    BOOLEAN: st.booleans(), STRINGS: st.lists(st.text(max_size=2), max_size=2),
+    LIST: st.lists(odd_values, max_size=2), ANY: odd_values,
+}
+ABSENT = object()
+WRAPPERS = [dict, MappingProxyType, type("Entry", (dict,), {}), list, lambda raw: None]
+
+
+def assert_reader_agrees(fields, raw, key=None, error=CatalogError, what="item"):
+    """The reader of `fields` returns the very values of entry_fields, or
+    raises an error of the same type and message."""
+    read = field_reader(fields)
+    try:
+        expected = list(entry_fields(raw, "item", fields, key, error).values())
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            read(raw, what, key, error)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        values = read(raw, what, key, error)
+        # The same objects, so that NaN and subclasses compare as well.
+        assert len(values) == len(expected)
+        assert all(a is b for a, b in zip(values, expected))
+
+
+@st.composite
+def raw_entries(draw, fields):
+    """An entry of the shapes of `fields`, optional fields absent or null at
+    times, with at most one field made odd or removed, held in a dict, in
+    another mapping or in no mapping at all."""
+    raw = {}
+    for name, shape in fields.items():
+        if isinstance(shape, tuple):
+            raw[name] = draw(st.sampled_from([ABSENT, None]) | shaped_values[shape[0]])
+        else:
+            raw[name] = draw(shaped_values[shape])
+    changed = draw(st.sampled_from([None, *fields]))
+    if changed is not None:
+        raw[changed] = draw(odd_values | st.just(ABSENT))
+    raw = {name: value for name, value in raw.items() if value is not ABSENT}
+    raw.update(draw(st.dictionaries(st.text(max_size=3), odd_values, max_size=2)))
+    return draw(st.sampled_from([dict] * 5 + WRAPPERS))(raw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(FIELD_SPECS), st.data())
+def test_field_reader_agrees_with_entry_fields(fields, data):
+    assert_reader_agrees(
+        fields, data.draw(raw_entries(fields)), key=data.draw(st.sampled_from([None, *fields])),
+        error=data.draw(st.sampled_from([CatalogError, SchemaError])),
+        what=data.draw(st.sampled_from(["item", lambda: "item"])))
+
+
+@pytest.mark.parametrize("fields", FIELD_SPECS)
+def test_field_reader_agrees_on_each_edge_value_of_each_field(fields):
+    # Each field of a valid entry, with or without its optional fields, given
+    # each edge value in turn or left out, and the entry in each kind of holder.
+    valid = {STRING: "s", NONEMPTY: "n", INTEGER: 3, NUMBER: 2.5, BOOLEAN: True,
+             STRINGS: ["a"], LIST: [1], ANY: {"x": 1}}
+    full = {name: valid[shape[0] if isinstance(shape, tuple) else shape]
+            for name, shape in fields.items()}
+    required = {name: full[name] for name, shape in fields.items() if not isinstance(shape, tuple)}
+    for base in (full, required):
+        for name in fields:
+            for value in [*EDGE_VALUES, ABSENT]:
+                raw = {**base, name: value}
+                if value is ABSENT:
+                    del raw[name]
+                for wrap in WRAPPERS:
+                    assert_reader_agrees(fields, wrap(raw), key=name)
 
 
 class TestCombinators:

@@ -154,6 +154,37 @@ class TestParseScanReport:
         with pytest.raises(SchemaError):
             parse_scan_report(report_payload(entries))
 
+    ENTRY = {"cve_id": "CVE-1", "package": "p", "installed_version": "1"}
+
+    @pytest.mark.parametrize("index, field, message", [
+        (3, {"cvss": "high"}, "scan report r.json: entry 3: cvss must be a number"),
+        (3, {"cvss": True}, "scan report r.json: entry 3: cvss must be a number"),
+        (5, {"vendor_severity": "bogus"},
+         "scan report r.json: entry 5: unknown severity class: 'bogus'"),
+        (4, {"vendor_severity": ""}, "scan report r.json: entry 4: unknown severity class: ''"),
+        (1, {"cve_id": None}, "scan report r.json: entry 1: cve_id must be a non-empty string"),
+    ])
+    def test_diagnostic_names_report_and_entry(self, index, field, message):
+        entries = [self.ENTRY] * index + [{**self.ENTRY, **field}, self.ENTRY]
+        with pytest.raises(SchemaError) as exc:
+            parse_scan_report(report_payload(entries), origin="r.json")
+        assert (str(exc.value), exc.value.entry_index) == (message, index)
+
+    def test_entry_not_a_mapping_names_its_index(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_scan_report(report_payload([self.ENTRY] * 2 + [[1]]), origin="r.json")
+        assert (str(exc.value), exc.value.entry_index) == (
+            "scan report r.json: entry 2 must be a mapping, got [1]", 2)
+
+    @pytest.mark.parametrize("label, expected", [
+        (" Critical ", SeverityClass.CRITICAL), ("HIGH", SeverityClass.HIGH),
+        ("negligible", SeverityClass.NEGLIGIBLE), ("Low", SeverityClass.LOW),
+    ])
+    def test_vendor_label_read_as_from_label_reads_it(self, label, expected):
+        entries = [{**self.ENTRY, "cvss": 9.9, "vendor_severity": label}]
+        record = parse_scan_report(report_payload(entries)).records[0]
+        assert record.vendor_severity is record.severity is expected
+
 
 def record(cve_id, container, severity=SeverityClass.MEDIUM, rce=False, fixed=None,
            image=ImageRef("r.example", "app", "1")):
@@ -216,6 +247,28 @@ class TestAggregation:
         assert summaries[0].image is None
         assert summaries[0].misconfig_histogram[SeverityClass.LOW] == 1
         assert summaries[0].vuln_histogram == empty_counts()
+
+    def test_interleaved_containers_match_a_per_record_fold(self):
+        # Runs of containers A, B, A, C, B: a container that comes back after
+        # another container's records keeps the image of its first record.
+        crit, low = SeverityClass.CRITICAL, SeverityClass.LOW
+        runs = [("A", "1", [crit, low]), ("B", "1", [low]), ("A", "2", [crit, crit]),
+                ("C", "1", [low]), ("B", "2", [crit])]
+        records = [
+            record(f"CVE-{n}", container, severity, rce=n % 2 == 0, fixed="2" if n % 3 else None,
+                   image=ImageRef("r.example", container.lower(), tag))
+            for n, (container, tag, severity) in enumerate(
+                (container, tag, severity) for container, tag, severities in runs
+                for severity in severities)
+        ]
+        tally = aggregate_by_container(records)
+        expected = VulnTally()
+        for one in records:  # brute force: one record at a time
+            expected.merge(aggregate_by_container([one]))
+        assert tally == expected
+        assert {c: (image.tag, counts[crit], counts[low])
+                for c, (image, counts) in tally.containers.items()} == {
+            "A": ("1", 3, 1), "B": ("1", 1, 1), "C": ("1", 0, 1)}
 
     @given(
         st.lists(

@@ -494,6 +494,15 @@ def test_package_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_fixtures_unloaded():
+    code = (
+        "import sys, ricaudit.cli\n"
+        "assert 'ricaudit.fixtures' not in sys.modules\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 # The package's public names, written out here rather than read from it.
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
