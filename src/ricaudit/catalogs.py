@@ -8,10 +8,9 @@ top-level keys discriminate the content (`rules:`, `frameworks:`,
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import yamlio
 from .compliance import Control, Framework
@@ -21,13 +20,23 @@ from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
 
-@dataclass
-class CatalogBundle:
+class _CatalogBundle(NamedTuple):
+    rules: list[Rule]
+    frameworks: list[Framework]
+    advisories: list[AdvisoryEntry]
+
+
+class CatalogBundle(_CatalogBundle):
     """Rules, frameworks and advisories from one catalog file or a whole run."""
 
-    rules: list[Rule] = field(default_factory=list)
-    frameworks: list[Framework] = field(default_factory=list)
-    advisories: list[AdvisoryEntry] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, rules: list[Rule] | None = None, frameworks: list[Framework] | None = None,
+                advisories: list[AdvisoryEntry] | None = None) -> CatalogBundle:
+        # A NamedTuple default is one object shared by every instance.
+        return super().__new__(cls, [] if rules is None else rules,
+                               [] if frameworks is None else frameworks,
+                               [] if advisories is None else advisories)
 
 
 # The fields of each catalog section and entry, and of an inventory entry.

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 from urllib.parse import urlencode, urlparse
 
 import requests
@@ -59,14 +58,18 @@ KIND_ROUTES: dict[str, tuple[str, str]] = {
 CLUSTER_SCOPED_KINDS = {"Namespace", "Node", "ClusterRole", "ClusterRoleBinding"}
 
 
-@dataclass(frozen=True)
-class ClusterEndpoint:
+class _ClusterEndpoint(NamedTuple):
     base_url: str
     bearer_token: str | None = None
     request_timeout: float = 10.0
     allow_insecure: bool = False
 
-    def __post_init__(self) -> None:
+
+class ClusterEndpoint(_ClusterEndpoint):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> ClusterEndpoint:
+        self = super().__new__(cls, *args, **kwargs)
         parsed = urlparse(self.base_url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ClusterError(f"base_url must be an absolute http(s) URL: {self.base_url!r}")
@@ -75,6 +78,12 @@ class ClusterEndpoint:
         # The token becomes a header value; the message never quotes it.
         if self.bearer_token and not all("!" <= c <= "~" for c in self.bearer_token):
             raise ClusterError("bearer token must hold only visible ASCII characters")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> ClusterEndpoint:
+        # `_replace` builds through `_make`; this makes it check as well.
+        return cls(*iterable)
 
 
 def _list_path(kind: str, namespace: str | None) -> str:

@@ -12,31 +12,31 @@ compliance.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import IncompleteResults, UnknownRuleId
 from .manifests import ResourceDocument, resource_ref
 from .rules import Finding, Rule
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Control:
+
+class Control(NamedTuple):
     framework_id: str
     control_id: str
     title: str
     rule_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Framework:
+class Framework(NamedTuple):
     id: str
     title: str
     controls: tuple[Control, ...]
 
 
-@dataclass(frozen=True)
-class ControlResult:
+class ControlResult(NamedTuple):
     control: Control
     applicable_resources: int
     passing_resources: int
@@ -49,19 +49,20 @@ class ControlResult:
     def score(self) -> Fraction | None:
         if self.not_applicable:
             return None
+        # Imported here: `fractions` loads `decimal`, and scoring needs neither.
+        from fractions import Fraction
+
         return Fraction(self.passing_resources, self.applicable_resources)
 
 
-@dataclass(frozen=True)
-class FrameworkScore:
+class FrameworkScore(NamedTuple):
     framework_id: str
     percent: int | None
     evaluated_controls: int
     not_applicable_controls: int
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """One evaluated run, indexed for scoring: built once and shared by every framework."""
 
     rules_by_id: Mapping[str, Rule]
@@ -116,12 +117,6 @@ def control_compliance(control: Control, evidence: Evidence) -> ControlResult:
     )
 
 
-def _percent_half_up(mean: Fraction) -> int:
-    # round-half-up of 100*mean: floor((200*num + den) / (2*den))
-    scaled = 100 * mean
-    return (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-
-
 def framework_score(framework: Framework, results: Sequence[ControlResult]) -> FrameworkScore:
     """Average the applicable control scores into an integer percent.
 
@@ -141,17 +136,23 @@ def framework_score(framework: Framework, results: Sequence[ControlResult]) -> F
             + (f"; unknown {sorted(extra)}" if extra else "")
         )
 
-    scores = [r.score for r in results if r.score is not None]
-    not_applicable = len(results) - len(scores)
-    if not scores:
-        percent = None
-    else:
-        percent = _percent_half_up(sum(scores, Fraction(0)) / len(scores))
+    # Each applicable control's (passing, applicable) counts.
+    scores = [(r.passing_resources, r.applicable_resources)
+              for r in results if not r.not_applicable]
+    percent = None
+    if scores:
+        # The mean of passing/applicable is numerator/denominator, exactly:
+        # every score is scaled to the least common multiple of the counts.
+        common = lcm(*(applicable for _, applicable in scores))
+        numerator = sum(passing * (common // applicable) for passing, applicable in scores)
+        denominator = common * len(scores)
+        # 100*mean rounded half up: floor((200*numerator + denominator) / (2*denominator)).
+        percent = (200 * numerator + denominator) // (2 * denominator)
     return FrameworkScore(
         framework_id=framework.id,
         percent=percent,
         evaluated_controls=len(scores),
-        not_applicable_controls=not_applicable,
+        not_applicable_controls=len(results) - len(scores),
     )
 
 

@@ -11,9 +11,8 @@ caught as drift.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import yamlio
 from .catalogs import data_path
@@ -48,8 +47,7 @@ def fixture_audit_result(
     )
 
 
-@dataclass(frozen=True)
-class FixtureCheck:
+class FixtureCheck(NamedTuple):
     cell: str
     expected: Any
     actual: Any

@@ -12,9 +12,8 @@ import errno
 import os
 import stat
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import yamlio
 from .errors import DocumentError, InvalidYaml, IoError, MalformedDocument, MissingKind, MissingName
@@ -24,16 +23,14 @@ MANIFEST_EXTENSIONS = {".yaml", ".yml", ".json"}
 CLUSTER_SCOPE = "_cluster"
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """Where a document came from: file (or URL) and position in its stream."""
 
     file_path: str
     document_index: int
 
 
-@dataclass(frozen=True)
-class ResourceDocument:
+class ResourceDocument(NamedTuple):
     """One parsed Kubernetes object.
 
     `body` is the full manifest tree (maps/lists/scalars) and is treated as
@@ -144,20 +141,28 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
     return documents
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+class ParseFailure(NamedTuple):
     """A file that failed to parse during a directory load."""
 
     file_path: str
     error: Exception
 
 
-@dataclass
-class DirectoryLoad:
+class _DirectoryLoad(NamedTuple):
+    documents: list[ResourceDocument]
+    errors: list[ParseFailure]
+
+
+class DirectoryLoad(_DirectoryLoad):
     """Outcome of load_directory: parsed documents plus recorded failures."""
 
-    documents: list[ResourceDocument] = field(default_factory=list)
-    errors: list[ParseFailure] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, documents: list[ResourceDocument] | None = None,
+                errors: list[ParseFailure] | None = None) -> DirectoryLoad:
+        # A NamedTuple default is one object shared by every instance.
+        return super().__new__(cls, [] if documents is None else documents,
+                               [] if errors is None else errors)
 
 
 def file_identity(path: str | Path) -> tuple[int, int]:

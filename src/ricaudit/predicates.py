@@ -21,7 +21,6 @@ import re
 import reprlib
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import CatalogError
@@ -42,20 +41,23 @@ POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
 PodView = tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]
 
 
-@dataclass
 class EvalContext:
     """Cross-resource facts available to context-sensitive combinators.
 
     It also keeps the pod spec and containers of the last document asked
     for, so that the rules evaluated on one document in turn walk its pod
-    spec once.
+    spec once. A plain class, because `pod` rebinds `last_pod`.
     """
 
-    namespace_kinds: dict[str | None, set[str]] = field(default_factory=dict)
-    ref_counts: Counter = field(default_factory=Counter)
-    # (document, its pod). Holding the document keeps the `is` test in `pod`
-    # from matching a new object that reuses a freed one's address.
-    last_pod: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    __slots__ = ("namespace_kinds", "ref_counts", "last_pod")
+
+    def __init__(self, namespace_kinds: dict[str | None, set[str]] | None = None,
+                 ref_counts: Counter | None = None) -> None:
+        self.namespace_kinds = {} if namespace_kinds is None else namespace_kinds
+        self.ref_counts = Counter() if ref_counts is None else ref_counts
+        # (document, its pod). Holding the document keeps the `is` test in `pod`
+        # from matching a new object that reuses a freed one's address.
+        self.last_pod: tuple = (None, None)
 
     @classmethod
     def build(cls, documents: Sequence[ResourceDocument]) -> "EvalContext":

@@ -9,9 +9,8 @@ masked out so reproducibility checks stay meaningful.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from typing import Any
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any, NamedTuple
 
 from .severity import TABLE_ORDER, SeverityClass
 from .versions import VersionFinding, VersionPredicate, AdvisoryEntry, parse_version
@@ -26,10 +25,7 @@ EXIT_FINDINGS = 1
 EXIT_TOOL_ERROR = 2
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    """Everything one audit run produced, ready for rendering."""
-
+class _AuditResult(NamedTuple):
     summaries: tuple[ContainerScanSummary, ...] = ()
     findings: tuple[Finding, ...] = ()
     framework_scores: tuple[FrameworkScore, ...] = ()
@@ -38,7 +34,14 @@ class AuditResult:
     generated_at: str = ""
     tool_version: str = ""
 
-    def __post_init__(self) -> None:
+
+class AuditResult(_AuditResult):
+    """Everything one audit run produced, ready for rendering."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> AuditResult:
+        self = super().__new__(cls, *args, **kwargs)
         histogram_sum = sum(
             count for s in self.summaries for count in s.vuln_histogram.values()
         )
@@ -50,6 +53,12 @@ class AuditResult:
         ids = [s.framework_id for s in self.framework_scores]
         if len(ids) != len(set(ids)):
             raise ValueError("framework score ids must be unique")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> AuditResult:
+        # `_replace` builds through `_make`; this makes it check as well.
+        return cls(*iterable)
 
     def critical_occurrences(self) -> int:
         return sum(s.vuln_histogram[SeverityClass.CRITICAL] for s in self.summaries)

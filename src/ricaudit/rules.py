@@ -9,8 +9,7 @@ two evaluations of the same inputs produce identical findings.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import CatalogError, UnknownRuleId
 from .manifests import ResourceDocument, resource_ref
@@ -20,8 +19,7 @@ from .severity import SeverityClass, ThreatCategory, empty_counts
 WILDCARD_KIND = "*"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     title: str
     description: str
@@ -31,15 +29,26 @@ class Rule:
     check: Mapping[str, Any]
     control_refs: tuple[tuple[str, str], ...]
     remediation: str
-    # `check` compiled once, when the rule is parsed.
-    predicate: Check = field(compare=False, repr=False)
+    # `check` compiled once, when the rule is parsed. Equality and the hash
+    # ignore it: two parses of one rule compile two equal checks.
+    predicate: Check
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rule):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     def applies_to_kind(self, kind: str) -> bool:
         return WILDCARD_KIND in self.applies_to or kind in self.applies_to
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One rule firing against one resource."""
 
     rule_id: str

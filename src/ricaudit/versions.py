@@ -9,9 +9,7 @@ databases may also use inclusive upper-bound ranges.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedVersion
 from .severity import SeverityClass
@@ -20,10 +18,9 @@ from .vulns import classify_severity
 _VERSION_RE = re.compile(r"^v?(\d+)\.(\d+)(?:\.(\d+))?$")
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class Version:
-    """A dotted numeric triple; ordering ignores the original spelling."""
+class Version(NamedTuple):
+    """A dotted numeric triple; equality, ordering and the hash ignore the
+    original spelling, and a Version equals no other type."""
 
     major: int
     minor: int
@@ -34,13 +31,25 @@ class Version:
     def triple(self) -> tuple[int, int, int]:
         return (self.major, self.minor, self.patch)
 
+    # Each operator is defined here, so that none falls back to comparing
+    # the whole tuple, `original` included.
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self.triple == other.triple
+        return isinstance(other, Version) and self.triple == other.triple
 
-    def __lt__(self, other: "Version") -> bool:
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __lt__(self, other: Version) -> bool:
         return self.triple < other.triple
+
+    def __le__(self, other: Version) -> bool:
+        return self.triple <= other.triple
+
+    def __gt__(self, other: Version) -> bool:
+        return self.triple > other.triple
+
+    def __ge__(self, other: Version) -> bool:
+        return self.triple >= other.triple
 
     def __hash__(self) -> int:
         return hash(self.triple)
@@ -68,8 +77,7 @@ def parse_version(text: str) -> Version:
     )
 
 
-@dataclass(frozen=True)
-class VersionPredicate:
+class VersionPredicate(NamedTuple):
     """Either an exact match ("==") or an inclusive upper bound ("<=")."""
 
     op: str
@@ -95,8 +103,7 @@ class VersionPredicate:
         return cls(op=op, version=parse_version(raw))
 
 
-@dataclass(frozen=True)
-class AdvisoryEntry:
+class _AdvisoryEntry(NamedTuple):
     component: str
     affected: VersionPredicate
     cve_count: int
@@ -105,36 +112,54 @@ class AdvisoryEntry:
     vulnerability_classes: tuple[str, ...]
     recommended_min_version: Version | None = None
 
-    def __post_init__(self) -> None:
+
+class AdvisoryEntry(_AdvisoryEntry):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> AdvisoryEntry:
+        self = super().__new__(cls, *args, **kwargs)
         # Written so that NaN fails too: every comparison with NaN is false.
         if not 0.0 <= self.cvss_min <= self.cvss_max <= 10.0:
             raise ValueError(f"cvss_min {self.cvss_min} and cvss_max {self.cvss_max} "
                              "must satisfy 0 <= cvss_min <= cvss_max <= 10")
         if self.cve_count < 1:
             raise ValueError("cve_count must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> AdvisoryEntry:
+        # `_replace` builds through `_make`; this makes it check as well.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class VersionFinding:
+class VersionFinding(NamedTuple):
     component: str
     installed: Version
     matched_entry: AdvisoryEntry
     severity: SeverityClass
 
 
-@dataclass(frozen=True)
-class InventoryError:
+class InventoryError(NamedTuple):
     component: str
     raw_version: str
     error: MalformedVersion
 
 
-@dataclass
-class VersionAudit:
+class _VersionAudit(NamedTuple):
+    findings: list[VersionFinding]
+    errors: list[InventoryError]
+
+
+class VersionAudit(_VersionAudit):
     """Audit outcome: findings plus per-item version parse errors."""
 
-    findings: list[VersionFinding] = field(default_factory=list)
-    errors: list[InventoryError] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, findings: list[VersionFinding] | None = None,
+                errors: list[InventoryError] | None = None) -> VersionAudit:
+        # A NamedTuple default is one object shared by every instance.
+        return super().__new__(cls, [] if findings is None else findings,
+                               [] if errors is None else errors)
 
 
 def audit_components(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SchemaError
@@ -23,8 +22,7 @@ from .rules import Finding, severity_histogram
 from .severity import SeverityClass, empty_counts
 
 
-@dataclass(frozen=True)
-class ImageRef:
+class ImageRef(NamedTuple):
     """A container image coordinate: registry/repository:tag."""
 
     registry: str
@@ -84,20 +82,28 @@ def classify_severity(
     return SeverityClass.LOW
 
 
-@dataclass(frozen=True)
-class RejectedEntry:
+class RejectedEntry(NamedTuple):
     index: int
     reason: str
 
 
-@dataclass
-class ScanReport:
-    """Parsed scan report: accepted records plus individually rejected entries."""
-
+class _ScanReport(NamedTuple):
     container: str
     image: ImageRef
-    records: list[VulnRecord] = field(default_factory=list)
-    rejected: list[RejectedEntry] = field(default_factory=list)
+    records: list[VulnRecord]
+    rejected: list[RejectedEntry]
+
+
+class ScanReport(_ScanReport):
+    """Parsed scan report: accepted records plus individually rejected entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, container: str, image: ImageRef, records: list[VulnRecord] | None = None,
+                rejected: list[RejectedEntry] | None = None) -> ScanReport:
+        # A NamedTuple default is one object shared by every instance.
+        return super().__new__(cls, container, image, [] if records is None else records,
+                               [] if rejected is None else rejected)
 
 
 # The fields of a scan report, of its image and of each of its entries.
@@ -173,8 +179,7 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
     return report
 
 
-@dataclass(frozen=True)
-class ContainerScanSummary:
+class ContainerScanSummary(NamedTuple):
     """One table row: a container with its vulnerability and misconfiguration counts."""
 
     container: str
@@ -190,20 +195,42 @@ class VulnTotals(NamedTuple):
     critical_actionable: int
 
 
-@dataclass
 class VulnTally:
     """A record set reduced to what a report shows of it, holding no record.
 
     Per container, the image of its first record and a severity histogram;
     overall, the occurrence count and the distinct, critical-RCE and
-    critical-actionable CVE ids.
+    critical-actionable CVE ids. A plain class, because `merge` rebinds the
+    count and the id sets.
     """
 
-    containers: dict[str, tuple[ImageRef, dict[SeverityClass, int]]] = field(default_factory=dict)
-    occurrences: int = 0
-    unique: set[str] = field(default_factory=set)
-    critical_rce: set[str] = field(default_factory=set)
-    critical_actionable: set[str] = field(default_factory=set)
+    __slots__ = ("containers", "occurrences", "unique", "critical_rce", "critical_actionable")
+
+    def __init__(
+        self,
+        containers: dict[str, tuple[ImageRef, dict[SeverityClass, int]]] | None = None,
+        occurrences: int = 0,
+        unique: set[str] | None = None,
+        critical_rce: set[str] | None = None,
+        critical_actionable: set[str] | None = None,
+    ) -> None:
+        self.containers = {} if containers is None else containers
+        self.occurrences = occurrences
+        self.unique = set() if unique is None else unique
+        self.critical_rce = set() if critical_rce is None else critical_rce
+        self.critical_actionable = set() if critical_actionable is None else critical_actionable
+
+    def _state(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VulnTally({fields})"
 
     def merge(self, other: VulnTally) -> VulnTally:
         """Add `other` into this tally, as if its records came after ours."""

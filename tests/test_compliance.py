@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ricaudit.catalogs import load_catalogs
 from ricaudit.compliance import (
@@ -135,6 +137,45 @@ class TestFrameworkScore:
         # one control at 1/8: mean 12.5% rounds up to 13.
         fw = framework_of("A")
         assert framework_score(fw, [result_for(1, 8, "A")]).percent == 13
+
+    @pytest.mark.parametrize("counts, percent", [
+        ([(1, 4), (0, 1)], 13),  # a mean of 1/8 over unequal counts
+        ([(3, 8), (0, 1), (0, 1)], 13),
+        ([(1, 16), (3, 16)], 13),
+        ([(5, 8), (5, 8)], 63),  # 62.5
+        ([(1, 40)], 3),  # 2.5
+        ([(1, 200)], 1),  # 0.5
+        ([(199, 200)], 100),  # 99.5
+        ([(1, 3), (1, 6)], 25),  # exactly 25 through the common multiple 6
+        ([(1, 3)], 33),
+        ([(2, 3)], 67),
+    ])
+    def test_round_half_up_on_exact_halves(self, counts, percent):
+        ids = [f"C{i}" for i in range(len(counts))]
+        results = [result_for(passing, applicable, c) for (passing, applicable), c in zip(counts, ids)]
+        assert framework_score(framework_of(*ids), results).percent == percent
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(
+        st.tuples(st.integers(0, 400), st.booleans()).flatmap(
+            lambda a: st.tuples(st.integers(0, a[0]), st.just(a[0]), st.just(a[1]))),
+        min_size=1, max_size=8))
+    def test_percent_is_the_exact_mean_rounded_half_up(self, counts):
+        """(passing, applicable, has rules) per control; a control with no
+        applicable resource or no rule is NotApplicable."""
+        ids = [f"C{i}" for i in range(len(counts))]
+        fw = Framework(id="nsa-cisa", title="t", controls=tuple(
+            control_for(*(["MISC-LIMITS"] if rules else []), control_id=c)
+            for (_, _, rules), c in zip(counts, ids)))
+        results = [ControlResult(control, applicable, passing)
+                   for control, (passing, applicable, _) in zip(fw.controls, counts)]
+        scores = [Fraction(p, a) for p, a, rules in counts if a and rules]
+        expected = (math.floor(100 * sum(scores, Fraction(0)) / len(scores) + Fraction(1, 2))
+                    if scores else None)
+        score = framework_score(fw, results)
+        assert score.percent == expected
+        assert score.evaluated_controls == len(scores)
+        assert score.not_applicable_controls == len(counts) - len(scores)
 
     def test_missing_control_rejected(self):
         fw = framework_of("A", "B")

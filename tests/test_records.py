@@ -1,0 +1,129 @@
+"""What the program relies on in its record types, beyond plain tuple behaviour.
+
+Public records are named tuples. A version still compares and hashes by its
+numbers only, a rule's compiled check still takes no part in its equality,
+every record that collects results holds lists, sets and dicts of its own,
+and the records that check their fields still check them when built.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import pytest
+
+from ricaudit.catalogs import CatalogBundle, load_catalogs
+from ricaudit.cluster import ClusterEndpoint
+from ricaudit.errors import ClusterError
+from ricaudit.manifests import DirectoryLoad
+from ricaudit.report import AuditResult
+from ricaudit.rules import rule_from_mapping
+from ricaudit.versions import AdvisoryEntry, VersionAudit, VersionPredicate, parse_version
+from ricaudit.vulns import ImageRef, ScanReport, VulnTally, VulnTotals
+
+OPERATORS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("left, right", [
+    ("v1.2", "1.2.0"),  # one triple, spelled two ways
+    ("1.2.0", "v1.2"),
+    ("v1.2", "1.10"),  # 2 < 10, though "v1.2" > "1.10" as text
+    ("v2.0.0", "1.99"),
+])
+def test_version_compares_by_triple_under_every_operator(op, left, right):
+    a, b = parse_version(left), parse_version(right)
+    assert op(a, b) is op(a.triple, b.triple)
+    assert op(b, a) is op(b.triple, a.triple)
+
+
+def test_one_triple_in_any_spelling_hashes_alike():
+    versions = [parse_version(text) for text in ("1.2", "v1.2", "1.2.0", "v1.2.0", " 1.2 ")]
+    assert len({v.original for v in versions}) == 5
+    assert len(set(versions)) == 1
+    assert {versions[0]: "found"}[versions[-1]] == "found"
+
+
+def test_version_equals_no_plain_tuple():
+    version = parse_version("1.2")
+    for other in ((1, 2, 0, "1.2"), (1, 2, 0)):
+        assert version != other and not version == other
+        assert other != version and not other == version
+
+
+def test_upper_bound_matches_its_own_version_in_another_spelling():
+    predicate = VersionPredicate.parse("<= 1.2")
+    assert predicate.matches(parse_version("v1.2.0"))
+    assert predicate.matches(parse_version("1.1.9"))
+    assert not predicate.matches(parse_version("1.2.1"))
+    assert VersionPredicate.parse("v1.2") == VersionPredicate.parse("== 1.2.0")
+
+
+RULE = {
+    "id": "X-1", "title": "t", "severity": "high", "category": "supply-chain",
+    "applies_to": ["Pod"], "check": {"path_exists": "spec.hostNetwork"},
+}
+
+
+def test_two_parses_of_one_rule_compare_equal():
+    first, second = rule_from_mapping(RULE), rule_from_mapping(dict(RULE))
+    assert first.predicate is not second.predicate
+    assert first == second and not first != second
+    other = rule_from_mapping({**RULE, "title": "u"})
+    assert first != other and not first == other
+    assert load_catalogs().rules == load_catalogs().rules
+
+
+@pytest.mark.parametrize("make, held", [
+    (lambda: ScanReport("e2term", ImageRef("r.example", "ric/e2term", "5.0")),
+     ("records", "rejected")),
+    (DirectoryLoad, ("documents", "errors")),
+    (CatalogBundle, ("rules", "frameworks", "advisories")),
+    (VersionAudit, ("findings", "errors")),
+    (VulnTally, ("containers", "unique", "critical_rce", "critical_actionable")),
+], ids=["ScanReport", "DirectoryLoad", "CatalogBundle", "VersionAudit", "VulnTally"])
+def test_fresh_records_share_no_list_set_or_dict(make, held):
+    first, second = make(), make()
+    for name in held:
+        mine, theirs = getattr(first, name), getattr(second, name)
+        assert type(mine) in (list, set, dict) and not mine
+        assert mine is not theirs, name
+
+
+ADVISORY = {
+    "component": "helm", "affected": VersionPredicate.parse("== 3.1.0"), "cve_count": 2,
+    "cvss_min": 4.0, "cvss_max": 7.5, "vulnerability_classes": ("dos",),
+}
+
+
+@pytest.mark.parametrize("changes", [
+    {"cvss_min": 8.0},  # above cvss_max
+    {"cvss_min": math.nan},
+    {"cvss_max": math.nan},
+    {"cvss_max": 10.5},
+    {"cvss_min": -0.5},
+    {"cve_count": 0},
+], ids=repr)
+def test_advisory_entry_checks_when_built(changes):
+    valid = AdvisoryEntry(**ADVISORY)
+    with pytest.raises(ValueError):
+        AdvisoryEntry(**{**ADVISORY, **changes})
+    with pytest.raises(ValueError):
+        AdvisoryEntry(*{**ADVISORY, **changes}.values())
+    with pytest.raises(ValueError):
+        valid._replace(**changes)
+
+
+def test_audit_result_and_endpoint_check_when_replaced():
+    with pytest.raises(ValueError, match="totals inconsistent"):
+        AuditResult()._replace(totals=VulnTotals(1, 1, 0, 0))
+    with pytest.raises(ClusterError, match="request_timeout"):
+        ClusterEndpoint("https://api.example")._replace(request_timeout=0)
+
+
+def test_public_records_are_tuples():
+    image = ImageRef("r.example", "ric/e2term", "5.0")
+    assert image == ("r.example", "ric/e2term", "5.0")
+    registry, repository, tag = image
+    assert image.render() == f"{registry}/{repository}:{tag}"

@@ -503,6 +503,27 @@ def test_cli_import_leaves_fixtures_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root):
+    """The per-CI-job `report` over the shipped corpus, as the benchmark's
+    fixture-ci workload runs it, leaves these modules unloaded: loading them
+    costs more than the run's own work."""
+    argv = ["report", str(fixture_root / "manifests" / "vulnerable")]
+    for path in sorted((fixture_root / "scan-reports").glob("*.json")):
+        argv += ["--scan-report", str(path)]
+    argv += ["--inventory", str(fixture_root / "inventory.yaml"), "--namespace", "ricplt",
+             "--format", "both", "--output", str(tmp_path / "report.txt")]
+    code = (
+        "import sys\n"
+        "from ricaudit import cli\n"
+        f"assert cli.main({argv!r}) == 1\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert '"schema_version":"1"' in (tmp_path / "report.txt").read_text(encoding="utf-8")
+
+
 # The package's public names, written out here rather than read from it.
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
