@@ -8,7 +8,6 @@ top-level keys discriminate the content (`rules:`, `frameworks:`,
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -149,8 +148,12 @@ def load_catalog_file(path: str | Path) -> CatalogBundle:
 
 
 def data_path(*parts: str) -> Path:
-    """Path to a file inside the shipped package data."""
-    return Path(resources.files("ricaudit").joinpath("data", *parts))
+    """Path to a file inside the shipped package data.
+
+    The package ships as plain files, so this is the path that
+    `importlib.resources.files` gives, without importing that module.
+    """
+    return Path(__file__).parent.joinpath("data", *parts)
 
 
 def load_catalogs(user_paths: Iterable[str | Path] = ()) -> CatalogBundle:

@@ -13,13 +13,13 @@ report payload goes to stdout or --output, never interleaved.
 
 from __future__ import annotations
 
-import argparse
 import os
 import reprlib
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import Any
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any
 
 from . import __version__, yamlio
 from .errors import AuditError, IoError
@@ -35,6 +35,9 @@ from .report import (
     render_table,
 )
 from .severity import SeverityClass
+
+if TYPE_CHECKING:
+    import argparse
 
 FORMATS = ("table", "json", "both")
 SEVERITIES = tuple(c.name.lower() for c in SeverityClass)
@@ -99,7 +102,22 @@ def _diag(message: str) -> None:
     print(f"ricaudit: {message}", file=sys.stderr)
 
 
+# Sub-command -> its option flags, each to the setting it sets and its
+# argparse keywords, in --help order: --config, then those of the inputs it
+# reads and of the OUTPUTS.
+_FLAGS: dict[str, dict[str, tuple[str, dict[str, Any]]]] = {
+    command: {
+        "--config": ("config", dict(help="optional YAML config file; flags take precedence")),
+        **{flag: (name, options) for name, (flag, _, _, _, options) in SETTINGS.items()
+           if name in (*reads, *OUTPUTS) and flag.startswith("--")},
+    }
+    for command, (_, reads, _, _) in AUDITS.items()
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only for the argv that `_read_argv` leaves to it
+
     parser = argparse.ArgumentParser(
         prog="ricaudit",
         description="Security audit toolkit for Kubernetes-based RAN deployments.",
@@ -108,19 +126,66 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, reads, _, _) in AUDITS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="optional YAML config file; flags take precedence")
-        takes = (*reads, *OUTPUTS)
-        for name in filter(takes.__contains__, SETTINGS):
-            flag, _, _, _, options = SETTINGS[name]
-            if flag.startswith("--"):
-                p.add_argument(flag, dest=name, **options)
-            else:
-                p.add_argument(name, metavar=flag, **options)
+        if "manifests" in reads:
+            flag, _, _, _, options = SETTINGS["manifests"]
+            p.add_argument("manifests", metavar=flag, **options)
+        for flag, (name, options) in _FLAGS[command].items():
+            p.add_argument(flag, dest=name, **options)
     sub.add_parser("verify-fixtures")
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict[str, Any]:
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `_build_parser().parse_args(argv)` returns, read in one pass, for
+    argv of the plain form: a sub-command that audits, then its exact long
+    flags, each but --insecure followed by a value that does not start with
+    "-" (one of its choices, if it has any), and at most one run of inputs.
+    None for any other argv (help, abbreviations, --flag=value, "--", odd
+    values, errors), which argparse reads: it is the one definition of the
+    grammar. argparse costs time quadratic in the number of flags.
+    """
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values: dict[str, Any] = {"command": argv[0], **{name: None for name, _ in flags.values()}}
+    inputs = [] if "manifests" in AUDITS[argv[0]][1] else None
+    run = 0  # inputs: 0 none yet, 1 in the run, 2 after it
+    i, end = 1, len(argv)
+    while i < end:
+        word = argv[i]
+        i += 1
+        if word[:1] != "-":
+            if inputs is None or run == 2:
+                return None
+            inputs.append(word)
+            run = 1
+            continue
+        if word not in flags:
+            return None
+        run = 2 if run else 0
+        name, options = flags[word]
+        action = options.get("action")
+        if action == "store_true":
+            values[name] = True
+            continue
+        if i == end or argv[i][:1] == "-":
+            return None
+        value = argv[i]
+        i += 1
+        if "choices" in options and value not in options["choices"]:
+            return None
+        if action != "append":
+            values[name] = value
+        elif values[name] is None:
+            values[name] = [value]
+        else:
+            values[name].append(value)
+    if inputs is not None:
+        values["manifests"] = inputs
+    return SimpleNamespace(**values)
+
+
+def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
     """Each setting of the sub-command: the flag if given, else the config
     value if it has its row's shape, else the default."""
     names = [name for name in SETTINGS if hasattr(args, name)]
@@ -166,7 +231,9 @@ def _emit(result: AuditResult, format: str, output: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         if args.command == "verify-fixtures":
             from .fixtures import verify_fixtures  # the only command that needs it

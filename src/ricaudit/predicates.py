@@ -202,16 +202,12 @@ def entry_fields(raw: Any, what: str, fields: Mapping[str, Any], key: str | None
     return values
 
 
-class _AnyType:
-    def __contains__(self, kind: type) -> bool:
-        return True
-
-
-# The exact types whose values a shape accepts without a closer look; a
-# subclass, or any value of a shape with none listed, goes to `entry_fields`.
-_EXACT_TYPES: dict[str, Any] = {
+# The exact types whose values a shape accepts without a closer look (None:
+# every value); a subclass, or any value of a shape with none listed, goes to
+# `entry_fields`.
+_EXACT_TYPES: dict[str, tuple[type, ...] | None] = {
     STRING: (str,), NONEMPTY: (str,), INTEGER: (int,), NUMBER: (int, float), BOOLEAN: (bool,),
-    STRINGS: (), LIST: (list,), ANY: _AnyType(),
+    STRINGS: (), LIST: (list,), ANY: None,
 }
 _REQUIRED = object()
 
@@ -226,32 +222,47 @@ def field_reader(fields: Mapping[str, Any]) -> Callable[..., list[Any]]:
     its default. Any other entry goes to `entry_fields`, which accepts it or
     words the failure, so `SHAPES` stays the one definition of a shape. `what`
     may be a function returning the label, called only then.
-    """
-    plan = []
-    for name, shape in fields.items():
-        shape, default = shape if isinstance(shape, tuple) else (shape, _REQUIRED)
-        plan.append((name, _EXACT_TYPES[shape], default, shape == NONEMPTY))
 
-    def read(raw: Any, what: str | Callable[[], str], key: str | None = None,
-             error: Callable[[str], Exception] = CatalogError) -> list[Any]:
-        if type(raw) is dict:
-            get = raw.get
-            values = []
-            for name, types, default, nonempty in plan:
-                value = get(name)
-                if value is None:
-                    if default is _REQUIRED:
-                        break
-                    value = default
-                elif type(value) not in types or nonempty and not value:
-                    break
-                values.append(value)
-            else:
-                return values
+    The fast path is generated as straight-line source, as
+    `collections.namedtuple` does: field names enter it only as `repr`
+    literals, and types and defaults as bound names.
+    """
+    def miss(raw: Any, what: str | Callable[[], str], key: str | None,
+             error: Callable[[str], Exception]) -> list[Any]:
         label = what if isinstance(what, str) else what()
         return list(entry_fields(raw, label, fields, key, error).values())
 
-    return read
+    namespace: dict[str, Any] = {"_miss": miss, "_CatalogError": CatalogError}
+    fallback = "        return _miss(raw, what, key, error)"
+    lines = [
+        "def read(raw, what, key=None, error=_CatalogError):",
+        "    if type(raw) is not dict:",
+        fallback,
+        "    get = raw.get",
+    ]
+    for i, (name, shape) in enumerate(fields.items()):
+        shape, default = shape if isinstance(shape, tuple) else (shape, _REQUIRED)
+        types = _EXACT_TYPES[shape]
+        v = f"v{i}"
+        lines.append(f"    {v} = get({name!r})")
+        # When a value that is not None misses the fast path.
+        miss_test = None
+        if types is not None:
+            namespace[f"_t{i}"] = types[0] if len(types) == 1 else types
+            miss_test = f"type({v}) {'is not' if len(types) == 1 else 'not in'} _t{i}"
+            if shape == NONEMPTY:
+                miss_test += f" or not {v}"
+        if default is _REQUIRED:
+            # No exact type is None's, so a type test also refuses None.
+            lines += [f"    if {miss_test or f'{v} is None'}:", fallback]
+        else:
+            namespace[f"_d{i}"] = default
+            lines += [f"    if {v} is None:", f"        {v} = _d{i}"]
+            if miss_test:
+                lines += [f"    elif {miss_test}:", fallback]
+    lines.append(f"    return [{', '.join(f'v{i}' for i in range(len(fields)))}]")
+    exec("\n".join(lines), namespace)
+    return namespace["read"]
 
 
 def compile_check(spec: Mapping[str, Any]) -> Check:

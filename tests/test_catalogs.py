@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
-from ricaudit.catalogs import load_catalog_file, load_catalogs, load_inventory
+from ricaudit.catalogs import data_path, load_catalog_file, load_catalogs, load_inventory
 from ricaudit.errors import CatalogError, IoError
+
+
+def test_data_path_is_the_package_resource_path():
+    # Diagnostics print these paths, so they stay the very strings they were.
+    data = Path(resources.files("ricaudit")) / "data"
+    assert str(data_path()) == str(data)
+    assert str(data_path("fixtures", "index.yaml")) == str(data / "fixtures" / "index.yaml")
+    assert data_path("fixtures", "index.yaml").is_file()
 
 
 def test_mixed_catalog_file(tmp_path):

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import pod_item
+from ricaudit import cli
 from ricaudit.cli import main
 from ricaudit.severity import SeverityClass
 
@@ -609,6 +610,111 @@ class TestFlags:
             main(["verify-fixtures", "--namespace", "x"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --namespace x" in capsys.readouterr().err
+
+
+def argparse_namespace(argv: list[str]) -> dict | None:
+    """vars() of what argparse makes of argv, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_fast_path_agrees(argv: list[str]) -> bool:
+    """If the one-pass reader accepts argv, it reads it as argparse does,
+    and argparse accepts it too. Whether it accepted argv."""
+    fast = cli._read_argv(argv)
+    if fast is not None:
+        expected = argparse_namespace(argv)
+        assert expected is not None, argv
+        assert vars(fast) == expected, argv
+    return fast is not None
+
+
+COMMANDS = [*sorted(FLAGS), "verify-fixtures"]
+ALL_FLAGS = sorted(FLAGS["report"] - {"inputs"})
+# Words argparse reads in ways the one-pass reader leaves to it.
+ODD_WORDS = ["", "-", "--", "-1", "-x", "-h", "--help", "--version", "--form", "--format=json",
+             "--insecure=1", "xml", "severe"]
+PLAIN_WORDS = ["a", "b", "x.yaml", "json", "table", "both", "low", "critical", "scan"]
+# The values tried for each flag with choices, the last of them no choice.
+CHOICE_WORDS = {"--format": ["table", "json", "both", "xml"],
+                "--fail-on": ["critical", "low", "severe"]}
+
+
+@st.composite
+def argvs(draw):
+    """A sub-command, then its flags with values, inputs, and now and then a
+    flag of any sub-command, a flag with no value or an odd word."""
+    head = draw(st.sampled_from([[command] for command in COMMANDS] * 2 + [[], ["--version"]]))
+    own = st.sampled_from(sorted(FLAGS.get(head[0], set()) - {"inputs"}) or ALL_FLAGS
+                          if head else ALL_FLAGS)
+    plain, odd = st.sampled_from(PLAIN_WORDS), st.sampled_from(ODD_WORDS)
+    pair = own.flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(CHOICE_WORDS.get(flag, PLAIN_WORDS))))
+    kinds = [pair] * 4 + [st.tuples(plain)] * 2 + [
+        st.tuples(st.sampled_from(ALL_FLAGS), plain | odd), st.tuples(own), st.tuples(odd)]
+    items = draw(st.lists(st.sampled_from(kinds).flatmap(lambda kind: kind), max_size=6))
+    return head + [word for item in items for word in item]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argvs())
+def test_fast_path_reads_argv_as_argparse_does(argv):
+    assert_fast_path_agrees(argv)
+
+
+# Each argv argparse reads, the one-pass reader leaves to it (argparse reads
+# `scan a -- b` as one run of inputs, ["a", "b"]).
+FALLS_BACK = [
+    ["scan", "--form", "json"], ["scan", "--format=json"], ["scan", "--insecure=1"],
+    ["scan", "a", "--", "b"], ["scan", "-"], ["vulns", "--scan-report", "-1"],
+    ["vulns", "--scan-report", "-x"], ["-h"], ["scan", "-h"], ["--version"],
+    ["scan", "a", "--format", "json", "b"], ["scan", "--format", "xml"],
+    ["vulns", "--inventory", "x"], ["verify-fixtures", "x"], ["verify-fixtures"], [],
+    ["vulns", "a"], ["vulns", "--scan-report"], ["scan", "--help"],
+]
+# Each argv it reads itself.
+READ_FAST = [
+    ["vulns", "--scan-report", ""], ["scan", "--namespace", "a", "--namespace", "b"],
+    ["scan", "a", "b", "--format", "json", "--insecure"], ["scan", "--insecure", "a", "b"],
+    ["report", "--scan-report", "r1", "--config", "c", "--scan-report", "r2", "--fail-on", "low"],
+    ["versions", "--inventory", "i", "--output", "o"], ["score", "--framework", "x", "d"],
+    ["scan"], ["vulns"],
+]
+
+
+@pytest.mark.parametrize("argv", FALLS_BACK, ids=" ".join)
+def test_fast_path_leaves_odd_argv_to_argparse(argv):
+    assert not assert_fast_path_agrees(argv)
+
+
+@pytest.mark.parametrize("argv", READ_FAST, ids=" ".join)
+def test_fast_path_reads_plain_argv(argv):
+    assert assert_fast_path_agrees(argv)
+
+
+def test_fast_path_reads_1600_scan_reports_without_argparse(capsys, monkeypatch,
+                                                             scan_report_paths):
+    # The shape of a CI job that passes one --scan-report per image.
+    argv = ["vulns"]
+    for path in scan_report_paths * 200:
+        argv += ["--scan-report", str(path)]
+    argv += ["--format", "both"]
+    assert len(argv) == 3203
+    expected = argparse_namespace(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_argv", lambda argv: None)
+        expected_run = run_cli(capsys, *argv)
+
+    def no_argparse():
+        raise AssertionError("argparse read a plain argv")
+
+    monkeypatch.setattr(cli, "_build_parser", no_argparse)
+    assert vars(cli._read_argv(argv)) == expected
+    assert run_cli(capsys, *argv) == expected_run
+    assert expected_run[0] == 1 and '"schema_version":"1"' in expected_run[1]
 
 
 # Valid entries of every kind; tests replace one field of one.

@@ -154,6 +154,9 @@ FIELD_SPECS = [
     vulns.REPORT_FIELDS, vulns.IMAGE_FIELDS, vulns.ENTRY_FIELDS, rules.RULE_FIELDS,
     catalogs.CATALOG_FIELDS, catalogs.FRAMEWORK_FIELDS, catalogs.CONTROL_FIELDS,
     catalogs.ADVISORY_FIELDS, catalogs.INVENTORY_FIELDS,
+    # Names that are no identifiers, and a default that is a list: a reader's
+    # source holds names only as quoted literals and defaults not at all.
+    {"a-b": NONEMPTY, "it's": (STRINGS, ["d"]), "class": ANY, "x\ny": (NUMBER, 0)},
 ]
 # Values at the edges of the shapes: a bool is no number, "" no non-empty
 # string, and a subclass passes the shape test but not the exact-type test.

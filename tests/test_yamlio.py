@@ -35,11 +35,13 @@ def nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-def run_python(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+def run_python(*argv: str, timeout: float = 120,
+               extra_path: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     package_parent = str(Path(ricaudit.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=package_parent), timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([package_parent, *extra_path])),
+        timeout=timeout,
     )
 
 
@@ -506,7 +508,9 @@ def test_cli_import_leaves_fixtures_unloaded():
 def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root):
     """The per-CI-job `report` over the shipped corpus, as the benchmark's
     fixture-ci workload runs it, leaves these modules unloaded: loading them
-    costs more than the run's own work."""
+    costs more than the run's own work. The child runs without `site`, whose
+    .pth files may load some of them first and so hide the program's imports;
+    its path holds the package and PyYAML alone."""
     argv = ["report", str(fixture_root / "manifests" / "vulnerable")]
     for path in sorted((fixture_root / "scan-reports").glob("*.json")):
         argv += ["--scan-report", str(path)]
@@ -516,10 +520,12 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
         "import sys\n"
         "from ricaudit import cli\n"
         f"assert cli.main({argv!r}) == 1\n"
-        "loaded = [m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules]\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'fractions', 'argparse',\n"
+        "                      'importlib.resources') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    proc = run_python("-c", code)
+    yaml_parent = str(Path(yaml.__file__).resolve().parent.parent)
+    proc = run_python("-S", "-c", code, extra_path=(yaml_parent,))
     assert proc.returncode == 0, proc.stderr
     assert '"schema_version":"1"' in (tmp_path / "report.txt").read_text(encoding="utf-8")
 
