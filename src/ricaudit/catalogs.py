@@ -14,28 +14,18 @@ from typing import Any, NamedTuple
 from . import yamlio
 from .compliance import Control, Framework
 from .errors import CatalogError, IoError, MalformedVersion
+from .manifests import distinct_files
 from .predicates import INTEGER, LIST, NUMBER, STRING, STRINGS, entry_fields
 from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
 
-class _CatalogBundle(NamedTuple):
+class CatalogBundle(NamedTuple):
+    """Rules, frameworks and advisories from one catalog file or a whole run."""
+
     rules: list[Rule]
     frameworks: list[Framework]
     advisories: list[AdvisoryEntry]
-
-
-class CatalogBundle(_CatalogBundle):
-    """Rules, frameworks and advisories from one catalog file or a whole run."""
-
-    __slots__ = ()
-
-    def __new__(cls, rules: list[Rule] | None = None, frameworks: list[Framework] | None = None,
-                advisories: list[AdvisoryEntry] | None = None) -> CatalogBundle:
-        # A NamedTuple default is one object shared by every instance.
-        return super().__new__(cls, [] if rules is None else rules,
-                               [] if frameworks is None else frameworks,
-                               [] if advisories is None else advisories)
 
 
 # The fields of each catalog section and entry, and of an inventory entry.
@@ -162,12 +152,15 @@ def load_catalogs(user_paths: Iterable[str | Path] = ()) -> CatalogBundle:
     Later entries extend earlier ones; a rule or framework that reuses an
     earlier id replaces it (so e.g. the registry allow-list can be
     overridden without forking the whole catalog). Advisories only extend.
+    A file reached twice (the same path, a symlink or a hard link) is read
+    once, at its first position, as manifests and scan reports are.
     The merged rule catalog is validated before anything is evaluated.
     """
     rules_by_id: dict[str, Rule] = {}
     frameworks_by_id: dict[str, Framework] = {}
     advisories: list[AdvisoryEntry] = []
-    for path in (*(data_path(*parts) for parts in BUILTIN_CATALOGS), *user_paths):
+    builtin = (data_path(*parts) for parts in BUILTIN_CATALOGS)
+    for path in distinct_files((*builtin, *user_paths)):
         bundle = load_catalog_file(path)
         rules_by_id.update((rule.id, rule) for rule in bundle.rules)
         frameworks_by_id.update((fw.id, fw) for fw in bundle.frameworks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import errno
 import os
 import stat
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -148,28 +148,30 @@ class ParseFailure(NamedTuple):
     error: Exception
 
 
-class _DirectoryLoad(NamedTuple):
+class DirectoryLoad(NamedTuple):
+    """Outcome of load_directory: parsed documents plus recorded failures."""
+
     documents: list[ResourceDocument]
     errors: list[ParseFailure]
 
 
-class DirectoryLoad(_DirectoryLoad):
-    """Outcome of load_directory: parsed documents plus recorded failures."""
-
-    __slots__ = ()
-
-    def __new__(cls, documents: list[ResourceDocument] | None = None,
-                errors: list[ParseFailure] | None = None) -> DirectoryLoad:
-        # A NamedTuple default is one object shared by every instance.
-        return super().__new__(cls, [] if documents is None else documents,
-                               [] if errors is None else errors)
-
-
-def file_identity(path: str | Path) -> tuple[int, int]:
-    """Device and inode: they identify a file as resolving its path would,
-    with one stat call instead of one per path component."""
-    status = os.stat(path)
-    return status.st_dev, status.st_ino
+def distinct_files(paths: Iterable[str | Path]) -> Iterator[str | Path]:
+    """Each path that names a file no earlier path named (the same path, a
+    symlink or a hard link), in order. Device and inode identify a file as
+    resolving its path would, with one stat call instead of one per path
+    component. A path that cannot be stat'ed is yielded as it is, so that
+    reading it reports the error."""
+    seen: set[tuple[int, int]] = set()
+    for path in paths:
+        try:
+            status = os.stat(path)
+        except OSError:
+            yield path
+            continue
+        identity = status.st_dev, status.st_ino
+        if identity not in seen:
+            seen.add(identity)
+            yield path
 
 
 # Stat errors that mean a path names no file, as `Path.is_file` reads them:
@@ -209,7 +211,7 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
             if stat.S_ISREG(status.st_mode):
                 files.setdefault((status.st_dev, status.st_ino), path)
 
-    result = DirectoryLoad()
+    result = DirectoryLoad(documents=[], errors=[])
     for path in files.values():
         try:
             raw = path.read_bytes()

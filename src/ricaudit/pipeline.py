@@ -17,7 +17,7 @@ from . import __version__
 from .catalogs import load_catalogs, load_inventory
 from .compliance import Evidence, FrameworkScore, score_framework
 from .errors import AuditError, IoError
-from .manifests import ResourceDocument, file_identity, load_directory
+from .manifests import ResourceDocument, distinct_files, load_directory
 from .report import AuditResult
 from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
 from .versions import VersionAudit, audit_components
@@ -126,18 +126,14 @@ def audit(
     # Each report is folded into one tally as it is read, and its records
     # dropped, so memory is bounded by the largest report, not the corpus.
     tally = VulnTally()
-    read: set[tuple[int, int]] = set()
-    for path in scan_reports:
-        # A report reached twice (the same path, a symlink or a hard link)
-        # is read once, as manifest files are.
+    # A report reached twice (the same path, a symlink or a hard link) is
+    # read once, as manifest files are.
+    for path in distinct_files(scan_reports):
         try:
-            identity = file_identity(path)
-            if identity in read:
-                continue
-            text = Path(path).read_bytes()
+            with open(path, "rb") as file:  # Path("") would be ".", a directory
+                text = file.read()
         except OSError as exc:
             raise IoError(f"cannot read scan report {path}: {exc}") from exc
-        read.add(identity)
         report = parse_scan_report(text, origin=str(path))
         for rejected in report.rejected:
             diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")

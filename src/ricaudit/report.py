@@ -312,15 +312,17 @@ def render_table(result: AuditResult) -> str:
 def render_remediations(result: AuditResult) -> str:
     """Distinct remediation steps for every rule that fired, worst first."""
     seen: dict[str, tuple[SeverityClass, str]] = {}
+    counts: dict[str, int] = {}
     for f in result.findings:
         seen.setdefault(f.rule_id, (f.severity, f.remediation))
+        counts[f.rule_id] = counts.get(f.rule_id, 0) + 1
     if not seen:
         return "No remediations required.\n"
     lines = ["Remediations"]
     ordered = sorted(seen.items(), key=lambda item: (-item[1][0], item[0]))
     for rule_id, (severity, remediation) in ordered:
-        count = sum(1 for f in result.findings if f.rule_id == rule_id)
-        lines.append(f"  [{severity.label}] {rule_id} ({count} resources): {remediation}")
+        lines.append(
+            f"  [{severity.label}] {rule_id} ({counts[rule_id]} resources): {remediation}")
     return "\n".join(lines) + "\n"
 
 

@@ -19,40 +19,11 @@ _VERSION_RE = re.compile(r"^v?(\d+)\.(\d+)(?:\.(\d+))?$")
 
 
 class Version(NamedTuple):
-    """A dotted numeric triple; equality, ordering and the hash ignore the
-    original spelling, and a Version equals no other type."""
+    """A dotted numeric triple; it compares, hashes and equals as its numbers."""
 
     major: int
     minor: int
     patch: int
-    original: str
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.major, self.minor, self.patch)
-
-    # Each operator is defined here, so that none falls back to comparing
-    # the whole tuple, `original` included.
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Version) and self.triple == other.triple
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __lt__(self, other: Version) -> bool:
-        return self.triple < other.triple
-
-    def __le__(self, other: Version) -> bool:
-        return self.triple <= other.triple
-
-    def __gt__(self, other: Version) -> bool:
-        return self.triple > other.triple
-
-    def __ge__(self, other: Version) -> bool:
-        return self.triple >= other.triple
-
-    def __hash__(self) -> int:
-        return hash(self.triple)
 
     def __str__(self) -> str:
         return f"{self.major}.{self.minor}.{self.patch}"
@@ -73,7 +44,6 @@ def parse_version(text: str) -> Version:
         major=int(major),
         minor=int(minor),
         patch=int(patch) if patch is not None else 0,
-        original=text,
     )
 
 
@@ -145,21 +115,11 @@ class InventoryError(NamedTuple):
     error: MalformedVersion
 
 
-class _VersionAudit(NamedTuple):
-    findings: list[VersionFinding]
-    errors: list[InventoryError]
-
-
-class VersionAudit(_VersionAudit):
+class VersionAudit(NamedTuple):
     """Audit outcome: findings plus per-item version parse errors."""
 
-    __slots__ = ()
-
-    def __new__(cls, findings: list[VersionFinding] | None = None,
-                errors: list[InventoryError] | None = None) -> VersionAudit:
-        # A NamedTuple default is one object shared by every instance.
-        return super().__new__(cls, [] if findings is None else findings,
-                               [] if errors is None else errors)
+    findings: list[VersionFinding]
+    errors: list[InventoryError]
 
 
 def audit_components(
@@ -171,7 +131,7 @@ def audit_components(
     recorded for that item without aborting the rest. Findings are sorted
     by severity descending, then component.
     """
-    audit = VersionAudit()
+    audit = VersionAudit(findings=[], errors=[])
     for component, raw in inventory:
         canonical = component.strip().lower()
         try:

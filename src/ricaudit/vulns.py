@@ -87,23 +87,13 @@ class RejectedEntry(NamedTuple):
     reason: str
 
 
-class _ScanReport(NamedTuple):
+class ScanReport(NamedTuple):
+    """Parsed scan report: accepted records plus individually rejected entries."""
+
     container: str
     image: ImageRef
     records: list[VulnRecord]
     rejected: list[RejectedEntry]
-
-
-class ScanReport(_ScanReport):
-    """Parsed scan report: accepted records plus individually rejected entries."""
-
-    __slots__ = ()
-
-    def __new__(cls, container: str, image: ImageRef, records: list[VulnRecord] | None = None,
-                rejected: list[RejectedEntry] | None = None) -> ScanReport:
-        # A NamedTuple default is one object shared by every instance.
-        return super().__new__(cls, container, image, [] if records is None else records,
-                               [] if rejected is None else rejected)
 
 
 # The fields of a scan report, of its image and of each of its entries.
@@ -151,7 +141,7 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
 
     container, image, entries = _read_report(raw, what, error=error)
     image = ImageRef(*_read_image(image, f"{what}: image", error=error))
-    report = ScanReport(container=container, image=image)
+    report = ScanReport(container=container, image=image, records=[], rejected=[])
     records = report.records
     for index, entry in enumerate(entries):
         cve_id, package, installed, fixed, cvss, vendor, rce = _read_entry(
@@ -206,19 +196,12 @@ class VulnTally:
 
     __slots__ = ("containers", "occurrences", "unique", "critical_rce", "critical_actionable")
 
-    def __init__(
-        self,
-        containers: dict[str, tuple[ImageRef, dict[SeverityClass, int]]] | None = None,
-        occurrences: int = 0,
-        unique: set[str] | None = None,
-        critical_rce: set[str] | None = None,
-        critical_actionable: set[str] | None = None,
-    ) -> None:
-        self.containers = {} if containers is None else containers
+    def __init__(self, occurrences: int = 0) -> None:
+        self.containers: dict[str, tuple[ImageRef, dict[SeverityClass, int]]] = {}
         self.occurrences = occurrences
-        self.unique = set() if unique is None else unique
-        self.critical_rce = set() if critical_rce is None else critical_rce
-        self.critical_actionable = set() if critical_actionable is None else critical_actionable
+        self.unique: set[str] = set()
+        self.critical_rce: set[str] = set()
+        self.critical_actionable: set[str] = set()
 
     def _state(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from ricaudit.catalogs import data_path, load_catalog_file, load_catalogs, load_inventory
 from ricaudit.errors import CatalogError, IoError
+from ricaudit.severity import SeverityClass
 
 
 def test_data_path_is_the_package_resource_path():
@@ -123,3 +125,24 @@ def test_self_referencing_alias_rejected(tmp_path):
     )
     with pytest.raises(CatalogError, match="nested deeper than 256 levels"):
         load_catalog_file(path)
+
+
+def test_catalog_given_again_keeps_its_first_position(tmp_path):
+    def rule_file(name: str, severity: str) -> Path:
+        path = tmp_path / name
+        path.write_text(
+            "rules:\n  - {id: X-1, title: t, severity: %s, category: supply-chain,"
+            " applies_to: [Pod], check: {path_exists: spec}}\n" % severity
+        )
+        return path
+
+    a, b = rule_file("a.yaml", "low"), rule_file("b.yaml", "high")
+    [rule] = [r for r in load_catalogs([a, b, a]).rules if r.id == "X-1"]
+    assert rule.severity is SeverityClass.HIGH
+
+
+@pytest.mark.parametrize("name", ["none.yaml", "."])
+def test_unreadable_catalog_given_twice_names_it(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(IoError, match=rf"^cannot read catalog {re.escape(str(path))}: \[Errno"):
+        load_catalogs([path, path])

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import pod_item
 from ricaudit import cli
+from ricaudit.catalogs import data_path
 from ricaudit.cli import main
 from ricaudit.severity import SeverityClass
 
@@ -215,6 +216,11 @@ class TestVulns:
         assert err.startswith(f"ricaudit: cannot read scan report {path}: ")
         assert len(err.splitlines()) == 1
 
+    def test_empty_report_path_names_no_file(self, capsys):
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", "")
+        assert (code, out) == (2, "")
+        assert err == "ricaudit: cannot read scan report : [Errno 2] No such file or directory: ''\n"
+
     def test_report_not_a_mapping_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[5]")
@@ -331,6 +337,19 @@ class TestVersions:
             "helm": (7, 4.3, 8.6),
         }
         assert code == 1  # docker advisory classifies Critical
+
+    def test_catalog_given_twice_is_read_once(self, capsys, tmp_path, inventory_path):
+        shipped = data_path("advisories", "builtin.yaml")
+        copy, link = tmp_path / "copy.yaml", tmp_path / "link.yaml"
+        copy.write_bytes(shipped.read_bytes())
+        link.symlink_to(copy)
+        counts = []
+        for paths in ([], [shipped], [copy, copy], [copy, link]):
+            catalogs = [word for path in paths for word in ("--catalog", str(path))]
+            _, out, _ = run_cli(capsys, "versions", "--inventory", str(inventory_path),
+                                *catalogs, "--format", "json")
+            counts.append(len(json_payload(out)["version_findings"]))
+        assert counts == [4, 4, 8, 8]
 
     def test_patched_inventory_exits_0(self, capsys, tmp_path):
         inv = tmp_path / "inv.yaml"

@@ -127,15 +127,16 @@ class TestRenderTable:
 
 class TestRemediations:
     def test_lists_each_rule_once(self):
-        findings = (
-            Finding("R1", "a", SeverityClass.HIGH, "m", "fix r1"),
-            Finding("R1", "b", SeverityClass.HIGH, "m", "fix r1"),
-            Finding("R2", "a", SeverityClass.LOW, "m", "fix r2"),
-        )
-        text = render_remediations(result_with(findings=findings))
-        assert text.count("R1") == 1
-        assert "(2 resources)" in text
-        assert text.index("R1") < text.index("R2")
+        r1a = Finding("R1", "a", SeverityClass.HIGH, "m", "fix r1")
+        r1b = Finding("R1", "b", SeverityClass.HIGH, "m", "fix r1")
+        r2 = Finding("R2", "a", SeverityClass.LOW, "m", "fix r2")
+        texts = [render_remediations(result_with(findings=findings))
+                 for findings in ((r1a, r1b, r2), (r1a, r2, r1b))]
+        for text in texts:
+            assert text.count("R1") == 1
+            assert "R1 (2 resources)" in text and "R2 (1 resources)" in text
+            assert text.index("R1") < text.index("R2")
+        assert texts[0] == texts[1]
 
     def test_clean(self):
         assert "No remediations" in render_remediations(result_with())

@@ -28,8 +28,7 @@ class TestParseVersion:
     )
     def test_accepted(self, text, triple):
         version = parse_version(text)
-        assert version.triple == triple
-        assert version.original == text
+        assert tuple(version) == triple
 
     @pytest.mark.parametrize(
         "text",
@@ -72,7 +71,7 @@ class TestOrdering:
 
     def test_render_parse_identity(self):
         version = parse_version("v1.16.0")
-        assert parse_version(str(version)).triple == version.triple
+        assert tuple(parse_version(str(version))) == tuple(version)
 
 
 class TestPredicates:
