@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "severity": ("SeverityClass", "ThreatCategory"),
     "manifests": ("DirectoryLoad", "ResourceDocument", "SourceLocation", "load_directory",
-                  "parse_manifest_stream", "parse_resource_ref", "resource_ref"),
+                  "parse_manifest_stream", "resource_ref"),
     "rules": ("Finding", "Rule", "evaluate", "severity_histogram"),
     "vulns": ("ContainerScanSummary", "ImageRef", "VulnRecord", "VulnTally", "VulnTotals",
               "aggregate_by_container", "classify_severity", "occurrence_and_unique_totals",

@@ -13,7 +13,7 @@ from typing import Any, NamedTuple
 
 from . import yamlio
 from .compliance import Control, Framework
-from .errors import CatalogError, IoError, MalformedVersion
+from .errors import AuditError, CatalogError, MalformedVersion
 from .manifests import distinct_files
 from .predicates import INTEGER, LIST, NUMBER, STRING, STRINGS, entry_fields
 from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
@@ -179,7 +179,7 @@ def load_inventory(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     raw = yamlio.load_file(path, "inventory")
     if not isinstance(raw, list):
-        raise IoError(f"{path}: inventory must be a list of {{component, version}} entries")
+        raise AuditError(f"{path}: inventory must be a list of {{component, version}} entries")
     return [tuple(entry_fields(entry, f"{path}: inventory entry", INVENTORY_FIELDS,
                                key="component").values())
             for entry in raw]

@@ -22,9 +22,9 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from . import __version__, yamlio
-from .errors import AuditError, IoError
+from .errors import AuditError
 from .pipeline import audit
-from .predicates import BOOLEAN, SHAPES, STRING, STRINGS
+from .predicates import BOOLEAN, NONEMPTY, SHAPES
 from .report import (
     EXIT_CLEAN,
     EXIT_TOOL_ERROR,
@@ -41,27 +41,31 @@ if TYPE_CHECKING:
 
 FORMATS = ("table", "json", "both")
 SEVERITIES = tuple(c.name.lower() for c in SeverityClass)
+# An empty string is no path, namespace, URL or variable name (`Path("")` is
+# the current directory), so no setting that takes strings accepts one.
+_NONEMPTY = SHAPES[NONEMPTY]
+_NONEMPTY_LIST = lambda v: isinstance(v, list) and all(map(_NONEMPTY, v))
 
 # Every value a sub-command can be given, by the audit() input or output
-# setting it sets: (its flag, its config key, its default, the shape a config
+# setting it sets: (its flag, its config key, its default, the shape its
 # value must have, the flag's argparse keywords). "inputs" is the positional
 # argument. Rows are in --help order.
 SETTINGS: dict[str, tuple[str, str, Any, Callable[[Any], bool], dict[str, Any]]] = {
-    "manifests": ("inputs", "inputs", (), SHAPES[STRINGS],
+    "manifests": ("inputs", "inputs", (), _NONEMPTY_LIST,
                   dict(nargs="*", help="manifest files or directories")),
-    "namespace": ("--namespace", "namespace", None, SHAPES[STRING],
+    "namespace": ("--namespace", "namespace", None, _NONEMPTY,
                   dict(help="restrict the audit to one namespace")),
-    "catalogs": ("--catalog", "catalogs", (), SHAPES[STRINGS], dict(action="append", metavar="PATH",
+    "catalogs": ("--catalog", "catalogs", (), _NONEMPTY_LIST, dict(action="append", metavar="PATH",
                  help="extra rule/framework/advisory data file (repeatable)")),
-    "frameworks": ("--framework", "frameworks", (), SHAPES[STRINGS], dict(action="append",
+    "frameworks": ("--framework", "frameworks", (), _NONEMPTY_LIST, dict(action="append",
                    metavar="ID", help="score only this framework id (repeatable)")),
-    "scan_reports": ("--scan-report", "scan_reports", (), SHAPES[STRINGS], dict(action="append",
+    "scan_reports": ("--scan-report", "scan_reports", (), _NONEMPTY_LIST, dict(action="append",
                      metavar="PATH", help="container scan report to ingest (repeatable)")),
-    "inventory": ("--inventory", "inventory", None, SHAPES[STRING],
+    "inventory": ("--inventory", "inventory", None, _NONEMPTY,
                   dict(metavar="PATH", help="component inventory file")),
-    "endpoint": ("--endpoint", "endpoint", None, SHAPES[STRING],
+    "endpoint": ("--endpoint", "endpoint", None, _NONEMPTY,
                  dict(metavar="URL", help="cluster API base URL to audit live")),
-    "token": ("--token-env", "token_env", None, SHAPES[STRING],
+    "token": ("--token-env", "token_env", None, _NONEMPTY,
               dict(metavar="VAR", help="environment variable holding the bearer token")),
     "format": ("--format", "format", "table", FORMATS.__contains__,
                dict(choices=FORMATS, help="payload format (default table)")),
@@ -69,7 +73,7 @@ SETTINGS: dict[str, tuple[str, str, Any, Callable[[Any], bool], dict[str, Any]]]
                 lambda v: isinstance(v, str) and v.strip().lower() in SEVERITIES,
                 dict(choices=SEVERITIES,
                      help="severity threshold for exit code 1 (default critical)")),
-    "output": ("--output", "output", None, SHAPES[STRING],
+    "output": ("--output", "output", None, _NONEMPTY,
                dict(metavar="PATH", help="write the payload to a file instead of stdout")),
     "insecure": ("--insecure", "insecure", False, SHAPES[BOOLEAN],
                  dict(action="store_true", default=None,
@@ -187,19 +191,26 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 
 def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
     """Each setting of the sub-command: the flag if given, else the config
-    value if it has its row's shape, else the default."""
+    value if it has its row's shape, else the default. A flag value, or
+    --config, that is an empty string is a usage error: the argv readers
+    give only strings, and only values among a flag's choices."""
     names = [name for name in SETTINGS if hasattr(args, name)]
+    given = [("--config", args.config, _NONEMPTY)]
+    given += [(SETTINGS[name][0], getattr(args, name), SETTINGS[name][3]) for name in names]
+    for flag, value, valid in given:
+        if value is not None and not valid(value):
+            raise AuditError(f"empty value for {flag}")
     file_values: Mapping[str, Any] = {}
-    if args.config:
+    if args.config is not None:
         raw = yamlio.load_file(args.config, "config")
         if raw is not None and not isinstance(raw, Mapping):
-            raise IoError(f"config {args.config} must be a mapping")
+            raise AuditError(f"config {args.config} must be a mapping")
         file_values = raw or {}
         keys = {SETTINGS[name][1] for name in names}
         for key in file_values:
             if key not in keys:
-                raise IoError(f"config {args.config}: unknown key {reprlib.repr(key)} "
-                              f"for {args.command}")
+                raise AuditError(f"config {args.config}: unknown key {reprlib.repr(key)} "
+                                 f"for {args.command}")
     values = {}
     for name in names:
         _, key, default, valid, _ = SETTINGS[name]
@@ -210,8 +221,8 @@ def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
                 value = default
             elif not valid(value):
                 # Bounded: aliases can make a value huge.
-                raise IoError(f"config {args.config}: invalid value for {key}: "
-                              f"{reprlib.repr(value)}")
+                raise AuditError(f"config {args.config}: invalid value for {key}: "
+                                 f"{reprlib.repr(value)}")
         values[name] = value
     return values
 

@@ -15,15 +15,7 @@ from urllib.parse import urlencode, urlparse
 
 import requests
 
-from .errors import (
-    ClusterError,
-    DecodeError,
-    DocumentError,
-    InsecureEndpoint,
-    Unauthorized,
-    UnexpectedStatus,
-    Unreachable,
-)
+from .errors import ClusterError, DocumentError
 from .manifests import ResourceDocument, document_from_mapping
 
 PAGE_SIZE = 500
@@ -111,26 +103,28 @@ def _fetch_kind(
         try:
             response = session.get(url, timeout=endpoint.request_timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
-            raise Unreachable(f"cannot reach {base}: {exc}", kind=kind, namespace=namespace) from exc
+            raise ClusterError(
+                f"cannot reach {base}: {exc}", kind=kind, namespace=namespace) from exc
         if response.status_code in (401, 403):
-            raise Unauthorized(
+            raise ClusterError(
                 f"{response.status_code} from {base}", kind=kind, namespace=namespace
             )
         if not 200 <= response.status_code < 300:
-            raise UnexpectedStatus(
+            raise ClusterError(
                 f"status {response.status_code} from {base}", kind=kind, namespace=namespace
             )
         try:
             body = response.json()
         except (ValueError, RecursionError) as exc:
-            raise DecodeError(f"response is not JSON: {exc}", kind=kind, namespace=namespace) from exc
+            raise ClusterError(
+                f"response is not JSON: {exc}", kind=kind, namespace=namespace) from exc
         if not isinstance(body, Mapping) or not isinstance(body.get("items"), list):
-            raise DecodeError("response is not a list object", kind=kind, namespace=namespace)
+            raise ClusterError("response is not a list object", kind=kind, namespace=namespace)
 
         api_version = body.get("apiVersion") if isinstance(body.get("apiVersion"), str) else ""
         for item in body["items"]:
             if not isinstance(item, Mapping):
-                raise DecodeError("list item is not an object", kind=kind, namespace=namespace)
+                raise ClusterError("list item is not an object", kind=kind, namespace=namespace)
             # List items routinely omit apiVersion/kind; restore them so the
             # document round-trips like a standalone manifest.
             filled: dict[str, Any] = dict(item)
@@ -142,7 +136,7 @@ def _fetch_kind(
                     document_from_mapping(filled, origin=url, index=len(documents))
                 )
             except DocumentError as exc:
-                raise DecodeError(str(exc), kind=kind, namespace=namespace) from exc
+                raise ClusterError(str(exc), kind=kind, namespace=namespace) from exc
 
         metadata = body.get("metadata")
         continue_token = metadata.get("continue") if isinstance(metadata, Mapping) else None
@@ -168,7 +162,7 @@ def fetch_resources(
     if unknown:
         raise ClusterError(f"no list route known for kinds: {', '.join(unknown)}")
     if urlparse(endpoint.base_url).scheme == "http" and not endpoint.allow_insecure:
-        raise InsecureEndpoint(
+        raise ClusterError(
             f"refusing plain-text endpoint {endpoint.base_url}; set the insecure flag to override"
         )
 

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from math import lcm
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .errors import IncompleteResults, UnknownRuleId
+from .errors import AuditError, CatalogError
 from .manifests import ResourceDocument, resource_ref
 from .rules import Finding, Rule
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class Control(NamedTuple):
@@ -44,15 +41,6 @@ class ControlResult(NamedTuple):
     @property
     def not_applicable(self) -> bool:
         return self.applicable_resources == 0 or not self.control.rule_ids
-
-    @property
-    def score(self) -> Fraction | None:
-        if self.not_applicable:
-            return None
-        # Imported here: `fractions` loads `decimal`, and scoring needs neither.
-        from fractions import Fraction
-
-        return Fraction(self.passing_resources, self.applicable_resources)
 
 
 class FrameworkScore(NamedTuple):
@@ -94,7 +82,7 @@ def control_compliance(control: Control, evidence: Evidence) -> ControlResult:
     referenced = []
     for rule_id in control.rule_ids:
         if rule_id not in evidence.rules_by_id:
-            raise UnknownRuleId(
+            raise CatalogError(
                 f"control {control.framework_id}/{control.control_id} references "
                 f"unknown rule {rule_id!r}"
             )
@@ -121,7 +109,8 @@ def framework_score(framework: Framework, results: Sequence[ControlResult]) -> F
     """Average the applicable control scores into an integer percent.
 
     `results` must cover every control of the framework exactly once;
-    anything else raises IncompleteResults.
+    anything else raises AuditError naming the missing, duplicated and
+    unknown control ids.
     """
     expected = {c.control_id for c in framework.controls}
     seen = [r.control.control_id for r in results]
@@ -129,7 +118,7 @@ def framework_score(framework: Framework, results: Sequence[ControlResult]) -> F
         missing = expected - set(seen)
         duplicated = {c for c in seen if seen.count(c) > 1}
         extra = set(seen) - expected
-        raise IncompleteResults(
+        raise AuditError(
             f"framework {framework.id}: results do not cover controls exactly once"
             + (f"; missing {sorted(missing)}" if missing else "")
             + (f"; duplicated {sorted(duplicated)}" if duplicated else "")

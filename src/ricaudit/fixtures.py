@@ -16,7 +16,7 @@ from typing import Any, NamedTuple
 
 from . import yamlio
 from .catalogs import data_path
-from .errors import FixtureDrift
+from .errors import AuditError
 from .pipeline import audit
 from .report import AuditResult, to_payload
 from .vulns import ImageRef
@@ -62,8 +62,8 @@ def verify_fixtures(root: str | Path | None = None) -> list[FixtureCheck]:
 
     The expectations in `index.yaml` use the keys of the canonical JSON
     payload, recomputed here from the raw fixture files. Returns the full
-    check list on success; raises FixtureDrift naming the first mismatching
-    cell otherwise.
+    check list on success; otherwise raises AuditError naming the first
+    mismatching cell with its expected and actual values.
     """
     root = Path(root or fixture_root())
     expected = load_index(root)["expected"]
@@ -106,5 +106,6 @@ def verify_fixtures(root: str | Path | None = None) -> list[FixtureCheck]:
 
     for check in checks:
         if not check.ok:
-            raise FixtureDrift(check.cell, check.expected, check.actual)
+            raise AuditError(f"fixture drift at {check.cell}: "
+                             f"expected {check.expected!r}, got {check.actual!r}")
     return checks

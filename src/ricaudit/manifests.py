@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import yamlio
-from .errors import DocumentError, InvalidYaml, IoError, MalformedDocument, MissingKind, MissingName
+from .errors import AuditError, DocumentError, InvalidYaml
 
 MANIFEST_EXTENSIONS = {".yaml", ".yml", ".json"}
 
@@ -51,12 +51,6 @@ def resource_ref(doc: ResourceDocument) -> str:
     return f"{doc.namespace or CLUSTER_SCOPE}/{doc.kind}/{doc.name}"
 
 
-def parse_resource_ref(ref: str) -> tuple[str | None, str, str]:
-    """Split a rendered ref back into (namespace, kind, name)."""
-    namespace, kind, name = ref.split("/", 2)
-    return (None if namespace == CLUSTER_SCOPE else namespace, kind, name)
-
-
 def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str]:
     labels = raw["metadata"].get("labels")
     if not isinstance(labels, (Mapping, type(None))):
@@ -70,14 +64,14 @@ def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str
 
 def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument:
     if not isinstance(raw, Mapping):
-        raise MissingKind(origin, index, f"document is not an object (got {type(raw).__name__})")
+        raise DocumentError(origin, index, f"document is not an object (got {type(raw).__name__})")
     kind = raw.get("kind")
     if not isinstance(kind, str) or not kind:
-        raise MissingKind(origin, index)
+        raise DocumentError(origin, index, "no kind field")
     metadata = raw.get("metadata")
     name = metadata.get("name") if isinstance(metadata, Mapping) else None
     if not isinstance(name, str) or not name:
-        raise MissingName(origin, index)
+        raise DocumentError(origin, index, "no metadata.name")
     namespace = metadata.get("namespace") if isinstance(metadata, Mapping) else None
     if not (isinstance(namespace, str) and namespace):
         namespace = None
@@ -123,9 +117,10 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
     empty and comment-only documents are skipped silently. `document_index`
     is the document's position in the stream, counting skipped documents.
 
-    Raises MalformedDocument on bad UTF-8, syntax errors and nesting deeper
-    than yamlio.MAX_DEPTH, MissingKind / MissingName on structurally valid
-    documents that are not Kubernetes objects.
+    Raises DocumentError, naming the file and document, on bad UTF-8, syntax
+    errors and nesting deeper than yamlio.MAX_DEPTH, and on structurally
+    valid documents that are not Kubernetes objects (no kind, no
+    metadata.name, labels that are not strings).
     """
     documents: list[ResourceDocument] = []
     try:
@@ -137,7 +132,7 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
             else:
                 documents.append(document_from_mapping(raw, origin, index))
     except InvalidYaml as exc:
-        raise MalformedDocument(origin, exc.document_index, str(exc)) from exc
+        raise DocumentError(origin, exc.document_index, str(exc)) from exc
     return documents
 
 
@@ -192,7 +187,7 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
     files: dict[tuple[int, int], Path] = {}
     for root in map(Path, roots):
         if not root.exists():
-            raise IoError(f"no such path: {root}")
+            raise AuditError(f"no such path: {root}")
         if root.is_file():
             found = [root]
         else:
@@ -216,7 +211,7 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
         try:
             raw = path.read_bytes()
         except OSError as exc:
-            result.errors.append(ParseFailure(str(path), IoError(f"cannot read {path}: {exc}")))
+            result.errors.append(ParseFailure(str(path), AuditError(f"cannot read {path}: {exc}")))
             continue
         try:
             docs = parse_manifest_stream(raw, str(path))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from . import __version__
 from .catalogs import load_catalogs, load_inventory
 from .compliance import Evidence, FrameworkScore, score_framework
-from .errors import AuditError, IoError
+from .errors import AuditError
 from .manifests import ResourceDocument, distinct_files, load_directory
 from .report import AuditResult
 from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
@@ -133,7 +133,7 @@ def audit(
             with open(path, "rb") as file:  # Path("") would be ".", a directory
                 text = file.read()
         except OSError as exc:
-            raise IoError(f"cannot read scan report {path}: {exc}") from exc
+            raise AuditError(f"cannot read scan report {path}: {exc}") from exc
         report = parse_scan_report(text, origin=str(path))
         for rejected in report.rejected:
             diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")

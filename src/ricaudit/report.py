@@ -2,8 +2,7 @@
 
 The JSON document is the stable CI contract: keys sorted, no insignificant
 whitespace, byte-identical across runs for equal inputs. `generated_at` is
-the one run-dependent field; `canonical_equal` compares documents with it
-masked out so reproducibility checks stay meaningful.
+the one run-dependent field; pin it with SOURCE_DATE_EPOCH.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, NamedTuple
 
 from .severity import TABLE_ORDER, SeverityClass
-from .versions import VersionFinding, VersionPredicate, AdvisoryEntry, parse_version
-from .vulns import ContainerScanSummary, ImageRef, VulnTotals
+from .versions import VersionFinding
+from .vulns import ContainerScanSummary, VulnTotals
 from .rules import Finding
 from .compliance import FrameworkScore
 
@@ -66,10 +65,6 @@ class AuditResult(_AuditResult):
 
 def _histogram_payload(histogram: Mapping[SeverityClass, int]) -> dict[str, int]:
     return {cls.name.lower(): int(histogram.get(cls, 0)) for cls in TABLE_ORDER}
-
-
-def _histogram_from_payload(payload: Mapping[str, int]) -> dict[SeverityClass, int]:
-    return {cls: int(payload.get(cls.name.lower(), 0)) for cls in TABLE_ORDER}
 
 
 def to_payload(result: AuditResult) -> dict[str, Any]:
@@ -138,88 +133,11 @@ def to_payload(result: AuditResult) -> dict[str, Any]:
     }
 
 
-def from_payload(payload: Mapping[str, Any]) -> AuditResult:
-    """Rebuild an AuditResult from a parsed JSON document."""
-    summaries = tuple(
-        ContainerScanSummary(
-            container=c["container"],
-            image=ImageRef(**c["image"]) if c.get("image") else None,
-            vuln_histogram=_histogram_from_payload(c["vulnerabilities"]),
-            misconfig_histogram=_histogram_from_payload(c["misconfigurations"]),
-        )
-        for c in payload.get("containers", [])
-    )
-    findings = tuple(
-        Finding(
-            rule_id=f["rule_id"],
-            resource=f["resource"],
-            severity=SeverityClass.from_label(f["severity"]),
-            message=f["message"],
-            remediation=f["remediation"],
-        )
-        for f in payload.get("findings", [])
-    )
-    scores = tuple(
-        FrameworkScore(
-            framework_id=s["framework_id"],
-            percent=s["percent"],
-            evaluated_controls=s["evaluated_controls"],
-            not_applicable_controls=s["not_applicable_controls"],
-        )
-        for s in payload.get("framework_scores", [])
-    )
-    version_findings = tuple(
-        VersionFinding(
-            component=v["component"],
-            installed=parse_version(v["installed"]),
-            matched_entry=AdvisoryEntry(
-                component=v["component"],
-                affected=VersionPredicate.parse(v["affected"]),
-                cve_count=v["cve_count"],
-                cvss_min=v["cvss_min"],
-                cvss_max=v["cvss_max"],
-                vulnerability_classes=tuple(v.get("vulnerability_classes", [])),
-                recommended_min_version=(
-                    parse_version(v["recommended_min_version"])
-                    if v.get("recommended_min_version")
-                    else None
-                ),
-            ),
-            severity=SeverityClass.from_label(v["severity"]),
-        )
-        for v in payload.get("version_findings", [])
-    )
-    totals_raw = payload.get("totals", {})
-    totals = VulnTotals(
-        occurrences=totals_raw.get("vulnerability_occurrences", 0),
-        unique_cves=totals_raw.get("unique_cves", 0),
-        critical_rce=totals_raw.get("critical_rce_unique", 0),
-        critical_actionable=totals_raw.get("critical_actionable_unique", 0),
-    )
-    return AuditResult(
-        summaries=summaries,
-        findings=findings,
-        framework_scores=scores,
-        version_findings=version_findings,
-        totals=totals,
-        generated_at=payload.get("generated_at", ""),
-        tool_version=payload.get("tool_version", ""),
-    )
-
-
 def render_json(result: AuditResult) -> str:
     """Canonical serialization: sorted keys, compact separators."""
     return json.dumps(
         to_payload(result), sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
-
-
-def canonical_equal(a: str, b: str) -> bool:
-    """Byte comparison of two rendered documents, ignoring generated_at."""
-    pa, pb = json.loads(a), json.loads(b)
-    pa["generated_at"] = pb["generated_at"] = ""
-    dump = lambda p: json.dumps(p, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return dump(pa) == dump(pb)
 
 
 # --- text table -----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, NamedTuple
 
-from .errors import CatalogError, UnknownRuleId
+from .errors import CatalogError
 from .manifests import ResourceDocument, resource_ref
 from .predicates import ANY, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields
 from .severity import SeverityClass, ThreatCategory, empty_counts
@@ -104,7 +104,7 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None =
 
     With `frameworks` given, also requires every control_ref to resolve
     against a loaded framework, and every control's rule_ids against a rule
-    (UnknownRuleId).
+    (`control <framework>/<control> references unknown rule <id>`).
     """
     reject_duplicates((rule.id for rule in catalog), "duplicate rule id:")
     if frameworks is not None:
@@ -115,7 +115,7 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None =
                 known.add((fw.id, control.control_id))
                 for rule_id in control.rule_ids:
                     if rule_id not in rule_ids:
-                        raise UnknownRuleId(f"control {fw.id}/{control.control_id} references "
+                        raise CatalogError(f"control {fw.id}/{control.control_id} references "
                                             f"unknown rule {rule_id!r}")
         for rule in catalog:
             for ref in rule.control_refs:

@@ -16,7 +16,7 @@ import json
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
-from .errors import SchemaError
+from .errors import AuditError
 from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, field_reader
 from .rules import Finding, severity_histogram
 from .severity import SeverityClass, empty_counts
@@ -116,36 +116,30 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
 
     Unknown fields are ignored. Entries whose CVSS score is outside
     [0, 10] are rejected individually and reported; structural problems
-    (missing fields, wrong shapes) raise SchemaError, with the entry index
-    for an entry.
+    (missing fields, wrong shapes) raise AuditError, naming the entry's
+    index for an entry.
     """
     what = f"scan report {origin}"
     try:
         raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{what}: not valid UTF-8: {exc}") from exc
+        raise AuditError(f"{what}: not valid UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError: a JSON syntax error or an integer literal longer than
         # the interpreter converts. RecursionError: nesting deeper than the
         # interpreter's recursion limit.
-        raise SchemaError(f"{what}: not valid JSON: {exc}") from exc
-
-    # Every diagnostic carries the index of the entry being read, if any.
-    index = None
-
-    def error(message: str) -> SchemaError:
-        return SchemaError(message, entry_index=index)
+        raise AuditError(f"{what}: not valid JSON: {exc}") from exc
 
     def label() -> str:
         return f"{what}: entry {index}"
 
-    container, image, entries = _read_report(raw, what, error=error)
-    image = ImageRef(*_read_image(image, f"{what}: image", error=error))
+    container, image, entries = _read_report(raw, what, error=AuditError)
+    image = ImageRef(*_read_image(image, f"{what}: image", error=AuditError))
     report = ScanReport(container=container, image=image, records=[], rejected=[])
     records = report.records
     for index, entry in enumerate(entries):
         cve_id, package, installed, fixed, cvss, vendor, rce = _read_entry(
-            entry, label, error=error)
+            entry, label, error=AuditError)
         if cvss is not None:
             # Checked before float(), which overflows on a huge JSON integer.
             if not 0 <= cvss <= 10:
@@ -160,7 +154,7 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
                 try:
                     severity = SeverityClass.from_label(vendor)
                 except ValueError as exc:
-                    raise error(f"{label()}: {exc}") from exc
+                    raise AuditError(f"{label()}: {exc}") from exc
             vendor = severity
         records.append(VulnRecord(
             cve_id, package, installed, fixed, cvss, vendor,

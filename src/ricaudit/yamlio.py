@@ -35,7 +35,7 @@ from typing import Any, Iterator
 
 import yaml
 
-from .errors import InvalidYaml, IoError
+from .errors import AuditError, InvalidYaml
 
 
 class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -205,14 +205,14 @@ def load(data: bytes | str) -> Any:
 def load_file(path: str | Path, what: str) -> Any:
     """The single document of the YAML file at `path`, a `what` input.
 
-    Raises IoError with a one-line message naming `what` and `path` when
+    Raises AuditError with a one-line message naming `what` and `path` when
     the file cannot be read or is not valid YAML.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+        raise AuditError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return load(data)
     except InvalidYaml as exc:
-        raise IoError(f"{what} {path}: invalid YAML: {exc}") from exc
+        raise AuditError(f"{what} {path}: invalid YAML: {exc}") from exc

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ricaudit.catalogs import data_path, load_catalog_file, load_catalogs, load_inventory
-from ricaudit.errors import CatalogError, IoError
+from ricaudit.errors import AuditError, CatalogError
 from ricaudit.severity import SeverityClass
 
 
@@ -59,7 +59,7 @@ def test_catalog_without_known_sections_rejected(tmp_path):
 
 
 def test_missing_catalog_file(tmp_path):
-    with pytest.raises(IoError):
+    with pytest.raises(AuditError, match=r"^cannot read catalog .*none\.yaml: \[Errno 2\]"):
         load_catalog_file(tmp_path / "none.yaml")
 
 
@@ -98,7 +98,8 @@ advisories:
 def test_inventory_shape_enforced(tmp_path):
     path = tmp_path / "inv.yaml"
     path.write_text("kubernetes: 1.16.0\n")
-    with pytest.raises(IoError):
+    with pytest.raises(AuditError, match=r"inv\.yaml: inventory must be a list of "
+                                         r"\{component, version\} entries$"):
         load_inventory(path)
 
 
@@ -144,5 +145,5 @@ def test_catalog_given_again_keeps_its_first_position(tmp_path):
 @pytest.mark.parametrize("name", ["none.yaml", "."])
 def test_unreadable_catalog_given_twice_names_it(tmp_path, name):
     path = tmp_path / name
-    with pytest.raises(IoError, match=rf"^cannot read catalog {re.escape(str(path))}: \[Errno"):
+    with pytest.raises(AuditError, match=rf"^cannot read catalog {re.escape(str(path))}: \[Errno"):
         load_catalogs([path, path])

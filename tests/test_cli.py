@@ -219,7 +219,7 @@ class TestVulns:
     def test_empty_report_path_names_no_file(self, capsys):
         code, out, err = run_cli(capsys, "vulns", "--scan-report", "")
         assert (code, out) == (2, "")
-        assert err == "ricaudit: cannot read scan report : [Errno 2] No such file or directory: ''\n"
+        assert err == "ricaudit: empty value for --scan-report\n"
 
     def test_report_not_a_mapping_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -579,6 +579,49 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1
         assert f"invalid value for {line.split(':')[0]}" in err
+
+
+# An empty value for each setting that takes a string, given as the one-pass
+# reader reads it and as only argparse reads it (`--flag=`, inputs after `--`).
+EMPTY_SETTINGS = [
+    (["scan", ""], ["scan", "--", ""], "inputs"),
+    (["scan", "d", "--catalog", ""], ["scan", "d", "--catalog="], "--catalog"),
+    (["scan", "d", "--config", ""], ["scan", "d", "--config="], "--config"),
+    (["scan", "d", "--output", ""], ["scan", "d", "--output="], "--output"),
+    (["versions", "--inventory", ""], ["versions", "--inventory="], "--inventory"),
+    (["scan", "d", "--namespace", ""], ["scan", "d", "--namespace="], "--namespace"),
+    (["scan", "--endpoint", ""], ["scan", "--endpoint="], "--endpoint"),
+    (["scan", "d", "--token-env", ""], ["scan", "d", "--token-env="], "--token-env"),
+    (["vulns", "--scan-report", ""], ["vulns", "--scan-report="], "--scan-report"),
+    (["score", "d", "--framework", "a", "--framework", ""],
+     ["score", "d", "--framework", "a", "--framework="], "--framework"),
+]
+
+
+class TestEmptySettings:
+    @pytest.mark.parametrize("plain, spelled, flag", EMPTY_SETTINGS,
+                             ids=[flag for _, _, flag in EMPTY_SETTINGS])
+    def test_empty_flag_value_exits_2_through_both_readers(self, capsys, plain, spelled, flag):
+        # Read as given, `scan ''` would audit the current directory, and an
+        # empty --namespace, --endpoint, --token-env or --config would be
+        # taken for none.
+        assert cli._read_argv(plain) is not None and cli._read_argv(spelled) is None
+        for argv in (plain, spelled):
+            assert run_cli(capsys, *argv) == (2, "", f"ricaudit: empty value for {flag}\n")
+
+    @pytest.mark.parametrize("command, line", [
+        ("scan", "inputs: ['']"), ("scan", "namespace: ''"), ("scan", "catalogs: ['a', '']"),
+        ("scan", "endpoint: ''"), ("scan", "token_env: ''"), ("scan", "output: ''"),
+        ("versions", "inventory: ''"), ("vulns", "scan_reports: ['']"),
+        ("score", "frameworks: ['']"),
+    ])
+    def test_empty_config_value_exits_2(self, capsys, tmp_path, command, line):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{line}\n")
+        key, value = line.split(": ")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"ricaudit: config {config}: invalid value for {key}: {value}\n"
 
 
 # The flags each sub-command takes ("inputs" is the positional argument),

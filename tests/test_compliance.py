@@ -16,7 +16,7 @@ from ricaudit.compliance import (
     control_compliance,
     framework_score,
 )
-from ricaudit.errors import IncompleteResults, UnknownRuleId
+from ricaudit.errors import AuditError, CatalogError
 from ricaudit.manifests import parse_manifest_stream
 from ricaudit.pipeline import audit
 from ricaudit.rules import Finding, evaluate
@@ -43,14 +43,12 @@ class TestControlCompliance:
         control = control_for("MISC-LIMITS")
         findings = [Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r")]
         result = control_compliance(control, Evidence.build(findings, resources, catalog))
-        assert result.applicable_resources == 4
-        assert result.passing_resources == 3
-        assert result.score == Fraction(3, 4)
+        assert (result.passing_resources, result.applicable_resources) == (3, 4)
 
     def test_empty_rule_ids_not_applicable(self):
         result = control_compliance(control_for(), Evidence.build([], pods(3), load_catalogs().rules))
         assert result.not_applicable
-        assert result.score is None
+        assert (result.passing_resources, result.applicable_resources) == (0, 0)
 
     def test_no_applicable_resources_not_applicable(self):
         configmap_control = control_for("MISC-CREDS")
@@ -60,7 +58,9 @@ class TestControlCompliance:
         assert result.not_applicable
 
     def test_unknown_rule_id(self):
-        with pytest.raises(UnknownRuleId):
+        with pytest.raises(
+            CatalogError, match=r"^control nsa-cisa/X-1 references unknown rule 'MISC-NOPE'$"
+        ):
             control_compliance(
                 control_for("MISC-NOPE"), Evidence.build([], pods(1), load_catalogs().rules)
             )
@@ -73,8 +73,7 @@ class TestControlCompliance:
             Finding("MISC-REQUESTS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
         ]
         result = control_compliance(control, Evidence.build(findings, resources, load_catalogs().rules))
-        assert result.passing_resources == 1
-        assert result.score == Fraction(1, 2)
+        assert (result.passing_resources, result.applicable_resources) == (1, 2)
 
     def test_fixture_hand_count(self, vulnerable_workloads):
         # 8 vulnerable workloads in ricplt plus one in another namespace; the
@@ -86,9 +85,7 @@ class TestControlCompliance:
         result = control_compliance(
             control_for("MISC-LIMITS"), Evidence.build(findings, load.documents, load_catalogs().rules)
         )
-        assert result.applicable_resources == 9
-        assert result.passing_resources == 0
-        assert result.score == Fraction(0, 1)
+        assert (result.passing_resources, result.applicable_resources) == (0, 9)
 
 
 def result_for(passing: int, applicable: int, control_id: str):
@@ -179,12 +176,14 @@ class TestFrameworkScore:
 
     def test_missing_control_rejected(self):
         fw = framework_of("A", "B")
-        with pytest.raises(IncompleteResults):
+        with pytest.raises(AuditError, match=r"^framework nsa-cisa: results do not cover "
+                                             r"controls exactly once; missing \['B'\]$"):
             framework_score(fw, [result_for(1, 2, "A")])
 
     def test_duplicate_control_rejected(self):
         fw = framework_of("A")
-        with pytest.raises(IncompleteResults):
+        with pytest.raises(AuditError, match=r"^framework nsa-cisa: results do not cover "
+                                             r"controls exactly once; duplicated \['A'\]$"):
             framework_score(fw, [result_for(1, 2, "A"), result_for(1, 2, "A")])
 
     def test_all_not_applicable_reports_none(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ricaudit import catalogs, rules, vulns
 from ricaudit.catalogs import load_catalogs
-from ricaudit.errors import CatalogError, SchemaError
+from ricaudit.errors import AuditError, CatalogError
 from ricaudit.manifests import parse_manifest_stream, resource_ref
 from ricaudit.predicates import (
     ANY,
@@ -136,9 +136,9 @@ class TestEntryFields:
         ([], "item must be a mapping, got []"),
     ])
     def test_raises_the_given_error(self, raw, message):
-        with pytest.raises(SchemaError) as exc:
-            entry_fields(raw, "item", self.FIELDS, error=SchemaError)
-        assert str(exc.value) == message
+        with pytest.raises(AuditError) as exc:
+            entry_fields(raw, "item", self.FIELDS, error=AuditError)
+        assert (exc.type, str(exc.value)) == (AuditError, message)
 
 
 class Text(str):
@@ -217,7 +217,7 @@ def raw_entries(draw, fields):
 def test_field_reader_agrees_with_entry_fields(fields, data):
     assert_reader_agrees(
         fields, data.draw(raw_entries(fields)), key=data.draw(st.sampled_from([None, *fields])),
-        error=data.draw(st.sampled_from([CatalogError, SchemaError])),
+        error=data.draw(st.sampled_from([CatalogError, AuditError])),
         what=data.draw(st.sampled_from(["item", lambda: "item"])))
 
 

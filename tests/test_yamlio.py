@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import ricaudit
 from ricaudit import yamlio
 from ricaudit.catalogs import data_path
-from ricaudit.errors import AuditError, InvalidYaml, IoError, MalformedDocument
+from ricaudit.errors import AuditError, DocumentError, InvalidYaml
 from ricaudit.manifests import parse_manifest_stream
 
 POD = "kind: Pod\nmetadata: {name: p, namespace: ns}\n"
@@ -129,17 +129,15 @@ def test_pure_python_fallback_has_same_limit(monkeypatch):
 
 def test_depth_error_names_the_deep_document():
     text = POD + "---\n" + POD + "---\n" + nested(300) + "\n"
-    with pytest.raises(MalformedDocument) as exc:
+    with pytest.raises(DocumentError, match=r"^deep\.yaml: document 2: .*nesting deeper "
+                                            r"than 256 levels"):
         parse_manifest_stream(text, "deep.yaml")
-    assert exc.value.document_index == 2
-    assert "nesting deeper than 256 levels" in str(exc.value)
 
 
 def test_earlier_syntax_error_wins_over_later_depth():
     text = POD + "---\nkind: [unclosed\n---\n" + nested(300) + "\n"
-    with pytest.raises(MalformedDocument) as exc:
+    with pytest.raises(DocumentError, match=r"^bad\.yaml: document 1: ") as exc:
         parse_manifest_stream(text, "bad.yaml")
-    assert exc.value.document_index == 1
     assert "nesting" not in str(exc.value)
 
 
@@ -402,10 +400,10 @@ def test_syntax_error_message_has_position():
 def test_load_file_errors_name_the_input(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("a: [1, 2\n")
-    with pytest.raises(IoError) as exc:
+    with pytest.raises(AuditError) as exc:
         yamlio.load_file(bad, "thing")
     assert str(exc.value).startswith(f"thing {bad}: invalid YAML: ")
-    with pytest.raises(IoError) as exc:
+    with pytest.raises(AuditError) as exc:
         yamlio.load_file(tmp_path / "none.yaml", "thing")
     assert str(exc.value).startswith(f"cannot read thing {tmp_path / 'none.yaml'}: ")
 
@@ -533,14 +531,13 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
 # The package's public names, written out here rather than read from it.
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
-    "SourceLocation", "load_directory", "parse_manifest_stream", "parse_resource_ref",
-    "resource_ref", "Finding", "Rule", "evaluate", "severity_histogram", "ContainerScanSummary",
-    "ImageRef", "VulnRecord", "VulnTally", "VulnTotals", "aggregate_by_container",
-    "classify_severity", "occurrence_and_unique_totals", "parse_scan_report", "Control",
-    "ControlResult", "Evidence", "Framework", "FrameworkScore", "control_compliance",
-    "framework_score", "AdvisoryEntry", "Version", "VersionFinding", "audit_components",
-    "parse_version", "ClusterEndpoint", "fetch_resources", "AuditResult", "exit_code",
-    "render_json", "render_table",
+    "SourceLocation", "load_directory", "parse_manifest_stream", "resource_ref", "Finding",
+    "Rule", "evaluate", "severity_histogram", "ContainerScanSummary", "ImageRef", "VulnRecord",
+    "VulnTally", "VulnTotals", "aggregate_by_container", "classify_severity",
+    "occurrence_and_unique_totals", "parse_scan_report", "Control", "ControlResult", "Evidence",
+    "Framework", "FrameworkScore", "control_compliance", "framework_score", "AdvisoryEntry",
+    "Version", "VersionFinding", "audit_components", "parse_version", "ClusterEndpoint",
+    "fetch_resources", "AuditResult", "exit_code", "render_json", "render_table",
 }
 
 
