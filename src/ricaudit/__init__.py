@@ -17,9 +17,8 @@ _EXPORTS = {
     "manifests": ("DirectoryLoad", "ResourceDocument", "SourceLocation", "load_directory",
                   "parse_manifest_stream", "resource_ref"),
     "rules": ("Finding", "Rule", "evaluate", "severity_histogram"),
-    "vulns": ("ContainerScanSummary", "ImageRef", "VulnRecord", "VulnTally", "VulnTotals",
-              "aggregate_by_container", "classify_severity", "occurrence_and_unique_totals",
-              "parse_scan_report"),
+    "vulns": ("ContainerScanSummary", "ImageRef", "VulnTally", "VulnTotals", "classify_severity",
+              "occurrence_and_unique_totals", "parse_scan_report"),
     "compliance": ("Control", "ControlResult", "Evidence", "Framework", "FrameworkScore",
                    "control_compliance", "framework_score"),
     "versions": ("AdvisoryEntry", "Version", "VersionFinding", "audit_components",

@@ -21,7 +21,7 @@ from .manifests import ResourceDocument, distinct_files, load_directory
 from .report import AuditResult
 from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
 from .versions import VersionAudit, audit_components
-from .vulns import VulnTally, aggregate_by_container, occurrence_and_unique_totals, parse_scan_report
+from .vulns import VulnTally, occurrence_and_unique_totals, parse_scan_report
 
 
 def default_timestamp() -> str:
@@ -123,8 +123,7 @@ def audit(
             evidence = Evidence.build(findings, resources, bundle.rules)
             scores = [score_framework(fw, evidence)[0] for fw in selected]
 
-    # Each report is folded into one tally as it is read, and its records
-    # dropped, so memory is bounded by the largest report, not the corpus.
+    # Each report's tally is merged in as it is read: memory is bounded by the largest report.
     tally = VulnTally()
     # A report reached twice (the same path, a symlink or a hard link) is
     # read once, as manifest files are.
@@ -137,7 +136,7 @@ def audit(
         report = parse_scan_report(text, origin=str(path))
         for rejected in report.rejected:
             diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
-        tally.merge(aggregate_by_container(report.records))
+        tally.merge(report.records)
 
     version_audit = None
     if inventory:

@@ -1,13 +1,14 @@
 """Container-image vulnerability report ingestion and aggregation.
 
 Scan reports use a scanner-neutral schema (one JSON document per
-container); each entry is classified into the five severity classes at
-parse time. Each report's records are folded into a VulnTally (per-container
-image and histogram, occurrence count, CVE-id sets), and tallies merge in
-input order, so a corpus is aggregated one report at a time and memory is
-bounded by the largest report. Merging adds histograms and unites id sets,
-so the histograms and totals do not depend on the split or the order; a
-container's image is that of its first record in merge order.
+container). Each accepted entry is classified into the five severity
+classes and counted into its report's VulnTally (the container's image and
+histogram, the occurrence count, the CVE-id sets) as it is read, so no
+per-entry record is built. Tallies merge in input order, so a corpus is
+aggregated one report at a time and memory is bounded by the largest
+report. Merging adds histograms and unites id sets, so the histograms and
+totals do not depend on the split or the order; a container's image is
+that of its first report with an accepted entry.
 """
 
 from __future__ import annotations
@@ -41,25 +42,6 @@ class ImageRef(NamedTuple):
         return cls(registry=registry, repository=repository, tag=tag)
 
 
-class VulnRecord(NamedTuple):
-    """One CVE occurrence in one container image."""
-
-    cve_id: str
-    package: str
-    installed_version: str
-    fixed_version: str | None
-    cvss: float | None
-    vendor_severity: SeverityClass | None
-    severity: SeverityClass
-    remote_code_execution: bool
-    container: str
-    image: ImageRef
-
-    @property
-    def actionable(self) -> bool:
-        return self.fixed_version is not None
-
-
 def classify_severity(
     cvss: float | None, vendor: SeverityClass | None = None
 ) -> SeverityClass:
@@ -88,11 +70,12 @@ class RejectedEntry(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """Parsed scan report: accepted records plus individually rejected entries."""
+    """Parsed scan report: the tally of its accepted entries plus the
+    individually rejected ones."""
 
     container: str
     image: ImageRef
-    records: list[VulnRecord]
+    records: VulnTally
     rejected: list[RejectedEntry]
 
 
@@ -114,10 +97,11 @@ _VENDOR_CLASSES = {c.name.lower(): c for c in SeverityClass}
 def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport:
     """Parse one native scan-report document read from `origin`.
 
-    Unknown fields are ignored. Entries whose CVSS score is outside
-    [0, 10] are rejected individually and reported; structural problems
-    (missing fields, wrong shapes) raise AuditError, naming the entry's
-    index for an entry.
+    Each accepted entry is classified and counted into the report's tally
+    as it is read. Unknown fields are ignored. Entries whose CVSS score is
+    outside [0, 10] are rejected individually and reported; structural
+    problems (missing fields, wrong shapes) raise AuditError, naming the
+    entry's index for an entry.
     """
     what = f"scan report {origin}"
     try:
@@ -135,19 +119,18 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
 
     container, image, entries = _read_report(raw, what, error=AuditError)
     image = ImageRef(*_read_image(image, f"{what}: image", error=AuditError))
-    report = ScanReport(container=container, image=image, records=[], rejected=[])
-    records = report.records
+    tally = VulnTally()
+    report = ScanReport(container=container, image=image, records=tally, rejected=[])
+    counts = empty_counts()
+    unique, critical_rce, critical_actionable = (
+        tally.unique, tally.critical_rce, tally.critical_actionable)
     for index, entry in enumerate(entries):
-        cve_id, package, installed, fixed, cvss, vendor, rce = _read_entry(
-            entry, label, error=AuditError)
-        if cvss is not None:
-            # Checked before float(), which overflows on a huge JSON integer.
-            if not 0 <= cvss <= 10:
-                report.rejected.append(
-                    RejectedEntry(index, f"cvss {cvss} outside [0.0, 10.0] for {cve_id}")
-                )
-                continue
-            cvss = float(cvss)
+        cve_id, _, _, fixed, cvss, vendor, rce = _read_entry(entry, label, error=AuditError)
+        # NaN fails both comparisons, so it is rejected too.
+        if cvss is not None and not 0 <= cvss <= 10:
+            report.rejected.append(
+                RejectedEntry(index, f"cvss {cvss} outside [0.0, 10.0] for {cve_id}"))
+            continue
         if vendor is not None:
             severity = _VENDOR_CLASSES.get(vendor)
             if severity is None:
@@ -156,10 +139,17 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
                 except ValueError as exc:
                     raise AuditError(f"{label()}: {exc}") from exc
             vendor = severity
-        records.append(VulnRecord(
-            cve_id, package, installed, fixed, cvss, vendor,
-            classify_severity(cvss, vendor), rce, container, image,
-        ))
+        severity = classify_severity(cvss, vendor)
+        counts[severity] += 1
+        unique.add(cve_id)
+        if severity is SeverityClass.CRITICAL:
+            if rce:
+                critical_rce.add(cve_id)
+            if fixed is not None:
+                critical_actionable.add(cve_id)
+    tally.occurrences = sum(counts.values())
+    if tally.occurrences:  # a report with no accepted entry adds no row
+        tally.containers[container] = (image, counts)
     return report
 
 
@@ -180,19 +170,19 @@ class VulnTotals(NamedTuple):
 
 
 class VulnTally:
-    """A record set reduced to what a report shows of it, holding no record.
+    """Scan-report entries reduced to what an audit report shows of them.
 
-    Per container, the image of its first record and a severity histogram;
-    overall, the occurrence count and the distinct, critical-RCE and
-    critical-actionable CVE ids. A plain class, because `merge` rebinds the
-    count and the id sets.
+    Per container, the image of its first report with an accepted entry and
+    a severity histogram; overall, the occurrence count (also its `len`)
+    and the distinct, critical-RCE and critical-actionable CVE ids. A plain
+    class, because `merge` rebinds the count and the id sets.
     """
 
     __slots__ = ("containers", "occurrences", "unique", "critical_rce", "critical_actionable")
 
-    def __init__(self, occurrences: int = 0) -> None:
+    def __init__(self) -> None:
         self.containers: dict[str, tuple[ImageRef, dict[SeverityClass, int]]] = {}
-        self.occurrences = occurrences
+        self.occurrences = 0
         self.unique: set[str] = set()
         self.critical_rce: set[str] = set()
         self.critical_actionable: set[str] = set()
@@ -205,12 +195,15 @@ class VulnTally:
             return NotImplemented
         return self._state() == other._state()
 
+    def __len__(self) -> int:
+        return self.occurrences
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"VulnTally({fields})"
 
     def merge(self, other: VulnTally) -> VulnTally:
-        """Add `other` into this tally, as if its records came after ours."""
+        """Add `other` into this tally, as if its entries came after ours."""
         for container, (image, counts) in other.containers.items():
             mine = self.containers.setdefault(container, (image, empty_counts()))[1]
             for severity, count in counts.items():
@@ -224,7 +217,7 @@ class VulnTally:
     def summaries(
         self, misconfig_findings_by_container: Mapping[str, Sequence[Finding]] | None = None
     ) -> list[ContainerScanSummary]:
-        """One row per container of the records or of the misconfiguration
+        """One row per container of the tally or of the misconfiguration
         map (so a manifest-only audit has rows too), sorted by name."""
         misconfig = misconfig_findings_by_container or {}
         rows = []
@@ -233,28 +226,6 @@ class VulnTally:
             rows.append(ContainerScanSummary(
                 container, image, dict(counts), severity_histogram(misconfig.get(container, []))))
         return rows
-
-
-def aggregate_by_container(records: Sequence[VulnRecord]) -> VulnTally:
-    """Tally a record set in one pass, looking a container's histogram up
-    once per run of consecutive records that share the container."""
-    tally = VulnTally(occurrences=len(records))
-    container, counts = object(), None  # the first record starts a run
-    for record in records:
-        if record.container != container:
-            container = record.container
-            entry = tally.containers.get(container)
-            if entry is None:
-                entry = tally.containers[container] = (record.image, empty_counts())
-            counts = entry[1]
-        counts[record.severity] += 1
-        tally.unique.add(record.cve_id)
-        if record.severity is SeverityClass.CRITICAL:
-            if record.remote_code_execution:
-                tally.critical_rce.add(record.cve_id)
-            if record.actionable:
-                tally.critical_actionable.add(record.cve_id)
-    return tally
 
 
 def occurrence_and_unique_totals(tally: VulnTally) -> VulnTotals:

@@ -34,8 +34,8 @@ from ricaudit.severity import SeverityClass
 from ricaudit.vulns import (
     ContainerScanSummary,
     ImageRef,
+    VulnTally,
     VulnTotals,
-    aggregate_by_container,
     classify_severity,
     occurrence_and_unique_totals,
     parse_scan_report,
@@ -86,12 +86,11 @@ def report_argv(fmt: str = "json") -> list[str]:
     return argv
 
 
-def fixture_records():
-    return [
-        record
-        for path in sorted((data_path("fixtures") / "scan-reports").glob("*.json"))
-        for record in parse_scan_report(path.read_bytes()).records
-    ]
+def fixture_tally():
+    tally = VulnTally()
+    for path in sorted((data_path("fixtures") / "scan-reports").glob("*.json")):
+        tally.merge(parse_scan_report(path.read_bytes()).records)
+    return tally
 
 
 def test_criterion_1_table_reproduction(capsys):
@@ -121,13 +120,12 @@ def test_criterion_1_table_reproduction(capsys):
 
 
 def test_criterion_2_critical_totals():
-    records = fixture_records()
-    per_container = {}
-    for record in records:
-        if record.severity is SeverityClass.CRITICAL:
-            per_container[record.container] = per_container.get(record.container, 0) + 1
+    tally = fixture_tally()
+    per_container = {container: counts[SeverityClass.CRITICAL]
+                     for container, (_, counts) in tally.containers.items()
+                     if counts[SeverityClass.CRITICAL]}
     assert per_container == {"ricplt-dbass-redis": 6, "influxdb2": 10}
-    totals = occurrence_and_unique_totals(aggregate_by_container(records))
+    totals = occurrence_and_unique_totals(tally)
     critical_occurrences = sum(per_container.values())
     assert critical_occurrences == 16
     assert totals.critical_rce == 10

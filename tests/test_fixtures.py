@@ -20,8 +20,7 @@ from ricaudit.fixtures import (
 from ricaudit.report import render_json
 from ricaudit.rules import evaluate
 from ricaudit.manifests import load_directory
-from ricaudit.severity import SeverityClass
-from ricaudit.vulns import parse_scan_report
+from ricaudit.vulns import VulnTally, parse_scan_report
 
 
 def test_pristine_corpus_verifies():
@@ -102,16 +101,11 @@ def test_index_entries_carry_provenance():
 def test_critical_flags_in_scan_reports():
     # Exactly 10 distinct Critical ids carry the RCE flag and 13 carry a
     # fixed version across the whole corpus.
-    rce, actionable = set(), set()
+    tally = VulnTally()
     for path in (fixture_root() / "scan-reports").glob("*.json"):
-        for record in parse_scan_report(path.read_bytes()).records:
-            if record.severity is SeverityClass.CRITICAL:
-                if record.remote_code_execution:
-                    rce.add(record.cve_id)
-                if record.actionable:
-                    actionable.add(record.cve_id)
-    assert len(rce) == 10
-    assert len(actionable) == 13
+        tally.merge(parse_scan_report(path.read_bytes()).records)
+    assert len(tally.critical_rce) == 10
+    assert len(tally.critical_actionable) == 13
 
 
 def test_hardened_variants_fire_no_named_rules():

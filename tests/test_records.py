@@ -81,7 +81,9 @@ REPORT = json.dumps({
 
 # Each record that collects results, built by its producer.
 @pytest.mark.parametrize("make, held", [
-    (lambda empty: parse_scan_report(REPORT), ("records", "rejected")),
+    (lambda empty: parse_scan_report(REPORT),
+     ("rejected", "records.containers", "records.unique", "records.critical_rce",
+      "records.critical_actionable")),
     (load_directory, ("documents", "errors")),
     (lambda empty: parse_catalog({"rules": []}), ("rules", "frameworks", "advisories")),
     (lambda empty: audit_components([], []), ("findings", "errors")),
@@ -90,7 +92,7 @@ REPORT = json.dumps({
 def test_fresh_records_share_no_list_set_or_dict(tmp_path, make, held):
     first, second = make(tmp_path), make(tmp_path)
     for name in held:
-        mine, theirs = getattr(first, name), getattr(second, name)
+        mine, theirs = operator.attrgetter(name)(first), operator.attrgetter(name)(second)
         assert type(mine) in (list, set, dict) and mine == theirs
         assert mine is not theirs, name
 

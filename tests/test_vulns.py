@@ -1,19 +1,20 @@
 from __future__ import annotations
 
+import itertools
 import json
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ricaudit.cli import main
 from ricaudit.errors import AuditError
 from ricaudit.pipeline import audit
 from ricaudit.severity import SeverityClass, empty_counts
 from ricaudit.vulns import (
     ImageRef,
-    VulnRecord,
     VulnTally,
-    aggregate_by_container,
     classify_severity,
     occurrence_and_unique_totals,
     parse_scan_report,
@@ -75,27 +76,50 @@ class TestClassifySeverity:
             previous = current
 
 
-def report_payload(entries, container="c1"):
+def report_payload(entries, container="c1", tag="1"):
     return json.dumps(
         {
             "container": container,
-            "image": {"registry": "r.example", "repository": "app", "tag": "1"},
+            "image": {"registry": "r.example", "repository": "app", "tag": tag},
             "entries": entries,
         }
     )
 
 
+def histogram(report):
+    """The histogram of the one container row a report's tally holds."""
+    [(_, counts)] = report.records.containers.values()
+    return counts
+
+
+def one_in(severity):
+    return {**empty_counts(), severity: 1}
+
+
+def fold(texts):
+    """The tally of scan-report documents, merged in the order given."""
+    tally = VulnTally()
+    for text in texts:
+        tally.merge(parse_scan_report(text).records)
+    return tally
+
+
+def fixture_tally(scan_report_paths):
+    return fold(path.read_bytes() for path in scan_report_paths)
+
+
 class TestParseScanReport:
     def test_zero_entries(self):
         report = parse_scan_report(report_payload([]))
-        assert report.records == []
+        assert report.records == VulnTally()
+        assert report.records.containers == {}
         assert report.rejected == []
 
     def test_bundled_influxdb_fixture(self, scan_report_paths):
         path = next(p for p in scan_report_paths if p.name == "influxdb2.json")
         report = parse_scan_report(path.read_bytes())
         assert len(report.records) == 84
-        summary = aggregate_by_container(report.records).summaries()[0]
+        summary = report.records.summaries()[0]
         assert summary.vuln_histogram == {
             SeverityClass.CRITICAL: 10,
             SeverityClass.HIGH: 44,
@@ -110,9 +134,33 @@ class TestParseScanReport:
             {"cve_id": "CVE-2", "package": "p", "installed_version": "1", "cvss": 5.0},
         ]
         report = parse_scan_report(report_payload(entries))
-        assert [r.cve_id for r in report.records] == ["CVE-2"]
+        assert report.records.unique == {"CVE-2"}
+        assert histogram(report) == one_in(SeverityClass.MEDIUM)
         assert len(report.rejected) == 1
         assert report.rejected[0].index == 0
+
+    @pytest.mark.parametrize("cvss", [11.0, -0.5, 10.01, float("nan"), float("inf"),
+                                      float("-inf"), 10**400], ids=repr)
+    def test_one_entry_with_a_bad_cvss_adds_nothing(self, cvss):
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        report = parse_scan_report(report_payload([{**self.ENTRY, "cvss": cvss}]))
+        assert report.records == VulnTally()
+        assert [r.index for r in report.rejected] == [0]
+        assert report.rejected[0].reason == f"cvss {cvss} outside [0.0, 10.0] for CVE-1"
+
+    def test_rejected_entries_keep_entry_order(self):
+        cvss_values = [5.0, 11.0, 9.5, float("nan"), None, -1, 10**30]
+        entries = [{**self.ENTRY, "cve_id": f"CVE-{i}", "cvss": cvss}
+                   for i, cvss in enumerate(cvss_values)]
+        report = parse_scan_report(report_payload(entries))
+        assert [(r.index, r.reason) for r in report.rejected] == [
+            (1, "cvss 11.0 outside [0.0, 10.0] for CVE-1"),
+            (3, "cvss nan outside [0.0, 10.0] for CVE-3"),
+            (5, "cvss -1 outside [0.0, 10.0] for CVE-5"),
+            (6, f"cvss {10**30} outside [0.0, 10.0] for CVE-6"),
+        ]
+        assert report.records.unique == {"CVE-0", "CVE-2", "CVE-4"}
+        assert len(report.records) == 3
 
     def test_missing_field_names_entry_index(self):
         entries = [{"cve_id": "CVE-1", "package": "p", "installed_version": "1"},
@@ -136,8 +184,29 @@ class TestParseScanReport:
              "cvss": 2.0, "vendor_severity": "negligible"},
         ]
         report = parse_scan_report(report_payload(entries))
-        assert report.records[0].severity is SeverityClass.CRITICAL
-        assert report.records[1].severity is SeverityClass.NEGLIGIBLE
+        assert histogram(report) == {
+            **empty_counts(), SeverityClass.CRITICAL: 1, SeverityClass.NEGLIGIBLE: 1}
+
+    @pytest.mark.parametrize("cvss, vendor, expected", [
+        (9.8, None, SeverityClass.CRITICAL),
+        (None, "high", SeverityClass.HIGH),
+        (6.9, None, SeverityClass.MEDIUM),
+        (7, None, SeverityClass.HIGH),
+        (9.0, None, SeverityClass.CRITICAL),
+        (4.0, None, SeverityClass.MEDIUM),
+        (3.9, None, SeverityClass.LOW),
+        (0.1, None, SeverityClass.LOW),
+        (0, None, SeverityClass.NEGLIGIBLE),
+        (None, None, SeverityClass.NEGLIGIBLE),
+        (10, None, SeverityClass.CRITICAL),
+        (2.3, "negligible", SeverityClass.NEGLIGIBLE),
+        (9.9, "low", SeverityClass.LOW),
+    ])
+    def test_one_entry_lands_in_its_class(self, cvss, vendor, expected):
+        # Vendor severity wins; otherwise the CVSS buckets, integer scores included.
+        report = parse_scan_report(report_payload(
+            [{**self.ENTRY, "cvss": cvss, "vendor_severity": vendor}]))
+        assert histogram(report) == one_in(expected)
 
     def test_not_json(self):
         with pytest.raises(AuditError, match=r"^scan report <report>: not valid JSON: "):
@@ -171,6 +240,14 @@ class TestParseScanReport:
             parse_scan_report(report_payload(entries), origin="r.json")
         assert str(exc.value) == message
 
+    def test_bad_entry_after_accepted_ones_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(report_payload([self.ENTRY] * 3 + [{**self.ENTRY, "cvss": "high"}]))
+        assert main(["vulns", "--scan-report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ricaudit: scan report {path}: entry 3: cvss must be a number\n"
+
     def test_entry_not_a_mapping_names_its_index(self):
         with pytest.raises(AuditError) as exc:
             parse_scan_report(report_payload([self.ENTRY] * 2 + [[1]]), origin="r.json")
@@ -182,32 +259,37 @@ class TestParseScanReport:
     ])
     def test_vendor_label_read_as_from_label_reads_it(self, label, expected):
         entries = [{**self.ENTRY, "cvss": 9.9, "vendor_severity": label}]
-        record = parse_scan_report(report_payload(entries)).records[0]
-        assert record.vendor_severity is record.severity is expected
+        assert histogram(parse_scan_report(report_payload(entries))) == one_in(expected)
 
 
-def record(cve_id, container, severity=SeverityClass.MEDIUM, rce=False, fixed=None,
-           image=ImageRef("r.example", "app", "1")):
-    return VulnRecord(
-        cve_id=cve_id,
-        package="pkg",
-        installed_version="1.0",
-        fixed_version=fixed,
-        cvss=None,
-        vendor_severity=severity,
-        severity=severity,
-        remote_code_execution=rce,
-        container=container,
-        image=image,
-    )
+class Entry(NamedTuple):
+    """What a generated scan-report entry says, with the report it sits in."""
+
+    cve_id: str
+    container: str
+    severity: SeverityClass = SeverityClass.MEDIUM
+    rce: bool = False
+    fixed: str | None = None
+    tag: str = "1"
+    cvss: float | None = None
+
+
+def reports_of(entries):
+    """One scan-report document per run of entries that share container and tag."""
+    texts = []
+    for (container, tag), run in itertools.groupby(entries, lambda e: (e.container, e.tag)):
+        texts.append(report_payload([
+            {"cve_id": e.cve_id, "package": "pkg", "installed_version": "1.0",
+             "fixed_version": e.fixed, "cvss": e.cvss, "vendor_severity": e.severity.name.lower(),
+             "rce": e.rce}
+            for e in run
+        ], container, tag))
+    return texts
 
 
 class TestAggregation:
     def test_full_fixture_reproduces_all_rows(self, scan_report_paths):
-        records = [
-            r for path in scan_report_paths for r in parse_scan_report(path.read_bytes()).records
-        ]
-        summaries = aggregate_by_container(records).summaries()
+        summaries = fixture_tally(scan_report_paths).summaries()
         assert [s.container for s in summaries] == sorted(s.container for s in summaries)
         cells = {
             s.container: tuple(s.vuln_histogram[c] for c in sorted(SeverityClass, reverse=True))
@@ -227,7 +309,7 @@ class TestAggregation:
         assert critical_total == 16
 
     def test_single_container(self):
-        summaries = aggregate_by_container([record("CVE-1", "only")]).summaries()
+        summaries = fold(reports_of([Entry("CVE-1", "only")])).summaries()
         assert len(summaries) == 1
         assert summaries[0].container == "only"
         assert sum(summaries[0].vuln_histogram.values()) == 1
@@ -235,37 +317,39 @@ class TestAggregation:
     def test_histogram_sums_match_record_counts(self, scan_report_paths):
         for path in scan_report_paths:
             report = parse_scan_report(path.read_bytes())
-            summary = aggregate_by_container(report.records).summaries()[0]
+            summary = report.records.summaries()[0]
+            entries = json.loads(path.read_bytes())["entries"]
             assert sum(summary.vuln_histogram.values()) == len(report.records)
+            assert len(report.records) == len(entries) - len(report.rejected)
 
     def test_misconfig_only_container_gets_row(self):
         from ricaudit.rules import Finding
 
         finding = Finding("R", "ns/Pod/x", SeverityClass.LOW, "m", "r")
-        summaries = aggregate_by_container([]).summaries({"appx": [finding]})
+        summaries = VulnTally().summaries({"appx": [finding]})
         assert summaries[0].container == "appx"
         assert summaries[0].image is None
         assert summaries[0].misconfig_histogram[SeverityClass.LOW] == 1
         assert summaries[0].vuln_histogram == empty_counts()
 
     def test_interleaved_containers_match_a_per_record_fold(self):
-        # Runs of containers A, B, A, C, B: a container that comes back after
-        # another container's records keeps the image of its first record.
+        # Reports of containers A, B, A, C, B: a container that comes back
+        # after another container's report keeps the image of its first report.
         crit, low = SeverityClass.CRITICAL, SeverityClass.LOW
         runs = [("A", "1", [crit, low]), ("B", "1", [low]), ("A", "2", [crit, crit]),
                 ("C", "1", [low]), ("B", "2", [crit])]
-        records = [
-            record(f"CVE-{n}", container, severity, rce=n % 2 == 0, fixed="2" if n % 3 else None,
-                   image=ImageRef("r.example", container.lower(), tag))
+        entries = [
+            Entry(f"CVE-{n}", container, severity, rce=n % 2 == 0, fixed="2" if n % 3 else None,
+                  tag=tag)
             for n, (container, tag, severity) in enumerate(
                 (container, tag, severity) for container, tag, severities in runs
                 for severity in severities)
         ]
-        tally = aggregate_by_container(records)
-        expected = VulnTally()
-        for one in records:  # brute force: one record at a time
-            expected.merge(aggregate_by_container([one]))
-        assert tally == expected
+        texts = reports_of(entries)
+        assert len(texts) == len(runs)
+        tally = fold(texts)
+        # Brute force: one report per entry.
+        assert tally == fold(text for one in entries for text in reports_of([one]))
         assert {c: (image.tag, counts[crit], counts[low])
                 for c, (image, counts) in tally.containers.items()} == {
             "A": ("1", 3, 1), "B": ("1", 1, 1), "C": ("1", 0, 1)}
@@ -282,64 +366,60 @@ class TestAggregation:
         st.integers(0, 40),
     )
     def test_partition_stable(self, raw, split):
-        records = [record(f"CVE-{n}", container, sev) for n, container, sev in raw]
-        split = min(split, len(records))
+        entries = [Entry(f"CVE-{n}", container, sev) for n, container, sev in raw]
+        split = min(split, len(entries))
         merged: dict[str, dict] = {}
-        for part in (records[:split], records[split:]):
-            for summary in aggregate_by_container(part).summaries():
+        for part in (entries[:split], entries[split:]):
+            for summary in fold(reports_of(part)).summaries():
                 bucket = merged.setdefault(summary.container, empty_counts())
                 for cls, count in summary.vuln_histogram.items():
                     bucket[cls] += count
-        whole = {s.container: dict(s.vuln_histogram) for s in aggregate_by_container(records).summaries()}
+        whole = {s.container: dict(s.vuln_histogram) for s in fold(reports_of(entries)).summaries()}
         assert merged == whole
 
 
 class TestTotals:
     def test_same_cve_in_three_containers(self):
-        records = [record("CVE-1", c) for c in ("a", "b", "c")]
-        totals = occurrence_and_unique_totals(aggregate_by_container(records))
+        entries = [Entry("CVE-1", c) for c in ("a", "b", "c")]
+        totals = occurrence_and_unique_totals(fold(reports_of(entries)))
         assert totals.occurrences == 3
         assert totals.unique_cves == 1
 
     def test_empty(self):
-        assert occurrence_and_unique_totals(aggregate_by_container([])) == (0, 0, 0, 0)
+        assert occurrence_and_unique_totals(VulnTally()) == (0, 0, 0, 0)
 
     def test_unique_never_exceeds_occurrences(self, scan_report_paths):
-        records = [
-            r for path in scan_report_paths for r in parse_scan_report(path.read_bytes()).records
-        ]
-        totals = occurrence_and_unique_totals(aggregate_by_container(records))
+        totals = occurrence_and_unique_totals(fixture_tally(scan_report_paths))
         assert totals.unique_cves <= totals.occurrences
 
     def test_critical_sub_counts_are_distinct_ids(self):
-        records = [
-            record("CVE-C", "a", SeverityClass.CRITICAL, rce=True, fixed="2.0"),
-            record("CVE-C", "b", SeverityClass.CRITICAL, rce=True, fixed="2.0"),
-            record("CVE-D", "a", SeverityClass.CRITICAL, rce=False, fixed=None),
+        entries = [
+            Entry("CVE-C", "a", SeverityClass.CRITICAL, rce=True, fixed="2.0"),
+            Entry("CVE-C", "b", SeverityClass.CRITICAL, rce=True, fixed="2.0"),
+            Entry("CVE-D", "a", SeverityClass.CRITICAL, rce=False, fixed=None),
+            Entry("CVE-E", "a", SeverityClass.HIGH, rce=True, fixed="2.0"),
         ]
-        totals = occurrence_and_unique_totals(aggregate_by_container(records))
-        assert totals == (3, 2, 1, 1)
+        totals = occurrence_and_unique_totals(fold(reports_of(entries)))
+        assert totals == (4, 3, 1, 1)
 
     def test_fixture_totals(self, scan_report_paths):
-        records = [
-            r for path in scan_report_paths for r in parse_scan_report(path.read_bytes()).records
-        ]
-        totals = occurrence_and_unique_totals(aggregate_by_container(records))
+        totals = occurrence_and_unique_totals(fixture_tally(scan_report_paths))
         assert totals.occurrences == 888
         assert totals.unique_cves == 355
         assert totals.critical_rce == 10
         assert totals.critical_actionable == 13
 
 
-records_st = st.lists(
+entries_st = st.lists(
     st.builds(
-        record,
+        Entry,
         cve_id=st.sampled_from([f"CVE-{n}" for n in range(8)]),
         container=st.sampled_from(["a", "b", "c"]),
         severity=st.sampled_from(list(SeverityClass)),
         rce=st.booleans(),
         fixed=st.sampled_from([None, "2.0"]),
-        image=st.builds(ImageRef, st.just("r.example"), st.just("app"), st.sampled_from("123")),
+        tag=st.sampled_from("123"),
+        cvss=st.sampled_from([None, 5.0, 11.0]),  # vendor severity wins; 11.0 is rejected
     ),
     max_size=40,
 )
@@ -353,67 +433,71 @@ def histograms(tally):
     return {container: counts for container, (_, counts) in tally.containers.items()}
 
 
-def expected_rows_and_totals(records):
-    """What the tally must hold, computed straight from the records."""
+def expected_rows_and_totals(entries):
+    """What the tally must hold, counted straight from the entries."""
+    accepted = [e for e in entries if e.cvss is None or 0 <= e.cvss <= 10]
     by_container = {}
-    for r in records:
-        image, counts = by_container.setdefault(r.container, (r.image, empty_counts()))
-        counts[r.severity] += 1
-    critical = [r for r in records if r.severity is SeverityClass.CRITICAL]
+    for e in accepted:
+        image, counts = by_container.setdefault(
+            e.container, (ImageRef("r.example", "app", e.tag), empty_counts()))
+        counts[e.severity] += 1
+    critical = [e for e in accepted if e.severity is SeverityClass.CRITICAL]
     totals = (
-        len(records),
-        len({r.cve_id for r in records}),
-        len({r.cve_id for r in critical if r.remote_code_execution}),
-        len({r.cve_id for r in critical if r.fixed_version is not None}),
+        len(accepted),
+        len({e.cve_id for e in accepted}),
+        len({e.cve_id for e in critical if e.rce}),
+        len({e.cve_id for e in critical if e.fixed is not None}),
     )
     return [(c, *by_container[c]) for c in sorted(by_container)], totals
 
 
 class TestTally:
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(records_st, st.lists(st.integers(0, 40), max_size=5))
-    def test_any_split_merges_to_the_whole(self, records, cuts):
-        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+    @given(entries_st, st.lists(st.integers(0, 40), max_size=5))
+    def test_any_split_merges_to_the_whole(self, entries, cuts):
+        bounds = [0, *sorted(min(cut, len(entries)) for cut in cuts), len(entries)]
         folded = VulnTally()
         for lo, hi in zip(bounds, bounds[1:]):
-            folded.merge(aggregate_by_container(records[lo:hi]))
-        whole = aggregate_by_container(records)
-        expected_rows, expected_totals = expected_rows_and_totals(records)
+            folded.merge(fold(reports_of(entries[lo:hi])))
+        whole = fold(reports_of(entries))
+        expected_rows, expected_totals = expected_rows_and_totals(entries)
         assert rows(folded) == rows(whole) == expected_rows
         totals = occurrence_and_unique_totals(folded)
         assert totals == occurrence_and_unique_totals(whole) == expected_totals
-        # Histogram conservation: every record lands in exactly one cell.
+        # Histogram conservation: every accepted entry lands in exactly one cell.
         assert sum(sum(row[2].values()) for row in rows(folded)) == totals.occurrences
 
     @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(st.lists(records_st, max_size=6), st.data())
-    def test_report_order_changes_no_histogram_or_total(self, reports, data):
-        order = data.draw(st.permutations(range(len(reports))))
-
-        def fold(sequence):
-            tally = VulnTally()
-            for report in sequence:
-                tally.merge(aggregate_by_container(report))
-            return tally
-
-        given_order, reordered = fold(reports), fold([reports[i] for i in order])
+    @given(st.lists(entries_st, max_size=6), st.data())
+    def test_report_order_changes_no_histogram_or_total(self, groups, data):
+        texts = [text for entries in groups for text in reports_of(entries)]
+        order = data.draw(st.permutations(range(len(texts))))
+        given_order, reordered = fold(texts), fold([texts[i] for i in order])
         assert histograms(given_order) == histograms(reordered)
         assert (occurrence_and_unique_totals(given_order)
                 == occurrence_and_unique_totals(reordered))
+
+    def test_fresh_tally_equals_a_fresh_tally_and_len_is_occurrences(self):
+        assert VulnTally() == VulnTally()
+        assert len(VulnTally()) == VulnTally().occurrences == 0
+        entries = [Entry("CVE-1", "a"), Entry("CVE-1", "a"), Entry("CVE-2", "b", cvss=11.0)]
+        tally = fold(reports_of(entries))
+        assert tally != VulnTally()
+        assert len(tally) == tally.occurrences == 2
+        assert len(tally.merge(fold(reports_of(entries)))) == 4
 
 
 def write_report(path, container, tag, cvss_values):
     entries = [{"cve_id": f"CVE-{i}", "package": "p", "installed_version": "1", "cvss": cvss}
                for i, cvss in enumerate(cvss_values)]
-    payload = json.loads(report_payload(entries, container))
-    payload["image"]["tag"] = tag
-    path.write_text(json.dumps(payload))
+    path.write_text(report_payload(entries, container, tag))
     return path
 
 
 class TestFold:
     def test_edge_cases_of_folding_reports(self, tmp_path):
         paths = [
+            write_report(tmp_path / "0.json", "c", "0", []),  # no entry
             write_report(tmp_path / "1.json", "c", "1", [11.0, 12.0]),  # nothing accepted
             write_report(tmp_path / "2.json", "c", "2", [9.5]),
             write_report(tmp_path / "3.json", "d", "1", [11.0]),  # nothing accepted
@@ -421,7 +505,8 @@ class TestFold:
         ]
         lines = []
         result = audit(scan_reports=paths, diag=lines.append)
-        # The image of "c" is that of its first accepted record; "d" has no row.
+        # The image of "c" is that of its first report with an accepted entry;
+        # "d" has no row.
         assert [(s.container, s.image.tag, s.vuln_histogram[SeverityClass.CRITICAL],
                  sum(s.vuln_histogram.values())) for s in result.summaries] == [("c", "2", 1, 2)]
         assert result.totals == (2, 1, 0, 0)  # CVE-0 twice

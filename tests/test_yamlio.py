@@ -532,9 +532,9 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
     "SourceLocation", "load_directory", "parse_manifest_stream", "resource_ref", "Finding",
-    "Rule", "evaluate", "severity_histogram", "ContainerScanSummary", "ImageRef", "VulnRecord",
-    "VulnTally", "VulnTotals", "aggregate_by_container", "classify_severity",
-    "occurrence_and_unique_totals", "parse_scan_report", "Control", "ControlResult", "Evidence",
+    "Rule", "evaluate", "severity_histogram", "ContainerScanSummary", "ImageRef", "VulnTally",
+    "VulnTotals", "classify_severity", "occurrence_and_unique_totals", "parse_scan_report",
+    "Control", "ControlResult", "Evidence",
     "Framework", "FrameworkScore", "control_compliance", "framework_score", "AdvisoryEntry",
     "Version", "VersionFinding", "audit_components", "parse_version", "ClusterEndpoint",
     "fetch_resources", "AuditResult", "exit_code", "render_json", "render_table",
