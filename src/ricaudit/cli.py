@@ -8,7 +8,8 @@ combined). Each only chooses which of its inputs to hand to the one
 least one finding at/above it, 2 tool error; an unexpected exception is a
 one-line `internal error` with exit 2, and its traceback is printed only when
 RICAUDIT_DEBUG is set to a non-empty value. Diagnostics go to stderr; the
-report payload goes to stdout or --output, never interleaved.
+report payload goes to stdout or --output, never interleaved, and is written
+as it is rendered: after exit 2 either may hold part of a payload.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import reprlib
 import sys
 from collections.abc import Callable, Mapping, Sequence
-from pathlib import Path
+from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
@@ -228,17 +229,14 @@ def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
 
 
 def _emit(result: AuditResult, format: str, output: str | None) -> None:
-    parts = []
-    if format in ("table", "both"):
-        parts.append(render_table(result))
-        parts.append(render_remediations(result))
-    if format in ("json", "both"):
-        parts.append(render_json(result) + "\n")
-    payload = "".join(parts)
-    if output:
-        Path(output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    """Write the payload to `output` (UTF-8), or to stdout, as it is rendered."""
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
+        if format in ("table", "both"):
+            stream.write(render_table(result))
+            stream.write(render_remediations(result))
+        if format in ("json", "both"):
+            render_json(result, stream)
+            stream.write("\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

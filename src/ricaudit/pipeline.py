@@ -47,7 +47,7 @@ def build_result(
     generated_at: str | None = None,
 ) -> AuditResult:
     """Assemble one AuditResult from whatever workflows actually ran."""
-    misconfig_map = group_findings_by_app(list(findings), list(resources))
+    misconfig_map = group_findings_by_app(findings, resources)
     return AuditResult(
         summaries=tuple(tally.summaries(misconfig_map)),
         findings=tuple(findings),

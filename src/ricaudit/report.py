@@ -2,14 +2,17 @@
 
 The JSON document is the stable CI contract: keys sorted, no insignificant
 whitespace, byte-identical across runs for equal inputs. `generated_at` is
-the one run-dependent field; pin it with SOURCE_DATE_EPOCH.
+the one run-dependent field; pin it with SOURCE_DATE_EPOCH. `render_json`
+writes it to a stream as it encodes it, each list in slices of at most
+JSON_SLICE items, so rendering holds one slice of text and never the whole
+document.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, TextIO
 
 from .severity import TABLE_ORDER, SeverityClass
 from .versions import VersionFinding
@@ -18,6 +21,10 @@ from .rules import Finding
 from .compliance import FrameworkScore
 
 SCHEMA_VERSION = "1"
+
+# The canonical form: sorted keys, compact separators, text left unescaped.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+JSON_SLICE = 1000
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -133,11 +140,26 @@ def to_payload(result: AuditResult) -> dict[str, Any]:
     }
 
 
-def render_json(result: AuditResult) -> str:
-    """Canonical serialization: sorted keys, compact separators."""
-    return json.dumps(
-        to_payload(result), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+def render_json(result: AuditResult, stream: TextIO) -> None:
+    """Write the canonical serialization of `result` to `stream`.
+
+    The text is that of `json.dumps(to_payload(result), sort_keys=True,
+    separators=(",", ":"), ensure_ascii=False)`. Each slice of a list is
+    written before the next one is encoded.
+    """
+    payload = to_payload(result)
+    write = stream.write
+    for i, key in enumerate(sorted(payload)):
+        write(("," if i else "{") + _ENCODER.encode(key) + ":")
+        value = payload[key]
+        if not isinstance(value, list) or not value:
+            write(_ENCODER.encode(value))
+            continue
+        for start in range(0, len(value), JSON_SLICE):
+            write("," if start else "[")
+            write(_ENCODER.encode(value[start:start + JSON_SLICE])[1:-1])
+        write("]")
+    write("}")
 
 
 # --- text table -----------------------------------------------------------

@@ -23,13 +23,16 @@ message and the index of the offending document in the stream.
 A composed document made only of mappings with scalar keys, sequences and
 str, null, bool, int and float scalars under their standard tags, with no
 alias, is built by a plain recursive walk: the same tree the safe
-constructor gives, in less than half its time. Any other document (aliases,
-merge keys, other tags, a scalar that does not convert) is built by the
-loader's own constructor, so its data and its errors are unchanged.
+constructor gives, in less than half its time. The walk interns each str
+mapping key, as `json.loads` memoizes keys, so the many documents of a large
+manifest set share one copy of each key they repeat. Any other document
+(aliases, merge keys, other tags, a scalar that does not convert) is built by
+the loader's own constructor, so its data and its errors are unchanged.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -118,7 +121,8 @@ def _build(loader: Any, node: yaml.Node, seen: set[int]) -> Any:
         for key, value in node.value:
             if type(key) is not yaml.ScalarNode:
                 raise _Unusual
-            mapping[_build(loader, key, seen)] = _build(loader, value, seen)
+            name = _build(loader, key, seen)
+            mapping[sys.intern(name) if type(name) is str else name] = _build(loader, value, seen)
         return mapping
     elif kind is yaml.SequenceNode and tag == _SEQ:
         return [_build(loader, item, seen) for item in node.value]

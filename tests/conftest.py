@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -8,6 +9,14 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from ricaudit.catalogs import data_path
+from ricaudit.report import render_json
+
+
+def rendered_json(result) -> str:
+    """The text `render_json` writes for `result`."""
+    stream = io.StringIO()
+    render_json(result, stream)
+    return stream.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pod_item
+from conftest import pod_item, rendered_json
 from ricaudit.catalogs import data_path, load_catalogs
 from ricaudit.cli import main
 from ricaudit.cluster import ClusterEndpoint, fetch_resources
@@ -28,7 +28,7 @@ from ricaudit.compliance import (
     framework_score,
 )
 from ricaudit.manifests import load_directory
-from ricaudit.report import AuditResult, render_json, to_payload
+from ricaudit.report import AuditResult, to_payload
 from ricaudit.rules import Finding, evaluate, severity_histogram
 from ricaudit.severity import SeverityClass
 from ricaudit.vulns import (
@@ -355,7 +355,7 @@ def audit_results(draw):
 @given(audit_results())
 def test_criterion_5e_render_json_canonical_round_trip(result):
     # The rendered document is its own canonical form, and it holds the payload.
-    rendered = render_json(result)
+    rendered = rendered_json(result)
     parsed = json.loads(rendered)
     canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert canonical == rendered

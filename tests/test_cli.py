@@ -430,6 +430,52 @@ class TestReport:
         payload = json.loads(out_path.read_text())
         assert payload["totals"]["vulnerability_occurrences"] == 888
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "both"])
+    def test_output_file_holds_the_bytes_stdout_holds(
+        self, capsys, monkeypatch, tmp_path, vulnerable_manifests, scan_report_paths,
+        inventory_path, fmt,
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        argv = self._argv(vulnerable_manifests, scan_report_paths, inventory_path, fmt)
+        code, out, err = run_cli(capsys, *argv)
+        path = tmp_path / "payload"
+        assert run_cli(capsys, *argv, "--output", str(path)) == (code, "", err)
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("target", ["missing/payload.json", "."])
+    def test_unwritable_output_is_one_line_exit_2(
+        self, capsys, tmp_path, vulnerable_manifests, scan_report_paths, inventory_path, target
+    ):
+        path = tmp_path / target
+        argv = self._argv(vulnerable_manifests, scan_report_paths, inventory_path)
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"ricaudit: \[Errno \d+\] [^\n]*: '{re.escape(str(path))}'\n", err)
+
+    def test_render_failing_after_its_first_slice_is_exit_2(
+        self, capsys, monkeypatch, vulnerable_manifests, scan_report_paths, inventory_path
+    ):
+        real_render_json = cli.render_json
+
+        def render_one_slice(result, stream):
+            class FailingAfterFirstSlice:
+                sliced = False
+
+                def write(self, text):
+                    if self.sliced:
+                        raise RuntimeError("stream lost")
+                    self.sliced = '"rule_id":' in text
+                    stream.write(text)
+
+            real_render_json(result, FailingAfterFirstSlice())
+
+        monkeypatch.setattr("ricaudit.cli.render_json", render_one_slice)
+        argv = self._argv(vulnerable_manifests, scan_report_paths, inventory_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "ricaudit: internal error: RuntimeError: 'stream lost'\n"
+        assert '"rule_id":' in out and not out.endswith("}\n")  # part of a payload, not a report
+
 
 class TestClusterIntegration:
     def test_scan_via_endpoint(self, capsys, monkeypatch, mock_cluster):

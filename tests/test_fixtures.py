@@ -7,6 +7,7 @@ import shutil
 import pytest
 import yaml
 
+from conftest import rendered_json
 from ricaudit.catalogs import load_catalogs
 from ricaudit.cli import main
 from ricaudit.errors import AuditError
@@ -17,7 +18,6 @@ from ricaudit.fixtures import (
     load_index,
     verify_fixtures,
 )
-from ricaudit.report import render_json
 from ricaudit.rules import evaluate
 from ricaudit.manifests import load_directory
 from ricaudit.vulns import VulnTally, parse_scan_report
@@ -136,4 +136,4 @@ def test_fixture_audit_equals_cli_report(capsys, monkeypatch):
         argv += ["--scan-report", str(path)]
     main(argv)
     payload = capsys.readouterr().out
-    assert payload == render_json(fixture_audit_result(generated_at="2023-11-14T22:13:20Z")) + "\n"
+    assert payload == rendered_json(fixture_audit_result(generated_at="2023-11-14T22:13:20Z")) + "\n"

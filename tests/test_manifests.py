@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 import yaml
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ricaudit.catalogs import data_path
+from ricaudit.cli import main
 from ricaudit.errors import AuditError, DocumentError
 from ricaudit.manifests import load_directory, parse_manifest_stream, resource_ref
 from ricaudit.pipeline import audit
@@ -252,3 +259,88 @@ def test_only_regular_manifest_files_load_each_once(tmp_path):
         (str(tmp_path / "a-link.yaml"), "e2term"),
         *((str(tmp_path / "dir.yaml" / "inner.json"), name) for name in "abc"),
     ]
+
+
+# --- metamorphic properties over generated manifest sets ---------------------
+#
+# A generated set draws documents from the shipped manifests and gives each
+# a name of its own and one of a few namespaces. However the set is laid out
+# or scoped, the audit must judge the same documents the same way.
+
+SOURCES = [
+    doc
+    for path in sorted(data_path("fixtures", "manifests").rglob("*.yaml"))
+    for doc in yaml.safe_load_all(path.read_text(encoding="utf-8"))
+    if doc
+]
+NAMESPACES = ["ricplt", "ricxapp", "ricinfra"]
+
+
+@st.composite
+def manifest_sets(draw) -> list[dict]:
+    """Documents copied from SOURCES, each renamed and put in a drawn namespace."""
+    picks = draw(st.lists(st.tuples(st.integers(0, len(SOURCES) - 1),
+                                    st.sampled_from(NAMESPACES)), min_size=1, max_size=8))
+    documents = []
+    for k, (source, namespace) in enumerate(picks):
+        doc = json.loads(json.dumps(SOURCES[source]))  # a deep copy
+        metadata = doc.setdefault("metadata", {})
+        metadata["name"] = f"{metadata.get('name', 'doc')}-{k}"
+        if "namespace" in metadata:  # cluster-scoped documents stay so
+            metadata["namespace"] = namespace
+        documents.append(doc)
+    return documents
+
+
+def write_set(directory, documents: list[dict], names: list[int] | None = None) -> None:
+    """`documents` as one stream, or as one file each, the k-th named `names[k]`."""
+    directory.mkdir()
+    if names is None:
+        (directory / "all.yaml").write_text(yaml.safe_dump_all(documents), encoding="utf-8")
+        return
+    for name, doc in zip(names, documents):
+        (directory / f"d{name:02d}.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+
+
+def payload_of(*argv: str) -> dict:
+    """The JSON payload of `main(argv)`, less its run-dependent `generated_at`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    assert code in (0, 1) and err.getvalue() == "", err.getvalue()
+    payload = json.loads(out.getvalue())
+    del payload["generated_at"]
+    return payload
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(manifest_sets(), st.randoms(use_true_random=False))
+def test_payload_independent_of_file_layout_and_order(tmp_path_factory, documents, rng):
+    root = tmp_path_factory.mktemp("layouts")
+    split = list(range(len(documents)))
+    shuffled = rng.sample(split, len(split))
+    payloads = []
+    for layout, names in (("split", split), ("shuffled", shuffled), ("stream", None)):
+        write_set(root / layout, documents, names)
+        payloads.append(payload_of("report", str(root / layout)))
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(manifest_sets())
+def test_report_findings_and_rows_equal_those_of_scan(tmp_path_factory, documents):
+    root = tmp_path_factory.mktemp("report") / "set"
+    write_set(root, documents)
+    scanned, reported = payload_of("scan", str(root)), payload_of("report", str(root))
+    assert reported["findings"] == scanned["findings"]
+    assert reported["containers"] == scanned["containers"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(manifest_sets(), st.sampled_from(NAMESPACES))
+def test_namespace_scope_restricts_the_unscoped_findings(tmp_path_factory, documents, namespace):
+    root = tmp_path_factory.mktemp("scope") / "set"
+    write_set(root, documents)
+    unscoped = payload_of("scan", str(root))["findings"]
+    scoped = payload_of("scan", str(root), "--namespace", namespace)["findings"]
+    assert scoped == [f for f in unscoped if f["resource"].startswith(f"{namespace}/")]

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
+from conftest import rendered_json
 from ricaudit.catalogs import data_path
 from ricaudit.compliance import FrameworkScore
 from ricaudit.fixtures import fixture_audit_result
 from ricaudit.report import (
+    JSON_SLICE,
     AuditResult,
     exit_code,
     render_json,
@@ -55,27 +57,27 @@ class TestAuditResultInvariants:
 
 class TestRenderJson:
     def test_canonical_byte_identity_modulo_timestamp(self):
-        first = render_json(fixture_audit_result(generated_at="2026-01-01T00:00:00Z"))
-        second = render_json(fixture_audit_result(generated_at="2026-02-02T00:00:00Z"))
+        first = rendered_json(fixture_audit_result(generated_at="2026-01-01T00:00:00Z"))
+        second = rendered_json(fixture_audit_result(generated_at="2026-02-02T00:00:00Z"))
         assert first != second
         unstamped = [json.loads(rendered) | {"generated_at": ""} for rendered in (first, second)]
         assert unstamped[0] == unstamped[1]
 
     def test_equal_inputs_byte_identical(self):
-        a = render_json(fixture_audit_result(generated_at="t"))
-        b = render_json(fixture_audit_result(generated_at="t"))
+        a = rendered_json(fixture_audit_result(generated_at="t"))
+        b = rendered_json(fixture_audit_result(generated_at="t"))
         assert a == b
 
     def test_round_trip_structural(self):
         result = fixture_audit_result(generated_at="t")
-        rendered = render_json(result)
+        rendered = rendered_json(result)
         parsed = json.loads(rendered)
         canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         assert canonical == rendered
         assert parsed == json.loads(json.dumps(to_payload(result)))
 
     def test_keys_sorted_no_whitespace(self):
-        rendered = render_json(result_with())
+        rendered = rendered_json(result_with())
         assert ": " not in rendered and ", " not in rendered
         payload = json.loads(rendered)
         assert list(payload) == sorted(payload)
@@ -84,8 +86,58 @@ class TestRenderJson:
         schema = json.loads(
             data_path("schema", "audit-result.schema.json").read_text(encoding="utf-8")
         )
-        payload = json.loads(render_json(fixture_audit_result(generated_at="t")))
+        payload = json.loads(rendered_json(fixture_audit_result(generated_at="t")))
         schema_validate(payload, schema)
+
+
+def canonical_dumps(result: AuditResult) -> str:
+    return json.dumps(to_payload(result), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+
+
+# Text that JSON escapes (quotes, backslashes, control characters) or that the
+# canonical form leaves unescaped (non-ASCII, including astral characters).
+tricky_texts = st.text(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u2028é猫😀 a'), max_size=6)
+
+
+@st.composite
+def sized_results(draw, count: int) -> AuditResult:
+    """A result with `count` findings and a few of every other record, all
+    holding drawn text."""
+    texts = draw(st.lists(tricky_texts, min_size=1, max_size=4))
+    text = lambda i: texts[i % len(texts)]
+    findings = tuple(Finding(text(i), f"ns/Pod/{text(i + 1)}{i}", SeverityClass(i % 5),
+                             text(i + 2), text(i + 3)) for i in range(count))
+    summaries = tuple(summary(f"{text(i)}{i}", misconfig={SeverityClass.LOW: i})
+                      for i in range(draw(st.integers(0, 3))))
+    scores = (FrameworkScore(text(0), draw(st.none() | st.integers(0, 100)), 1, 0),)
+    return result_with(summaries=summaries, findings=findings, framework_scores=scores,
+                       generated_at=text(1), tool_version=text(2))
+
+
+class Writes(list):
+    """A text stream that keeps each write apart."""
+
+    write = list.append
+
+
+class TestStreamedJson:
+    @pytest.mark.parametrize("count", [0, 1, 999, 1000, 1001, 2001])
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_streamed_text_equals_canonical_dumps(self, count, data):
+        result = data.draw(sized_results(count))
+        assert rendered_json(result) == canonical_dumps(result)
+
+    def test_no_write_holds_more_than_one_slice(self):
+        result = result_with(findings=tuple(
+            Finding("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r") for i in range(5000)))
+        writes = Writes()
+        render_json(result, writes)
+        assert "".join(writes) == canonical_dumps(result)
+        per_write = [text.count('"rule_id":') for text in writes]
+        assert max(per_write) == JSON_SLICE
+        assert sum(per_write) == 5000 and per_write.count(JSON_SLICE) == 5
 
 
 class TestRenderTable:
@@ -201,7 +253,7 @@ def audit_results(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(audit_results())
 def test_exit_1_exactly_when_payload_holds_something_at_fail_on(result):
-    payload = json.loads(render_json(result))
+    payload = json.loads(rendered_json(result))
     for fail_on in FAIL_ON:
         at_or_above = set(FAIL_ON[FAIL_ON.index(fail_on):])
         expected = int(

@@ -324,6 +324,37 @@ def test_documents_and_errors_match_the_safe_constructor(text):
         assert (str(raised), raised.document_index) == (yamlio._one_line(error), len(expected))
 
 
+def mapping_keys(tree) -> list:
+    """Every mapping key in `tree`, depth first."""
+    if isinstance(tree, dict):
+        return [k for key, value in tree.items() for k in (key, *mapping_keys(value))]
+    if isinstance(tree, list):
+        return [k for item in tree for k in mapping_keys(item)]
+    return []
+
+
+key_trees = st.recursive(
+    st.text(max_size=4) | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=24) | st.integers() | st.booleans() | st.none(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(key_trees)
+@example({"app.kubernetes.io/name": {"readOnlyRootFilesystem": 1, 2: None, True: 3, None: 4}})
+def test_str_keys_of_separate_documents_are_one_object(tree):
+    text = yaml.safe_dump(tree)
+    first, second = yamlio.load(text), yamlio.load(text)
+    assert repr(first) == repr(yaml.load(text, Loader=yamlio.Loader))  # repr: True is not 1
+    for a, b in zip(mapping_keys(first), mapping_keys(second), strict=True):
+        if type(a) is str:
+            assert a is b
+        else:  # integer, boolean and null keys are left as the constructor builds them
+            assert type(a) in (int, bool, type(None)) and a == b
+
+
 def test_aliases_still_share_one_object():
     document = yamlio.load("a: &x {b: [1]}\nc: *x\n")
     assert document["a"] is document["c"]
