@@ -11,12 +11,12 @@ compliance.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from math import lcm
 from typing import NamedTuple
 
 from .errors import AuditError, CatalogError
-from .manifests import ResourceDocument, resource_ref
+from .manifests import ResourceDocument, ResourceRecord
 from .rules import Finding, Rule
 
 
@@ -61,12 +61,13 @@ class Evidence(NamedTuple):
     def build(
         cls,
         findings: Sequence[Finding],
-        resources: Sequence[ResourceDocument],
+        resources: Iterable[ResourceRecord | ResourceDocument],
         catalog: Sequence[Rule],
     ) -> "Evidence":
+        """`resources` are the records of the evaluated documents, or the documents themselves."""
         refs_by_kind: dict[str, list[str]] = {}
-        for doc in resources:
-            refs_by_kind.setdefault(doc.kind, []).append(resource_ref(doc))
+        for res in resources:
+            refs_by_kind.setdefault(res.kind, []).append(res.ref)
         failing_refs: dict[str, set[str]] = {}
         for finding in findings:
             failing_refs.setdefault(finding.rule_id, set()).add(finding.resource)

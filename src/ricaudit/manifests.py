@@ -4,6 +4,12 @@ Multi-document YAML and JSON-style manifests are both handled by the YAML
 parser (JSON is a YAML subset). `List` objects are flattened into their
 items because every downstream consumer operates per object. Unknown kinds
 are retained: an auditor must not drop evidence it does not understand.
+
+Only the rules read a document's body. `load_directory` hands each file's
+documents on as soon as the file is parsed, and what a run keeps of a
+document after that is its ResourceRecord: kind, namespace, app label and
+ref. So a manifest stage holds one file's bodies plus one small record per
+document.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import errno
 import os
 import stat
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -30,11 +36,26 @@ class SourceLocation(NamedTuple):
     document_index: int
 
 
+class ResourceRecord(NamedTuple):
+    """What a run keeps of a document once the rules have read its body."""
+
+    kind: str
+    namespace: str | None
+    # The container the document belongs to, if it names one (see ResourceDocument.app).
+    app: str | None
+    ref: str
+
+    # A record has no body: the rules judged on records read none.
+    body = None
+
+
 class ResourceDocument(NamedTuple):
     """One parsed Kubernetes object.
 
     `body` is the full manifest tree (maps/lists/scalars) and is treated as
-    immutable after construction; rule evaluation never mutates it.
+    immutable after construction; rule evaluation never mutates it. `ref` is
+    the canonical "namespace/kind/name", with "_cluster" for a cluster-scoped
+    object, rendered once when the document is built.
     """
 
     api_version: str
@@ -44,11 +65,15 @@ class ResourceDocument(NamedTuple):
     labels: Mapping[str, str]
     body: Mapping[str, Any]
     source: SourceLocation
+    ref: str
 
+    @property
+    def app(self) -> str | None:
+        """The `app` label, else the `app.kubernetes.io/name` label, else None."""
+        return self.labels.get("app") or self.labels.get("app.kubernetes.io/name") or None
 
-def resource_ref(doc: ResourceDocument) -> str:
-    """Canonical "namespace/kind/name"; cluster-scoped uses "_cluster"."""
-    return f"{doc.namespace or CLUSTER_SCOPE}/{doc.kind}/{doc.name}"
+    def record(self) -> ResourceRecord:
+        return ResourceRecord(self.kind, self.namespace, self.app, self.ref)
 
 
 def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str]:
@@ -84,6 +109,7 @@ def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument
         labels=_labels_of(raw, origin, index),
         body=raw,
         source=SourceLocation(file_path=origin, document_index=index),
+        ref=f"{namespace or CLUSTER_SCOPE}/{kind}/{name}",
     )
 
 
@@ -174,7 +200,9 @@ def distinct_files(paths: Iterable[str | Path]) -> Iterator[str | Path]:
 _NO_FILE = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP}
 
 
-def load_directory(*roots: str | Path) -> DirectoryLoad:
+def load_directory(
+    *roots: str | Path, consume: Callable[[list[ResourceDocument]], None] | None = None
+) -> DirectoryLoad:
     """Recursively load every manifest file under each root, root by root.
 
     Parse errors are collected per file, not raised, so one malformed file
@@ -183,6 +211,10 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
     first path that reached it. Document order is deterministic: root
     order, then lexicographic by file path within a root, then document
     index.
+
+    Each file's documents go to `consume` as soon as the file is parsed,
+    and are released before the next file is read. By default they are
+    collected in the result's `documents`.
     """
     files: dict[tuple[int, int], Path] = {}
     for root in map(Path, roots):
@@ -207,6 +239,7 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
                 files.setdefault((status.st_dev, status.st_ino), path)
 
     result = DirectoryLoad(documents=[], errors=[])
+    consume = consume or result.documents.extend
     for path in files.values():
         try:
             raw = path.read_bytes()
@@ -218,5 +251,6 @@ def load_directory(*roots: str | Path) -> DirectoryLoad:
         except DocumentError as exc:
             result.errors.append(ParseFailure(str(path), exc))
             continue
-        result.documents.extend(docs)
+        consume(docs)
+        del docs
     return result

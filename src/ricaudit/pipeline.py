@@ -4,6 +4,11 @@ The assessment's four workflows (manifest scan, vulnerability ingestion,
 compliance scoring, version audit) are stages of `audit`, each run only
 when its input is given; this module wires them into one AuditResult
 without any terminal I/O.
+
+Each stage holds its input only as long as it needs it. The manifest
+stage scopes and evaluates each file's documents as the file is parsed and
+keeps a small record per document (see `rules.Evaluation`); each scan
+report is counted into the tally as it is read.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from . import __version__
 from .catalogs import load_catalogs, load_inventory
 from .compliance import Evidence, FrameworkScore, score_framework
 from .errors import AuditError
-from .manifests import ResourceDocument, distinct_files, load_directory
+from .manifests import ResourceDocument, ResourceRecord, distinct_files, load_directory
 from .report import AuditResult
-from .rules import WILDCARD_KIND, Finding, evaluate, group_findings_by_app
+from .rules import WILDCARD_KIND, Evaluation, Finding, group_findings_by_app
 from .versions import VersionAudit, audit_components
 from .vulns import VulnTally, occurrence_and_unique_totals, parse_scan_report
 
@@ -41,12 +46,16 @@ def build_result(
     *,
     tally: VulnTally,
     findings: Sequence[Finding] = (),
-    resources: Sequence[ResourceDocument] = (),
+    resources: Sequence[ResourceRecord | ResourceDocument] = (),
     framework_scores: Sequence[FrameworkScore] = (),
     version_audit: VersionAudit | None = None,
     generated_at: str | None = None,
 ) -> AuditResult:
-    """Assemble one AuditResult from whatever workflows actually ran."""
+    """Assemble one AuditResult from whatever workflows actually ran.
+
+    `resources` are the records of the evaluated documents (or the
+    documents themselves); their app labels group the findings.
+    """
     misconfig_map = group_findings_by_app(findings, resources)
     return AuditResult(
         summaries=tuple(tally.summaries(misconfig_map)),
@@ -94,16 +103,22 @@ def audit(
             # A framework named twice is scored once, at its first place.
             selected = [by_id[fid] for fid in dict.fromkeys(frameworks)]
 
-    resources: list[ResourceDocument] = []
+    records: list[ResourceRecord] = []
     findings: list[Finding] = []
     scores: list[FrameworkScore] = []
     if manifests or endpoint:
-        load = load_directory(*manifests)
+        evaluation = Evaluation(bundle.rules)
+
+        def add_file(documents: list[ResourceDocument]) -> None:
+            # The namespace scopes file documents here and the cluster fetch
+            # below; a cluster-scoped file document is outside every namespace.
+            if namespace:
+                documents = [d for d in documents if d.namespace == namespace]
+            evaluation.add(documents)
+
+        load = load_directory(*manifests, consume=add_file)
         for failure in load.errors:
             diag(f"parse error in {failure.file_path}: {failure.error}")
-        # The namespace scopes file documents here and the cluster fetch
-        # below; a cluster-scoped file document is outside every namespace.
-        resources = [d for d in load.documents if not namespace or d.namespace == namespace]
         if endpoint:
             # Imported here so that file-only runs never load `requests`.
             from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources
@@ -117,10 +132,10 @@ def audit(
                 for kind in rule.applies_to
                 if kind != WILDCARD_KIND and kind in KIND_ROUTES
             }
-            resources.extend(fetch_resources(cluster, kinds=kinds, namespace=namespace))
-        findings = evaluate(bundle.rules, resources)
+            evaluation.add(fetch_resources(cluster, kinds=kinds, namespace=namespace))
+        findings, records = evaluation.finish()
         if frameworks is not None:
-            evidence = Evidence.build(findings, resources, bundle.rules)
+            evidence = Evidence.build(findings, records, bundle.rules)
             scores = [score_framework(fw, evidence)[0] for fw in selected]
 
     # Each report's tally is merged in as it is read: memory is bounded by the largest report.
@@ -147,7 +162,7 @@ def audit(
     return build_result(
         tally=tally,
         findings=findings,
-        resources=resources,
+        resources=records,
         framework_scores=scores,
         version_audit=version_audit,
         generated_at=generated_at,

@@ -20,11 +20,11 @@ import math
 import re
 import reprlib
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from .errors import CatalogError
-from .manifests import ResourceDocument, resource_ref
+from .manifests import ResourceDocument, ResourceRecord
 
 # Kinds that embed a pod template, and the path to the pod spec inside them.
 POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
@@ -39,6 +39,9 @@ POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
 
 
 PodView = tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]
+
+# What a check reads beyond its document's kind, namespace and ref (see `compile_check`).
+BODY, CONTEXT = "body", "context"
 
 
 class EvalContext:
@@ -60,11 +63,12 @@ class EvalContext:
         self.last_pod: tuple = (None, None)
 
     @classmethod
-    def build(cls, documents: Sequence[ResourceDocument]) -> "EvalContext":
+    def build(cls, resources: Iterable[ResourceRecord | ResourceDocument]) -> "EvalContext":
+        """The facts of a whole set of resources: their records, or the documents themselves."""
         ctx = cls()
-        for doc in documents:
-            ctx.namespace_kinds.setdefault(doc.namespace, set()).add(doc.kind)
-            ctx.ref_counts[resource_ref(doc)] += 1
+        for res in resources:
+            ctx.namespace_kinds.setdefault(res.namespace, set()).add(res.kind)
+            ctx.ref_counts[res.ref] += 1
         return ctx
 
     def pod(self, doc: ResourceDocument) -> PodView:
@@ -75,7 +79,8 @@ class EvalContext:
         return last[1]
 
 
-Check = Callable[[Any, ResourceDocument, EvalContext], bool]
+# A check judges a node of a document; one that reads no BODY may judge a record.
+Check = Callable[[Any, ResourceDocument | ResourceRecord, EvalContext], bool]
 
 
 def resolve_path(node: Any, path: str) -> list[Any]:
@@ -269,22 +274,44 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
     """Compile a check mapping into a callable predicate.
 
     Raises CatalogError on unknown combinators or malformed arguments, so
-    bad catalogs fail before any evaluation starts.
+    bad catalogs fail before any evaluation starts. The predicate's `reads`
+    attribute is a frozenset naming what the check reads beyond its
+    document's kind, namespace and ref: BODY, the document's body, and CONTEXT,
+    facts about the other documents (`EvalContext.namespace_kinds` and
+    `ref_counts`). A check that reads CONTEXT can only be judged once every
+    document is known (see `rules.Evaluation`).
     """
+    reads: set[str] = set()
+    check = _compile(spec, reads)
+    check.reads = frozenset(reads)
+    return check
+
+
+def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
+    """`compile_check` without the `reads` mark: what the check reads is added to `reads`."""
     _require(isinstance(spec, Mapping) and len(spec) == 1,
              f"a check must be a one-key mapping, got {spec!r}")
     op, arg = next(iter(spec.items()))
+    if op in ("namespace_lacks_kind", "duplicate_ref"):
+        reads.add(CONTEXT)
+    elif op not in ("all_of", "any_of", "not", "kind_is"):
+        reads.add(BODY)
+
+    def compile_sub(sub_spec: Mapping[str, Any]) -> Check:
+        sub = compile_check(sub_spec)
+        reads.update(sub.reads)
+        return sub
 
     if op == "all_of":
         _require(isinstance(arg, list) and arg, "all_of needs a non-empty list")
-        subs = [compile_check(s) for s in arg]
+        subs = [compile_sub(s) for s in arg]
         return lambda node, doc, ctx: all(s(node, doc, ctx) for s in subs)
     if op == "any_of":
         _require(isinstance(arg, list) and arg, "any_of needs a non-empty list")
-        subs = [compile_check(s) for s in arg]
+        subs = [compile_sub(s) for s in arg]
         return lambda node, doc, ctx: any(s(node, doc, ctx) for s in subs)
     if op == "not":
-        sub = compile_check(arg)
+        sub = compile_sub(arg)
         return lambda node, doc, ctx: not sub(node, doc, ctx)
 
     if op == "kind_is":
@@ -317,7 +344,7 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
 
     if op == "any_item" or op == "all_items":
         path, check = entry_fields(arg, op, {"path": STRING, "check": ANY}).values()
-        sub = compile_check(check)
+        sub = compile_sub(check)
         if op == "any_item":
             return lambda node, doc, ctx: any(
                 sub(item, doc, ctx)
@@ -333,15 +360,15 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
         )
 
     if op == "pod_spec":
-        sub = compile_check(arg)
+        sub = compile_sub(arg)
         return lambda node, doc, ctx: (
             (spec_node := ctx.pod(doc)[0]) is not None and sub(spec_node, doc, ctx)
         )
     if op == "any_container":
-        sub = compile_check(arg)
+        sub = compile_sub(arg)
         return lambda node, doc, ctx: any(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
     if op == "all_containers":
-        sub = compile_check(arg)
+        sub = compile_sub(arg)
         return lambda node, doc, ctx: all(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
 
     if op == "image_registry_not_in":
@@ -376,6 +403,6 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
         return lambda node, doc, ctx: arg not in ctx.namespace_kinds.get(doc.namespace, set())
 
     if op == "duplicate_ref":
-        return lambda node, doc, ctx: ctx.ref_counts[resource_ref(doc)] > 1
+        return lambda node, doc, ctx: ctx.ref_counts[doc.ref] > 1
 
     raise CatalogError(f"unknown check combinator: {op!r}")

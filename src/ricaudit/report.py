@@ -4,14 +4,16 @@ The JSON document is the stable CI contract: keys sorted, no insignificant
 whitespace, byte-identical across runs for equal inputs. `generated_at` is
 the one run-dependent field; pin it with SOURCE_DATE_EPOCH. `render_json`
 writes it to a stream as it encodes it, each list in slices of at most
-JSON_SLICE items, so rendering holds one slice of text and never the whole
-document.
+JSON_SLICE items, building each slice's dicts just before it encodes them,
+so rendering holds one slice of dicts and text and never the whole
+document. `to_payload` builds the same document whole, from the same
+per-item converters.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any, NamedTuple, TextIO
 
 from .severity import TABLE_ORDER, SeverityClass
@@ -74,62 +76,71 @@ def _histogram_payload(histogram: Mapping[SeverityClass, int]) -> dict[str, int]
     return {cls.name.lower(): int(histogram.get(cls, 0)) for cls in TABLE_ORDER}
 
 
-def to_payload(result: AuditResult) -> dict[str, Any]:
+def _container_payload(s: ContainerScanSummary) -> dict[str, Any]:
+    return {
+        "container": s.container,
+        "image": (
+            {"registry": s.image.registry, "repository": s.image.repository, "tag": s.image.tag}
+            if s.image
+            else None
+        ),
+        "vulnerabilities": _histogram_payload(s.vuln_histogram),
+        "misconfigurations": _histogram_payload(s.misconfig_histogram),
+    }
+
+
+def _finding_payload(f: Finding) -> dict[str, Any]:
+    return {
+        "rule_id": f.rule_id,
+        "resource": f.resource,
+        "severity": f.severity.name.lower(),
+        "message": f.message,
+        "remediation": f.remediation,
+    }
+
+
+def _score_payload(s: FrameworkScore) -> dict[str, Any]:
+    return {
+        "framework_id": s.framework_id,
+        "percent": s.percent,
+        "evaluated_controls": s.evaluated_controls,
+        "not_applicable_controls": s.not_applicable_controls,
+    }
+
+
+def _version_payload(v: VersionFinding) -> dict[str, Any]:
+    return {
+        "component": v.component,
+        "installed": str(v.installed),
+        "severity": v.severity.name.lower(),
+        "cve_count": v.matched_entry.cve_count,
+        "cvss_min": v.matched_entry.cvss_min,
+        "cvss_max": v.matched_entry.cvss_max,
+        "affected": str(v.matched_entry.affected),
+        "vulnerability_classes": list(v.matched_entry.vulnerability_classes),
+        "recommended_min_version": (
+            str(v.matched_entry.recommended_min_version)
+            if v.matched_entry.recommended_min_version
+            else None
+        ),
+    }
+
+
+# Each list in the payload: its key, the result field it lists and the converter of one item.
+_LISTS: dict[str, tuple[str, Callable[[Any], dict[str, Any]]]] = {
+    "containers": ("summaries", _container_payload),
+    "findings": ("findings", _finding_payload),
+    "framework_scores": ("framework_scores", _score_payload),
+    "version_findings": ("version_findings", _version_payload),
+}
+
+
+def _scalar_payload(result: AuditResult) -> dict[str, Any]:
+    """The payload's keys that hold no list."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": result.tool_version,
         "generated_at": result.generated_at,
-        "containers": [
-            {
-                "container": s.container,
-                "image": (
-                    {"registry": s.image.registry, "repository": s.image.repository,
-                     "tag": s.image.tag}
-                    if s.image
-                    else None
-                ),
-                "vulnerabilities": _histogram_payload(s.vuln_histogram),
-                "misconfigurations": _histogram_payload(s.misconfig_histogram),
-            }
-            for s in result.summaries
-        ],
-        "findings": [
-            {
-                "rule_id": f.rule_id,
-                "resource": f.resource,
-                "severity": f.severity.name.lower(),
-                "message": f.message,
-                "remediation": f.remediation,
-            }
-            for f in result.findings
-        ],
-        "framework_scores": [
-            {
-                "framework_id": s.framework_id,
-                "percent": s.percent,
-                "evaluated_controls": s.evaluated_controls,
-                "not_applicable_controls": s.not_applicable_controls,
-            }
-            for s in result.framework_scores
-        ],
-        "version_findings": [
-            {
-                "component": v.component,
-                "installed": str(v.installed),
-                "severity": v.severity.name.lower(),
-                "cve_count": v.matched_entry.cve_count,
-                "cvss_min": v.matched_entry.cvss_min,
-                "cvss_max": v.matched_entry.cvss_max,
-                "affected": str(v.matched_entry.affected),
-                "vulnerability_classes": list(v.matched_entry.vulnerability_classes),
-                "recommended_min_version": (
-                    str(v.matched_entry.recommended_min_version)
-                    if v.matched_entry.recommended_min_version
-                    else None
-                ),
-            }
-            for v in result.version_findings
-        ],
         "totals": {
             "vulnerability_occurrences": result.totals.occurrences,
             "unique_cves": result.totals.unique_cves,
@@ -140,24 +151,37 @@ def to_payload(result: AuditResult) -> dict[str, Any]:
     }
 
 
+def to_payload(result: AuditResult) -> dict[str, Any]:
+    """The payload as one dict, for `fixtures.verify_fixtures`; `render_json` never builds it."""
+    payload = _scalar_payload(result)
+    for key, (field, convert) in _LISTS.items():
+        payload[key] = [convert(item) for item in getattr(result, field)]
+    return payload
+
+
 def render_json(result: AuditResult, stream: TextIO) -> None:
     """Write the canonical serialization of `result` to `stream`.
 
     The text is that of `json.dumps(to_payload(result), sort_keys=True,
-    separators=(",", ":"), ensure_ascii=False)`. Each slice of a list is
-    written before the next one is encoded.
+    separators=(",", ":"), ensure_ascii=False)`. The dicts of each slice
+    of a list are built, encoded and written before the next slice's.
     """
-    payload = to_payload(result)
+    scalars = _scalar_payload(result)
     write = stream.write
-    for i, key in enumerate(sorted(payload)):
+    for i, key in enumerate(sorted([*scalars, *_LISTS])):
         write(("," if i else "{") + _ENCODER.encode(key) + ":")
-        value = payload[key]
-        if not isinstance(value, list) or not value:
-            write(_ENCODER.encode(value))
+        if key in scalars:
+            write(_ENCODER.encode(scalars[key]))
             continue
-        for start in range(0, len(value), JSON_SLICE):
-            write("," if start else "[")
-            write(_ENCODER.encode(value[start:start + JSON_SLICE])[1:-1])
+        field, convert = _LISTS[key]
+        items = getattr(result, field)
+        write("[")
+        for start in range(0, len(items), JSON_SLICE):
+            if start:
+                write(",")
+            # Unnamed, so that a slice's dicts and text are freed before the next slice's are built.
+            write(_ENCODER.encode(
+                [convert(item) for item in items[start:start + JSON_SLICE]])[1:-1])
         write("]")
     write("}")
 

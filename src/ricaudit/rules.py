@@ -4,6 +4,11 @@ Rules are data: each one pairs a declarative check (see `predicates`) with
 a fixed severity, a threat category, and references into the compliance
 framework catalogs. Evaluation is pure — it never mutates resources and
 two evaluations of the same inputs produce identical findings.
+
+`evaluate` judges a whole set of documents at once. `Evaluation` judges
+the same set one batch (one manifest file) at a time, keeping a
+ResourceRecord of each document instead of its body, and gives the same
+findings.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, NamedTuple
 
 from .errors import CatalogError
-from .manifests import ResourceDocument, resource_ref
-from .predicates import ANY, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields
+from .manifests import ResourceDocument, ResourceRecord
+from .predicates import (
+    ANY, BODY, CONTEXT, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields)
 from .severity import SeverityClass, ThreatCategory, empty_counts
 
 WILDCARD_KIND = "*"
@@ -125,31 +131,85 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None =
                     )
 
 
-def evaluate(catalog: Sequence[Rule], resources: Sequence[ResourceDocument]) -> list[Finding]:
+def report_order(finding: Finding) -> tuple:
+    """Sort key of findings in a report: severity descending, then rule id, then resource ref."""
+    return -finding.severity, finding.rule_id, finding.resource
+
+
+def evaluate(
+    catalog: Sequence[Rule],
+    resources: Sequence[ResourceDocument | ResourceRecord],
+    ctx: EvalContext | None = None,
+) -> list[Finding]:
     """Evaluate every rule against every applicable resource.
 
-    One Finding per (rule, resource) pair whose check fires. Output is
-    sorted by severity descending, then rule id, then resource ref, so the
-    result is independent of input order. Each resource meets every rule in
-    turn, so that its pod spec is walked and its ref rendered once (see
-    `EvalContext.pod`).
+    One Finding per (rule, resource) pair whose check fires. Without `ctx`,
+    `resources` are the whole set: the context is built from them and the
+    findings are sorted by `report_order`, so the result is independent of
+    input order. With `ctx`, `resources` are one batch of a larger set whose
+    facts `ctx` holds (see `Evaluation`): the findings come in batch order,
+    for the caller to sort once. Each resource meets every rule in turn, so
+    that its pod spec is walked once (see `EvalContext.pod`). A record may
+    stand for a document when no rule's check reads the body.
     """
-    validate_catalog(catalog)
-    ctx = EvalContext.build(resources)
+    whole = ctx is None
+    if whole:
+        ctx = EvalContext.build(resources)
     findings = [
         Finding(
             rule_id=rule.id,
-            resource=ref,
+            resource=doc.ref,
             severity=rule.severity,
             message=rule.title,
             remediation=rule.remediation,
         )
-        for doc, ref in zip(resources, map(resource_ref, resources))
+        for doc in resources
         for rule in catalog
         if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, ctx)
     ]
-    findings.sort(key=lambda f: (-f.severity, f.rule_id, f.resource))
+    if whole:
+        findings.sort(key=report_order)
     return findings
+
+
+class Evaluation:
+    """The findings of a document set that arrives in batches, one manifest file each.
+
+    `add` judges a batch with every rule whose check reads no CONTEXT, and
+    keeps a ResourceRecord of each document. `finish` judges the rules whose
+    check reads CONTEXT, once, after the last batch: on the records when the
+    check reads no BODY, otherwise on the documents kept for such rules (the
+    ones they apply to). So no body outlives its batch unless the catalog
+    has a rule that reads both. The findings equal `evaluate`'s on the whole
+    set. A plain class, because it accumulates.
+    """
+
+    def __init__(self, catalog: Sequence[Rule]) -> None:
+        self.per_document = [r for r in catalog if CONTEXT not in r.predicate.reads]
+        self.on_records = [r for r in catalog if r.predicate.reads == {CONTEXT}]
+        self.on_bodies = [r for r in catalog if r.predicate.reads == {CONTEXT, BODY}]
+        # Only the pod cache of this context is used before `finish`.
+        self.ctx = EvalContext()
+        self.findings: list[Finding] = []
+        self.records: list[ResourceRecord] = []
+        self.kept: list[ResourceDocument] = []
+
+    def add(self, documents: Sequence[ResourceDocument]) -> None:
+        self.findings += evaluate(self.per_document, documents, self.ctx)
+        self.ctx.last_pod = (None, None)  # the pod cache holds the batch's last document
+        self.records += [doc.record() for doc in documents]
+        if self.on_bodies:
+            self.kept += [doc for doc in documents
+                          if any(rule.applies_to_kind(doc.kind) for rule in self.on_bodies)]
+
+    def finish(self) -> tuple[list[Finding], list[ResourceRecord]]:
+        """Every finding, sorted by `report_order`, and the record of every document."""
+        ctx = EvalContext.build(self.records)
+        findings = self.findings
+        findings += evaluate(self.on_records, self.records, ctx)
+        findings += evaluate(self.on_bodies, self.kept, ctx)
+        findings.sort(key=report_order)
+        return findings, self.records
 
 
 def severity_histogram(findings: Iterable[Finding]) -> dict[SeverityClass, int]:
@@ -161,7 +221,7 @@ def severity_histogram(findings: Iterable[Finding]) -> dict[SeverityClass, int]:
 
 
 def group_findings_by_app(
-    findings: Sequence[Finding], resources: Sequence[ResourceDocument]
+    findings: Sequence[Finding], resources: Iterable[ResourceRecord | ResourceDocument]
 ) -> dict[str, list[Finding]]:
     """Group findings by the `app` label of the resource they fired on.
 
@@ -170,10 +230,10 @@ def group_findings_by_app(
     still reported, just not attributed to a container column.
     """
     label_by_ref: dict[str, str] = {}
-    for doc in resources:
-        app = doc.labels.get("app") or doc.labels.get("app.kubernetes.io/name")
+    for res in resources:
+        app = res.app
         if app:
-            label_by_ref[resource_ref(doc)] = app
+            label_by_ref[res.ref] = app
     grouped: dict[str, list[Finding]] = {}
     for finding in findings:
         app = label_by_ref.get(finding.resource)

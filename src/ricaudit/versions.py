@@ -111,7 +111,6 @@ class VersionFinding(NamedTuple):
 
 class InventoryError(NamedTuple):
     component: str
-    raw_version: str
     error: MalformedVersion
 
 
@@ -137,7 +136,7 @@ def audit_components(
         try:
             installed = parse_version(raw)
         except MalformedVersion as exc:
-            audit.errors.append(InventoryError(component=canonical, raw_version=raw, error=exc))
+            audit.errors.append(InventoryError(component=canonical, error=exc))
             continue
         for entry in advisories:
             if entry.component == canonical and entry.affected.matches(installed):

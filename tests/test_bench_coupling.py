@@ -6,12 +6,15 @@ and its metrics as 0, so a rename would otherwise pass unnoticed.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from ricaudit import pipeline, vulns
+from ricaudit import manifests, pipeline, vulns
+from ricaudit.catalogs import load_catalogs
+from ricaudit.manifests import load_directory
 from ricaudit.vulns import parse_scan_report
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -52,25 +55,57 @@ def test_scan_report_counter_counts_records(scan_report_paths):
     assert (tracer.counts["vulns.records"], tracer.counts["vulns.rejected"]) == (84, 0)
 
 
-def test_traced_audit_times_every_vulns_layer(scan_report_paths):
-    # A layer whose function audit() no longer calls would report 0 ms.
-    tracing = load_tracing()
-    tracer = tracing.Tracer("test")
+@contextlib.contextmanager
+def installed(tracer, layers):
+    """`tracer` wrapped around `layers` in every loaded ricaudit module, until exit."""
     saved = [(module, dict(vars(module))) for name, module in list(sys.modules.items())
              if (name == "ricaudit" or name.startswith("ricaudit.")) and module is not None]
     try:
-        tracer.install(tracing.LAYERS)
-        result = pipeline.audit(scan_reports=scan_report_paths)
+        tracer.install(layers)
+        yield
     finally:
         for module, namespace in saved:
             for attr, value in namespace.items():
                 if getattr(module, attr) is not value:
                     setattr(module, attr, value)
-    assert vulns.parse_scan_report is parse_scan_report
-    calls = {}
+
+
+def span_calls(tracing, tracer) -> dict[str, int]:
+    calls: dict[str, int] = {}
     for span in tracer.spans:
         calls[span[tracing.NAME]] = calls.get(span[tracing.NAME], 0) + 1
+    return calls
+
+
+def test_traced_audit_times_every_vulns_layer(scan_report_paths):
+    # A layer whose function audit() no longer calls would report 0 ms.
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    with installed(tracer, tracing.LAYERS):
+        result = pipeline.audit(scan_reports=scan_report_paths)
+    assert vulns.parse_scan_report is parse_scan_report
+    calls = span_calls(tracing, tracer)
     assert (calls.get("vulns.parse"), calls.get("vulns.aggregate")) == (8, None)
     assert calls.get("vulns.totals") == 1
     assert tracer.count_errors == set()
     assert tracer.counts["vulns.records"] == result.totals.occurrences == 888
+
+
+def test_traced_audit_times_every_manifest_layer(vulnerable_manifests):
+    # The manifest stage evaluates each file as it is parsed, so the
+    # `manifests.load` span now holds the per-file `rules.evaluate` spans.
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    with installed(tracer, tracing.LAYERS):
+        result = pipeline.audit(manifests=[vulnerable_manifests], frameworks=[])
+    assert manifests.load_directory is load_directory
+    calls = span_calls(tracing, tracer)
+    for layer in ("manifests.load", "manifests.parse", "rules.evaluate", "compliance.score"):
+        assert calls.get(layer), layer
+    assert tracer.count_errors == set()
+    documents = load_directory(vulnerable_manifests).documents
+    catalog = load_catalogs().rules
+    assert tracer.counts["manifests.documents"] == len(documents)
+    assert tracer.counts["rules.findings"] == len(result.findings) > 0
+    assert tracer.counts["rules.pairs"] == sum(
+        1 for rule in catalog for doc in documents if rule.applies_to_kind(doc.kind))

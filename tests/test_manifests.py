@@ -3,16 +3,23 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import weakref
 
 import yaml
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ricaudit.catalogs import data_path
+from ricaudit import manifests
+from ricaudit.catalogs import data_path, load_catalogs
 from ricaudit.cli import main
+from ricaudit.compliance import Evidence, score_framework
 from ricaudit.errors import AuditError, DocumentError
-from ricaudit.manifests import load_directory, parse_manifest_stream, resource_ref
-from ricaudit.pipeline import audit
+from ricaudit.manifests import load_directory, parse_manifest_stream
+from ricaudit.pipeline import audit, build_result
+from ricaudit.rules import Evaluation, evaluate
+from ricaudit.vulns import VulnTally
+
+from conftest import rendered_json
 
 POD = """\
 apiVersion: v1
@@ -181,8 +188,7 @@ def test_resource_ref_rendering(kind, name, namespace, expected):
         {"kind": kind, "metadata": {"name": name, **({"namespace": namespace} if namespace else {})}}
     )
     doc = parse_manifest_stream(text, "r.yaml")[0]
-    ref = resource_ref(doc)
-    assert ref == expected
+    assert doc.ref == expected
     assert (doc.namespace, doc.kind, doc.name) == (namespace, kind, name)
 
 
@@ -344,3 +350,136 @@ def test_namespace_scope_restricts_the_unscoped_findings(tmp_path_factory, docum
     unscoped = payload_of("scan", str(root))["findings"]
     scoped = payload_of("scan", str(root), "--namespace", namespace)["findings"]
     assert scoped == [f for f in unscoped if f["resource"].startswith(f"{namespace}/")]
+
+
+# --- the streamed manifest stage against a whole-set reference ---------------
+#
+# `audit` evaluates each file as it is parsed and keeps a record per document;
+# the reference loads every document, then runs `evaluate`, `Evidence.build`
+# and `score_framework` on the whole set.
+
+# A user rule that reads cross-document facts and bodies both, so its bodies are kept.
+MIXED_CATALOG = {"rules": [{
+    "id": "USER-OPEN-UNBOUNDED", "title": "Unbounded container in an open namespace",
+    "severity": "high", "category": "network-segmentation", "applies_to": ["Pod", "Deployment"],
+    "check": {"all_of": [
+        {"namespace_lacks_kind": "NetworkPolicy"},
+        {"any_container": {"path_absent": "resources.limits.cpu"}},
+    ]},
+}]}
+
+
+def network_policy(namespace: str) -> dict:
+    return {"apiVersion": "networking.k8s.io/v1", "kind": "NetworkPolicy",
+            "metadata": {"name": "default-deny", "namespace": namespace},
+            "spec": {"podSelector": {}, "policyTypes": ["Ingress"]}}
+
+
+@st.composite
+def file_sets(draw) -> list[list[dict]]:
+    """A drawn set spread over files, with some documents repeated in other
+    files (duplicate refs) and a NetworkPolicy in some of the namespaces."""
+    documents = draw(manifest_sets())
+    documents += [network_policy(ns) for ns in draw(st.sets(st.sampled_from(NAMESPACES)))]
+    documents += draw(st.lists(st.sampled_from(documents), max_size=3))
+    order = draw(st.permutations(range(len(documents))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(documents)), max_size=4)))
+    bounds = [0, *cuts, len(documents)]
+    return [[documents[i] for i in order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def write_files(directory, files: list[list[dict]]) -> None:
+    directory.mkdir()
+    for k, documents in enumerate(files):
+        (directory / f"f{k:02d}.yaml").write_text(yaml.safe_dump_all(documents), encoding="utf-8")
+
+
+def whole_set_result(directory, namespace, catalogs=()):
+    bundle = load_catalogs(catalogs)
+    documents = [d for d in load_directory(directory).documents
+                 if not namespace or d.namespace == namespace]
+    findings = evaluate(bundle.rules, documents)
+    evidence = Evidence.build(findings, documents, bundle.rules)
+    scores = [score_framework(fw, evidence)[0] for fw in bundle.frameworks]
+    return build_result(tally=VulnTally(), findings=findings, resources=documents,
+                        framework_scores=scores, generated_at="t")
+
+
+def assert_streamed_equals_whole_set(directory, namespace, catalogs=()):
+    streamed = audit(catalogs=catalogs, manifests=[directory], namespace=namespace,
+                     frameworks=(), generated_at="t")
+    reference = whole_set_result(directory, namespace, catalogs)
+    assert streamed.findings == reference.findings
+    assert streamed.framework_scores == reference.framework_scores
+    assert rendered_json(streamed) == rendered_json(reference)
+    return streamed
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(file_sets(), st.sampled_from(NAMESPACES), st.booleans())
+def test_streamed_stage_equals_whole_set_evaluation(tmp_path_factory, files, namespace, mixed):
+    root = tmp_path_factory.mktemp("streamed")
+    write_files(root / "set", files)
+    catalogs = ()
+    if mixed:
+        (root / "user.yaml").write_text(yaml.safe_dump(MIXED_CATALOG), encoding="utf-8")
+        catalogs = (root / "user.yaml",)
+    for scope in (None, namespace):
+        assert_streamed_equals_whole_set(root / "set", scope, catalogs)
+
+
+def workload(kind: str, name: str, namespace: str, limits: dict | None = None) -> dict:
+    container = {"name": "c", "image": "x:1", **({"resources": {"limits": limits}} if limits else {})}
+    spec = {"containers": [container]}
+    return {"apiVersion": "v1", "kind": kind, "metadata": {"name": name, "namespace": namespace},
+            "spec": spec if kind == "Pod" else {"template": {"spec": spec}}}
+
+
+def test_rule_mixing_context_and_body_checks_keeps_only_its_bodies(tmp_path):
+    pod, deployment = workload("Pod", "p", "open"), workload("Deployment", "d", "open")
+    bounded = workload("Pod", "b", "open", limits={"cpu": "1", "memory": "1Gi"})
+    guarded = workload("Deployment", "d", "guarded")
+    configmap = {"apiVersion": "v1", "kind": "ConfigMap", "metadata": {"name": "c", "namespace": "open"}}
+    files = [[pod, configmap], [deployment, bounded, guarded, network_policy("guarded")], [pod]]
+    write_files(tmp_path / "set", files)
+    (tmp_path / "user.yaml").write_text(yaml.safe_dump(MIXED_CATALOG), encoding="utf-8")
+    catalogs = (tmp_path / "user.yaml",)
+
+    result = assert_streamed_equals_whole_set(tmp_path / "set", None, catalogs)
+    fired = sorted((f.rule_id, f.resource) for f in result.findings
+                   if f.rule_id in ("USER-OPEN-UNBOUNDED", "MISC-DUPREF"))
+    assert fired == [("MISC-DUPREF", "open/Pod/p")] * 2 + [
+        ("USER-OPEN-UNBOUNDED", "open/Deployment/d")] + [("USER-OPEN-UNBOUNDED", "open/Pod/p")] * 2
+    assert_streamed_equals_whole_set(tmp_path / "set", "guarded", catalogs)
+
+    evaluation = Evaluation(load_catalogs(catalogs).rules)
+    assert [rule.id for rule in evaluation.on_bodies] == ["USER-OPEN-UNBOUNDED"]
+    assert [rule.id for rule in evaluation.on_records] == ["MISC-NETPOL", "MISC-DUPREF"]
+    for documents in files:
+        evaluation.add(parse_manifest_stream(yaml.safe_dump_all(documents), "f.yaml"))
+    # Only the documents the mixed rule applies to keep their bodies.
+    assert [doc.ref for doc in evaluation.kept] == [
+        "open/Pod/p", "open/Deployment/d", "open/Pod/b", "guarded/Deployment/d", "open/Pod/p"]
+
+
+class Body(dict):
+    """A document body that a weak reference can follow."""
+
+
+def test_no_body_outlives_its_file(monkeypatch, vulnerable_manifests):
+    parse = manifests.parse_manifest_stream
+    bodies: list[weakref.ref] = []
+    alive_at_parse: list[int] = []
+
+    def tracked(text, origin):
+        alive_at_parse.append(sum(body() is not None for body in bodies))
+        documents = [doc._replace(body=Body(doc.body)) for doc in parse(text, origin)]
+        bodies.extend(weakref.ref(doc.body) for doc in documents)
+        return documents
+
+    monkeypatch.setattr(manifests, "parse_manifest_stream", tracked)
+    result = audit(manifests=[vulnerable_manifests], frameworks=(), generated_at="t")
+    assert len(alive_at_parse) > 10
+    assert alive_at_parse == [0] * len(alive_at_parse)
+    monkeypatch.undo()
+    assert result == audit(manifests=[vulnerable_manifests], frameworks=(), generated_at="t")

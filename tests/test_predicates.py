@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from ricaudit import catalogs, rules, vulns
 from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import AuditError, CatalogError
-from ricaudit.manifests import parse_manifest_stream, resource_ref
+from ricaudit.manifests import parse_manifest_stream
 from ricaudit.predicates import (
     ANY,
+    BODY,
     BOOLEAN,
+    CONTEXT,
     INTEGER,
     LIST,
     NONEMPTY,
@@ -253,6 +255,17 @@ class TestCombinators:
         with pytest.raises(CatalogError):
             compile_check({"path_equals": "not-a-mapping"})
 
+    @pytest.mark.parametrize("check, reads", [
+        ({"kind_is": "Pod"}, set()),
+        ({"namespace_lacks_kind": "NetworkPolicy"}, {CONTEXT}),
+        ({"all_of": [{"kind_is": "Pod"}, {"not": {"duplicate_ref": True}}]}, {CONTEXT}),
+        ({"not": {"path_exists": "spec"}}, {BODY}),
+        ({"any_of": [{"duplicate_ref": True}, {"credential_data": {}}]}, {BODY, CONTEXT}),
+        ({"any_container": {"namespace_lacks_kind": "NetworkPolicy"}}, {BODY, CONTEXT}),
+    ])
+    def test_check_marks_what_it_reads(self, check, reads):
+        assert compile_check(check).reads == reads
+
     def test_path_exists_and_absent(self):
         assert run({"path_exists": "spec.containers"}, POD)
         assert run({"path_absent": "spec.nodeName"}, POD)
@@ -437,7 +450,7 @@ class TestPodRecord:
             return EvalContext(ctx.namespace_kinds, ctx.ref_counts)
 
         expected = sorted(
-            (rule.id, resource_ref(doc)) for rule in rules for doc in docs
+            (rule.id, doc.ref) for rule in rules for doc in docs
             if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, walking()))
         assert expected  # the pod rules do fire on these documents
         assert sorted((f.rule_id, f.resource) for f in evaluate(rules, docs)) == expected

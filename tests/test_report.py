@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
 from conftest import rendered_json
+from ricaudit import report
 from ricaudit.catalogs import data_path
 from ricaudit.compliance import FrameworkScore
 from ricaudit.fixtures import fixture_audit_result
@@ -138,6 +139,18 @@ class TestStreamedJson:
         per_write = [text.count('"rule_id":') for text in writes]
         assert max(per_write) == JSON_SLICE
         assert sum(per_write) == 5000 and per_write.count(JSON_SLICE) == 5
+
+    def test_renders_without_building_the_whole_payload(self, monkeypatch):
+        findings = tuple(Finding("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r")
+                         for i in range(2500))
+        result = fixture_audit_result(generated_at="t")._replace(findings=findings)
+        expected = canonical_dumps(result)
+
+        def whole_payload(result):
+            raise AssertionError("render_json built the whole payload")
+
+        monkeypatch.setattr(report, "to_payload", whole_payload)
+        assert rendered_json(result) == expected
 
 
 class TestRenderTable:

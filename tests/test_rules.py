@@ -167,10 +167,17 @@ class TestEvaluate:
         validate_catalog(catalog, frameworks)
         assert evaluate(catalog, resources)
 
-    def test_duplicate_rule_id_rejected_before_evaluation(self):
+    def test_duplicate_rule_id_rejected_before_evaluation(self, tmp_path):
+        # `evaluate` trusts its catalog: loading or validating it rejects the repeat.
         rule = load_catalogs().rules[0]
-        with pytest.raises(CatalogError):
-            evaluate([rule, rule], [])
+        with pytest.raises(CatalogError, match=f"^duplicate rule id: {rule.id}$"):
+            validate_catalog([rule, rule])
+        user = tmp_path / "user.yaml"
+        raw = {"id": rule.id, "title": "t", "severity": "low", "category": "supply-chain",
+               "applies_to": ["Pod"], "check": {"path_exists": "spec"}}
+        user.write_text(yaml.safe_dump({"rules": [raw, raw]}))
+        with pytest.raises(CatalogError, match=f"duplicate rule id.* {rule.id}$"):
+            load_catalogs([user])
 
     def test_output_sorted(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)

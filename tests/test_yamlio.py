@@ -562,7 +562,7 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
 # The package's public names, written out here rather than read from it.
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
-    "SourceLocation", "load_directory", "parse_manifest_stream", "resource_ref", "Finding",
+    "ResourceRecord", "SourceLocation", "load_directory", "parse_manifest_stream", "Finding",
     "Rule", "evaluate", "severity_histogram", "ContainerScanSummary", "ImageRef", "VulnTally",
     "VulnTotals", "classify_severity", "occurrence_and_unique_totals", "parse_scan_report",
     "Control", "ControlResult", "Evidence",
