@@ -23,7 +23,6 @@ _EXPORTS = {
                    "control_compliance", "framework_score"),
     "versions": ("AdvisoryEntry", "Version", "VersionFinding", "audit_components",
                  "parse_version"),
-    "cluster": ("ClusterEndpoint", "fetch_resources"),
     "report": ("AuditResult", "exit_code", "render_json", "render_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 from . import __version__, yamlio
 from .errors import AuditError
 from .pipeline import audit
-from .predicates import BOOLEAN, NONEMPTY, SHAPES
+from .predicates import NONEMPTY, SHAPES
 from .report import (
     EXIT_CLEAN,
     EXIT_TOOL_ERROR,
@@ -42,8 +42,8 @@ if TYPE_CHECKING:
 
 FORMATS = ("table", "json", "both")
 SEVERITIES = tuple(c.name.lower() for c in SeverityClass)
-# An empty string is no path, namespace, URL or variable name (`Path("")` is
-# the current directory), so no setting that takes strings accepts one.
+# An empty string is no path, namespace or framework id (`Path("")` is the
+# current directory), so no setting that takes strings accepts one.
 _NONEMPTY = SHAPES[NONEMPTY]
 _NONEMPTY_LIST = lambda v: isinstance(v, list) and all(map(_NONEMPTY, v))
 
@@ -64,10 +64,6 @@ SETTINGS: dict[str, tuple[str, str, Any, Callable[[Any], bool], dict[str, Any]]]
                      metavar="PATH", help="container scan report to ingest (repeatable)")),
     "inventory": ("--inventory", "inventory", None, _NONEMPTY,
                   dict(metavar="PATH", help="component inventory file")),
-    "endpoint": ("--endpoint", "endpoint", None, _NONEMPTY,
-                 dict(metavar="URL", help="cluster API base URL to audit live")),
-    "token": ("--token-env", "token_env", None, _NONEMPTY,
-              dict(metavar="VAR", help="environment variable holding the bearer token")),
     "format": ("--format", "format", "table", FORMATS.__contains__,
                dict(choices=FORMATS, help="payload format (default table)")),
     "fail_on": ("--fail-on", "fail_on", "critical",
@@ -76,30 +72,26 @@ SETTINGS: dict[str, tuple[str, str, Any, Callable[[Any], bool], dict[str, Any]]]
                      help="severity threshold for exit code 1 (default critical)")),
     "output": ("--output", "output", None, _NONEMPTY,
                dict(metavar="PATH", help="write the payload to a file instead of stdout")),
-    "insecure": ("--insecure", "insecure", False, SHAPES[BOOLEAN],
-                 dict(action="store_true", default=None,
-                      help="allow plain-text cluster endpoints")),
 }
 OUTPUTS = ("format", "fail_on", "output")
 
-MANIFESTS = ("manifests", "endpoint", "token", "insecure", "namespace")
+MANIFESTS = ("manifests", "namespace")
 # Sub-command -> (its help, the audit() inputs it reads, the inputs one of
 # which it needs, the error when it has none of them). Reading "frameworks"
 # turns scoring on. A sub-command takes --config and the flags of the inputs
 # it reads and of the OUTPUTS.
 AUDITS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], str]] = {
     "scan": ("evaluate misconfiguration rules against manifests", ("catalogs", *MANIFESTS),
-             ("manifests", "endpoint"), "scan needs manifest paths or --endpoint"),
+             ("manifests",), "scan needs manifest paths"),
     "vulns": ("aggregate container vulnerability scan reports", ("scan_reports",),
               ("scan_reports",), "vulns needs at least one --scan-report"),
     "score": ("compute framework compliance scores", ("catalogs", "frameworks", *MANIFESTS),
-              ("manifests", "endpoint"), "score needs manifest paths or --endpoint"),
+              ("manifests",), "score needs manifest paths"),
     "versions": ("audit a component inventory against advisories", ("catalogs", "inventory"),
                  ("inventory",), "versions needs --inventory"),
     "report": ("run every workflow and emit one combined report",
                ("catalogs", "frameworks", "scan_reports", "inventory", *MANIFESTS),
-               ("manifests", "endpoint", "scan_reports"),
-               "report needs manifests, --scan-report files, or --endpoint"),
+               ("manifests", "scan_reports"), "report needs manifests or --scan-report files"),
 }
 
 
@@ -143,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     """What `_build_parser().parse_args(argv)` returns, read in one pass, for
     argv of the plain form: a sub-command that audits, then its exact long
-    flags, each but --insecure followed by a value that does not start with
-    "-" (one of its choices, if it has any), and at most one run of inputs.
+    flags, each followed by a value that does not start with "-" (one of its
+    choices, if it has any), and at most one run of inputs.
     None for any other argv (help, abbreviations, --flag=value, "--", odd
     values, errors), which argparse reads: it is the one definition of the
     grammar. argparse costs time quadratic in the number of flags.
@@ -169,17 +161,13 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
             return None
         run = 2 if run else 0
         name, options = flags[word]
-        action = options.get("action")
-        if action == "store_true":
-            values[name] = True
-            continue
         if i == end or argv[i][:1] == "-":
             return None
         value = argv[i]
         i += 1
         if "choices" in options and value not in options["choices"]:
             return None
-        if action != "append":
+        if options.get("action") != "append":
             values[name] = value
         elif values[name] is None:
             values[name] = [value]
@@ -253,8 +241,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _, _, needs, missing = AUDITS[args.command]
         given = _resolve(args)
         format, fail_on, output = (given.pop(name) for name in OUTPUTS)
-        if given.get("token"):
-            given["token"] = os.environ.get(given["token"])
         if not any(given[name] for name in needs):
             raise AuditError(missing)
         result = audit(**given, diag=_diag)

@@ -35,12 +35,3 @@ class CatalogError(AuditError):
 class MalformedVersion(AuditError):
     """A version string is not an optionally-v-prefixed dotted numeric triple."""
 
-
-class ClusterError(AuditError):
-    """A read-only cluster client failure, scoped to the kind and namespace it listed."""
-
-    def __init__(self, reason: str, kind: str | None = None, namespace: str | None = None):
-        scope = ""
-        if kind is not None:
-            scope = f" (kind {kind}" + (f", namespace {namespace})" if namespace else ")")
-        super().__init__(reason + scope)

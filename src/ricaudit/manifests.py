@@ -30,7 +30,7 @@ CLUSTER_SCOPE = "_cluster"
 
 
 class SourceLocation(NamedTuple):
-    """Where a document came from: file (or URL) and position in its stream."""
+    """Where a document came from: its file and its position in the file's stream."""
 
     file_path: str
     document_index: int

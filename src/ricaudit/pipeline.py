@@ -24,7 +24,7 @@ from .compliance import Evidence, FrameworkScore, score_framework
 from .errors import AuditError
 from .manifests import ResourceDocument, ResourceRecord, distinct_files, load_directory
 from .report import AuditResult
-from .rules import WILDCARD_KIND, Evaluation, Finding, group_findings_by_app
+from .rules import Evaluation, Finding, group_findings_by_app
 from .versions import VersionAudit, audit_components
 from .vulns import VulnTally, occurrence_and_unique_totals, parse_scan_report
 
@@ -72,9 +72,6 @@ def audit(
     *,
     catalogs: Sequence[str | Path] = (),
     manifests: Sequence[str | Path] = (),
-    endpoint: str | None = None,
-    token: str | None = None,
-    insecure: bool = False,
     namespace: str | None = None,
     frameworks: Sequence[str] | None = None,
     scan_reports: Sequence[str | Path] = (),
@@ -85,14 +82,15 @@ def audit(
     """Run every stage whose input is given and assemble one AuditResult.
 
     `catalogs` are user data files on top of the builtins, loaded only when
-    a later stage needs them. `manifests` (files or trees) and the cluster
-    at `endpoint` feed rule evaluation, scoped to `namespace`. `frameworks`
-    selects the frameworks scored after a manifest stage: None scores none,
-    an empty sequence every loaded framework. Diagnostics (unparsable
-    manifest files, rejected scan-report entries, bad inventory entries)
-    go to `diag` as each stage produces them.
+    a later stage needs them. `manifests` (files or trees; a live cluster is
+    read as the `kind: List` file `kubectl get -o yaml` writes) feed rule
+    evaluation, scoped to `namespace`. `frameworks` selects the frameworks
+    scored after a manifest stage: None scores none, an empty sequence
+    every loaded framework. Diagnostics (unparsable manifest files, rejected
+    scan-report entries, bad inventory entries) go to `diag` as each stage
+    produces them.
     """
-    if catalogs or manifests or endpoint or inventory or frameworks is not None:
+    if catalogs or manifests or inventory or frameworks is not None:
         bundle = load_catalogs(catalogs)
         selected = bundle.frameworks
         if frameworks:
@@ -106,12 +104,11 @@ def audit(
     records: list[ResourceRecord] = []
     findings: list[Finding] = []
     scores: list[FrameworkScore] = []
-    if manifests or endpoint:
+    if manifests:
         evaluation = Evaluation(bundle.rules)
 
         def add_file(documents: list[ResourceDocument]) -> None:
-            # The namespace scopes file documents here and the cluster fetch
-            # below; a cluster-scoped file document is outside every namespace.
+            # A cluster-scoped document is outside every namespace.
             if namespace:
                 documents = [d for d in documents if d.namespace == namespace]
             evaluation.add(documents)
@@ -119,20 +116,6 @@ def audit(
         load = load_directory(*manifests, consume=add_file)
         for failure in load.errors:
             diag(f"parse error in {failure.file_path}: {failure.error}")
-        if endpoint:
-            # Imported here so that file-only runs never load `requests`.
-            from .cluster import KIND_ROUTES, ClusterEndpoint, fetch_resources
-
-            cluster = ClusterEndpoint(base_url=endpoint, bearer_token=token, allow_insecure=insecure)
-            # Fetch every kind the catalog can judge, as long as the API serves
-            # it (file-only kinds like KubeletConfiguration have no list route).
-            kinds = {
-                kind
-                for rule in bundle.rules
-                for kind in rule.applies_to
-                if kind != WILDCARD_KIND and kind in KIND_ROUTES
-            }
-            evaluation.add(fetch_resources(cluster, kinds=kinds, namespace=namespace))
         findings, records = evaluation.finish()
         if frameworks is not None:
             evidence = Evidence.build(findings, records, bundle.rules)

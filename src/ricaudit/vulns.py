@@ -33,14 +33,6 @@ class ImageRef(NamedTuple):
     def render(self) -> str:
         return f"{self.registry}/{self.repository}:{self.tag}"
 
-    @classmethod
-    def parse(cls, text: str) -> "ImageRef":
-        registry, slash, rest = text.partition("/")
-        repository, colon, tag = rest.rpartition(":")
-        if not (slash and colon and registry and repository and tag):
-            raise ValueError(f"not a registry/repository:tag image ref: {text!r}")
-        return cls(registry=registry, repository=repository, tag=tag)
-
 
 def classify_severity(
     cvss: float | None, vendor: SeverityClass | None = None

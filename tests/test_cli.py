@@ -11,7 +11,6 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import pod_item
 from ricaudit import cli
 from ricaudit.catalogs import data_path
 from ricaudit.cli import main
@@ -321,6 +320,20 @@ class TestScore:
         assert code == 2
         assert "pci-dss" in err
 
+    def test_live_cluster_as_one_list_file(self, capsys, monkeypatch, tmp_path, fixture_root):
+        # README's recipe for a live cluster: `kubectl get ... -o yaml > live.yaml`
+        # writes one List object, which scores as the same resources in files do.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        tree = fixture_root / "manifests"
+        items = [doc for path in sorted(tree.rglob("*.yaml"))
+                 for doc in yaml.safe_load_all(path.read_text(encoding="utf-8")) if doc]
+        live = tmp_path / "live.yaml"
+        live.write_text(yaml.safe_dump({"apiVersion": "v1", "kind": "List", "items": items}),
+                        encoding="utf-8")
+        expected = run_cli(capsys, "score", str(tree), "--format", "json")
+        assert expected[0] == 1 and expected[2] == ""
+        assert run_cli(capsys, "score", str(live), "--format", "json") == expected
+
 
 class TestVersions:
     def test_cited_inventory_yields_four_findings(self, capsys, inventory_path):
@@ -477,59 +490,6 @@ class TestReport:
         assert '"rule_id":' in out and not out.endswith("}\n")  # part of a payload, not a report
 
 
-class TestClusterIntegration:
-    def test_scan_via_endpoint(self, capsys, monkeypatch, mock_cluster):
-        for path, kind in [
-            ("/api/v1/namespaces/ricplt/pods", "Pod"),
-            ("/api/v1/namespaces/ricplt/configmaps", "ConfigMap"),
-            ("/apis/apps/v1/namespaces/ricplt/deployments", "Deployment"),
-            ("/apis/apps/v1/namespaces/ricplt/statefulsets", "StatefulSet"),
-            ("/apis/apps/v1/namespaces/ricplt/daemonsets", "DaemonSet"),
-            ("/apis/apps/v1/namespaces/ricplt/replicasets", "ReplicaSet"),
-            ("/apis/batch/v1/namespaces/ricplt/jobs", "Job"),
-            ("/apis/batch/v1/namespaces/ricplt/cronjobs", "CronJob"),
-            ("/apis/rbac.authorization.k8s.io/v1/namespaces/ricplt/roles", "Role"),
-            ("/apis/rbac.authorization.k8s.io/v1/clusterroles", "ClusterRole"),
-        ]:
-            mock_cluster.add_list(path, kind, [])
-        mock_cluster.add_list(
-            "/api/v1/namespaces/ricplt/pods", "Pod", [pod_item("loose-pod")]
-        )
-        monkeypatch.setenv("RIC_TOKEN", "sekrit")
-        code, out, err = run_cli(
-            capsys, "scan", "--endpoint", mock_cluster.base_url, "--namespace", "ricplt",
-            "--token-env", "RIC_TOKEN", "--insecure", "--format", "json",
-            "--fail-on", "critical",
-        )
-        payload = json_payload(out)
-        assert any(f["resource"] == "ricplt/Pod/loose-pod" for f in payload["findings"])
-        assert mock_cluster.mutating_requests() == []
-        assert "Bearer sekrit" in mock_cluster.auth_headers
-
-    @pytest.mark.parametrize("token", ["abc\ndef", "tok\u20acn"])
-    def test_token_outside_visible_ascii_exits_2(self, capsys, monkeypatch, mock_cluster, token):
-        # The token would become a header value; it must never reach the
-        # diagnostic, which CI logs keep.
-        monkeypatch.setenv("RIC_TOKEN", token)
-        code, out, err = run_cli(
-            capsys, "scan", "--endpoint", mock_cluster.base_url, "--namespace", "ricplt",
-            "--token-env", "RIC_TOKEN", "--insecure",
-        )
-        assert (code, out) == (2, "")
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
-        assert not any(part in err for part in token.split("\n"))
-        assert mock_cluster.auth_headers == []
-
-    def test_unauthorized_exits_2(self, capsys, mock_cluster):
-        mock_cluster.add_raw("/api/v1/namespaces/ricplt/pods", 403, {})
-        code, _, err = run_cli(
-            capsys, "scan", "--endpoint", mock_cluster.base_url, "--namespace", "ricplt",
-            "--insecure",
-        )
-        assert code == 2
-
-
 class TestConfigFile:
     def test_flags_take_precedence(self, capsys, tmp_path, hardened_manifests):
         config = tmp_path / "ricaudit.yaml"
@@ -594,6 +554,9 @@ class TestConfigFile:
         ("scan", "frameworks: [nsa-cisa]"),
         ("scan", "scan_reports: [r.json]"),
         ("report", "config: other.yaml"),
+        ("scan", "endpoint: https://api.example"),
+        ("scan", "token_env: RIC_TOKEN"),
+        ("scan", "insecure: true"),
     ])
     def test_key_of_an_input_not_read_exits_2(self, capsys, tmp_path, command, line):
         config = tmp_path / "cfg.yaml"
@@ -636,8 +599,6 @@ EMPTY_SETTINGS = [
     (["scan", "d", "--output", ""], ["scan", "d", "--output="], "--output"),
     (["versions", "--inventory", ""], ["versions", "--inventory="], "--inventory"),
     (["scan", "d", "--namespace", ""], ["scan", "d", "--namespace="], "--namespace"),
-    (["scan", "--endpoint", ""], ["scan", "--endpoint="], "--endpoint"),
-    (["scan", "d", "--token-env", ""], ["scan", "d", "--token-env="], "--token-env"),
     (["vulns", "--scan-report", ""], ["vulns", "--scan-report="], "--scan-report"),
     (["score", "d", "--framework", "a", "--framework", ""],
      ["score", "d", "--framework", "a", "--framework="], "--framework"),
@@ -649,15 +610,14 @@ class TestEmptySettings:
                              ids=[flag for _, _, flag in EMPTY_SETTINGS])
     def test_empty_flag_value_exits_2_through_both_readers(self, capsys, plain, spelled, flag):
         # Read as given, `scan ''` would audit the current directory, and an
-        # empty --namespace, --endpoint, --token-env or --config would be
-        # taken for none.
+        # empty --namespace or --config would be taken for none.
         assert cli._read_argv(plain) is not None and cli._read_argv(spelled) is None
         for argv in (plain, spelled):
             assert run_cli(capsys, *argv) == (2, "", f"ricaudit: empty value for {flag}\n")
 
     @pytest.mark.parametrize("command, line", [
         ("scan", "inputs: ['']"), ("scan", "namespace: ''"), ("scan", "catalogs: ['a', '']"),
-        ("scan", "endpoint: ''"), ("scan", "token_env: ''"), ("scan", "output: ''"),
+        ("scan", "output: ''"),
         ("versions", "inventory: ''"), ("vulns", "scan_reports: ['']"),
         ("score", "frameworks: ['']"),
     ])
@@ -672,8 +632,8 @@ class TestEmptySettings:
 
 # The flags each sub-command takes ("inputs" is the positional argument),
 # written out here rather than read from the program.
-SCAN_FLAGS = {"inputs", "--config", "--namespace", "--catalog", "--endpoint", "--token-env",
-              "--insecure", "--format", "--fail-on", "--output"}
+SCAN_FLAGS = {"inputs", "--config", "--namespace", "--catalog", "--format", "--fail-on",
+              "--output"}
 FLAGS = {
     "scan": SCAN_FLAGS,
     "vulns": {"--config", "--scan-report", "--format", "--fail-on", "--output"},
@@ -682,6 +642,9 @@ FLAGS = {
     "report": SCAN_FLAGS | {"--framework", "--scan-report", "--inventory"},
     "verify-fixtures": set(),
 }
+# Flags of no sub-command: ricaudit reads a live cluster only from a
+# `kubectl get -o yaml` file, so it takes no API endpoint, token or TLS override.
+REMOVED_FLAGS = {"--endpoint", "--token-env", "--insecure"}
 
 
 class TestFlags:
@@ -696,10 +659,11 @@ class TestFlags:
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in sorted(FLAGS)
-        for flag in sorted(FLAGS["report"] - FLAGS[command])
+        for flag in sorted((FLAGS["report"] | REMOVED_FLAGS) - FLAGS[command])
     ])
     def test_any_other_flag_exits_2(self, capsys, command, flag):
         argv = [command, "x"] if flag == "inputs" else [command, flag, "x"]
+        assert cli._read_argv(argv) is None  # left to argparse, which refuses it
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -777,6 +741,7 @@ def test_fast_path_reads_argv_as_argparse_does(argv):
 # `scan a -- b` as one run of inputs, ["a", "b"]).
 FALLS_BACK = [
     ["scan", "--form", "json"], ["scan", "--format=json"], ["scan", "--insecure=1"],
+    ["scan", "a", "b", "--format", "json", "--insecure"], ["scan", "--insecure", "a", "b"],
     ["scan", "a", "--", "b"], ["scan", "-"], ["vulns", "--scan-report", "-1"],
     ["vulns", "--scan-report", "-x"], ["-h"], ["scan", "-h"], ["--version"],
     ["scan", "a", "--format", "json", "b"], ["scan", "--format", "xml"],
@@ -786,7 +751,8 @@ FALLS_BACK = [
 # Each argv it reads itself.
 READ_FAST = [
     ["vulns", "--scan-report", ""], ["scan", "--namespace", "a", "--namespace", "b"],
-    ["scan", "a", "b", "--format", "json", "--insecure"], ["scan", "--insecure", "a", "b"],
+    ["scan", "a", "b", "--format", "json", "--namespace", "n"],
+    ["scan", "--namespace", "n", "a", "b"],
     ["report", "--scan-report", "r1", "--config", "c", "--scan-report", "r2", "--fail-on", "low"],
     ["versions", "--inventory", "i", "--output", "o"], ["score", "--framework", "x", "d"],
     ["scan"], ["vulns"],
@@ -1265,7 +1231,7 @@ def run_in(directory, argv: list[str]) -> tuple[int, str]:
 
 
 # Config values hold no "/" or ".", so that no path they name leaves the
-# example's own empty directory, and no endpoint they name is a URL.
+# example's own empty directory.
 config_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(st.characters(blacklist_characters="/."), max_size=8),
@@ -1274,7 +1240,7 @@ config_values = st.recursive(
     max_leaves=6,
 )
 CONFIG_KEYS = ["inputs", "namespace", "catalogs", "frameworks", "scan_reports", "inventory",
-               "endpoint", "token_env", "insecure", "format", "fail_on", "output"]
+               "format", "fail_on", "output"]
 config_trees = config_values | st.dictionaries(st.sampled_from(CONFIG_KEYS), config_values,
                                               max_size=4)
 
@@ -1299,13 +1265,13 @@ def test_any_config_never_crashes(tmp_path_factory, command, config):
 
 
 def valid_config(fixture_root) -> dict:
-    """A config for `report` that sets every key but endpoint to a working value."""
+    """A config for `report` that sets every key to a working value."""
     return {
         "inputs": [str(fixture_root / "manifests" / "hardened")], "namespace": "ricplt",
         "catalogs": [], "frameworks": ["nsa-cisa"],
         "scan_reports": [str(sorted((fixture_root / "scan-reports").glob("*.json"))[0])],
-        "inventory": str(fixture_root / "inventory.yaml"), "token_env": "RICAUDIT_FUZZ_TOKEN",
-        "insecure": False, "format": "json", "fail_on": "critical", "output": "payload",
+        "inventory": str(fixture_root / "inventory.yaml"), "format": "json",
+        "fail_on": "critical", "output": "payload",
     }
 
 

@@ -329,7 +329,12 @@ def test_payload_independent_of_file_layout_and_order(tmp_path_factory, document
     for layout, names in (("split", split), ("shuffled", shuffled), ("stream", None)):
         write_set(root / layout, documents, names)
         payloads.append(payload_of("report", str(root / layout)))
-    assert payloads[0] == payloads[1] == payloads[2]
+    # The "list" layout: one List object holding them all, as `kubectl get -o yaml` writes.
+    listed = root / "list.yaml"
+    listed.write_text(yaml.safe_dump({"apiVersion": "v1", "kind": "List", "items": documents}),
+                      encoding="utf-8")
+    payloads.append(payload_of("report", str(listed)))
+    assert payloads[0] == payloads[1] == payloads[2] == payloads[3]
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

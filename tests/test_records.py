@@ -18,8 +18,6 @@ import pytest
 
 import ricaudit
 from ricaudit.catalogs import load_catalogs, parse_catalog
-from ricaudit.cluster import ClusterEndpoint
-from ricaudit.errors import ClusterError
 from ricaudit.manifests import load_directory
 from ricaudit.report import AuditResult
 from ricaudit.rules import rule_from_mapping
@@ -134,11 +132,9 @@ def test_advisory_entry_checks_when_built(changes):
         valid._replace(**changes)
 
 
-def test_audit_result_and_endpoint_check_when_replaced():
+def test_audit_result_checks_when_replaced():
     with pytest.raises(ValueError, match="totals inconsistent"):
         AuditResult()._replace(totals=VulnTotals(1, 1, 0, 0))
-    with pytest.raises(ClusterError, match="request_timeout"):
-        ClusterEndpoint("https://api.example")._replace(request_timeout=0)
 
 
 def test_public_records_are_tuples():

@@ -503,13 +503,29 @@ def test_leading_byte_order_mark_is_ignored():
 # --- import hygiene ---------------------------------------------------------
 
 
-def test_cli_import_leaves_network_stack_unloaded():
+def fixture_report_argv(fixture_root, output) -> list[str]:
+    """The per-CI-job `report` over the shipped corpus, as the benchmark's
+    fixture-ci workload runs it."""
+    argv = ["report", str(fixture_root / "manifests" / "vulnerable")]
+    for path in sorted((fixture_root / "scan-reports").glob("*.json")):
+        argv += ["--scan-report", str(path)]
+    return argv + ["--inventory", str(fixture_root / "inventory.yaml"), "--namespace", "ricplt",
+                   "--format", "both", "--output", str(output)]
+
+
+def test_cli_import_leaves_network_stack_unloaded(tmp_path, fixture_root):
+    # Every public name and a whole report load no HTTP client, TLS or
+    # thread pool. (`certifi` and `urllib.parse` are left out: a site .pth
+    # file may load them before the program starts.)
     code = (
-        "import sys, ricaudit.cli\n"
-        "loaded = [m for m in ('requests', 'ssl', 'ricaudit.cluster') if m in sys.modules]\n"
+        "import sys, ricaudit\n"
+        "from ricaudit import cli\n"
+        "for name in ricaudit.__all__:\n"
+        "    getattr(ricaudit, name)\n"
+        f"assert cli.main({fixture_report_argv(fixture_root, tmp_path / 'report.txt')!r}) == 1\n"
+        "loaded = [m for m in ('requests', 'urllib3', 'ssl', 'concurrent.futures')\n"
+        "          if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "from ricaudit import ClusterEndpoint, fetch_resources\n"
-        "assert 'requests' in sys.modules\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -535,20 +551,14 @@ def test_cli_import_leaves_fixtures_unloaded():
 
 
 def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root):
-    """The per-CI-job `report` over the shipped corpus, as the benchmark's
-    fixture-ci workload runs it, leaves these modules unloaded: loading them
-    costs more than the run's own work. The child runs without `site`, whose
-    .pth files may load some of them first and so hide the program's imports;
-    its path holds the package and PyYAML alone."""
-    argv = ["report", str(fixture_root / "manifests" / "vulnerable")]
-    for path in sorted((fixture_root / "scan-reports").glob("*.json")):
-        argv += ["--scan-report", str(path)]
-    argv += ["--inventory", str(fixture_root / "inventory.yaml"), "--namespace", "ricplt",
-             "--format", "both", "--output", str(tmp_path / "report.txt")]
+    """The per-CI-job fixture `report` leaves these modules unloaded: loading
+    them costs more than the run's own work. The child runs without `site`,
+    whose .pth files may load some of them first and so hide the program's
+    imports; its path holds the package and PyYAML alone."""
     code = (
         "import sys\n"
         "from ricaudit import cli\n"
-        f"assert cli.main({argv!r}) == 1\n"
+        f"assert cli.main({fixture_report_argv(fixture_root, tmp_path / 'report.txt')!r}) == 1\n"
         "loaded = [m for m in ('dataclasses', 'inspect', 'fractions', 'argparse',\n"
         "                      'importlib.resources') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
@@ -567,8 +577,7 @@ PUBLIC_NAMES = {
     "VulnTotals", "classify_severity", "occurrence_and_unique_totals", "parse_scan_report",
     "Control", "ControlResult", "Evidence",
     "Framework", "FrameworkScore", "control_compliance", "framework_score", "AdvisoryEntry",
-    "Version", "VersionFinding", "audit_components", "parse_version", "ClusterEndpoint",
-    "fetch_resources", "AuditResult", "exit_code", "render_json", "render_table",
+    "Version", "VersionFinding", "audit_components", "parse_version", "AuditResult", "exit_code", "render_json", "render_table",
 }
 
 
