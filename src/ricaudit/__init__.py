@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "severity": ("SeverityClass", "ThreatCategory"),
-    "manifests": ("DirectoryLoad", "ResourceDocument", "ResourceRecord", "SourceLocation",
-                  "load_directory", "parse_manifest_stream"),
+    "manifests": ("DirectoryLoad", "ResourceDocument", "load_directory", "parse_manifest_stream"),
     "rules": ("Finding", "Rule", "evaluate", "severity_histogram"),
     "vulns": ("ContainerScanSummary", "ImageRef", "VulnTally", "VulnTotals", "classify_severity",
               "occurrence_and_unique_totals", "parse_scan_report"),

@@ -28,7 +28,8 @@ class CatalogBundle(NamedTuple):
     advisories: list[AdvisoryEntry]
 
 
-# The fields of each catalog section and entry, and of an inventory entry.
+# The fields of each catalog section and entry, and of an inventory entry. A
+# framework's and a control's `title` are checked but not kept.
 CATALOG_FIELDS = {"rules": (LIST, []), "frameworks": (LIST, []), "advisories": (LIST, [])}
 FRAMEWORK_FIELDS = {"id": STRING, "title": (STRING, ""), "controls": LIST}
 CONTROL_FIELDS = {"id": STRING, "title": (STRING, ""), "rule_ids": (STRINGS, [])}
@@ -44,11 +45,11 @@ def _framework_from_mapping(raw: Any) -> Framework:
     controls = []
     for raw_control in fw["controls"]:
         c = entry_fields(raw_control, f"framework {fw['id']!r} control", CONTROL_FIELDS, key="id")
-        controls.append(Control(fw["id"], c["id"], c["title"], tuple(c["rule_ids"])))
+        controls.append(Control(fw["id"], c["id"], tuple(c["rule_ids"])))
     if not controls:
         raise CatalogError(f"framework {fw['id']}: controls must be non-empty")
     reject_duplicates((c.control_id for c in controls), f"framework {fw['id']}: duplicate control")
-    return Framework(id=fw["id"], title=fw["title"], controls=tuple(controls))
+    return Framework(id=fw["id"], controls=tuple(controls))
 
 
 def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:

@@ -16,20 +16,18 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import AuditError, CatalogError
-from .manifests import ResourceDocument, ResourceRecord
+from .manifests import ResourceDocument
 from .rules import Finding, Rule
 
 
 class Control(NamedTuple):
     framework_id: str
     control_id: str
-    title: str
     rule_ids: tuple[str, ...]
 
 
 class Framework(NamedTuple):
     id: str
-    title: str
     controls: tuple[Control, ...]
 
 
@@ -61,10 +59,10 @@ class Evidence(NamedTuple):
     def build(
         cls,
         findings: Sequence[Finding],
-        resources: Iterable[ResourceRecord | ResourceDocument],
+        resources: Iterable[ResourceDocument],
         catalog: Sequence[Rule],
     ) -> "Evidence":
-        """`resources` are the records of the evaluated documents, or the documents themselves."""
+        """`resources` are the evaluated documents, with or without their bodies."""
         refs_by_kind: dict[str, list[str]] = {}
         for res in resources:
             refs_by_kind.setdefault(res.kind, []).append(res.ref)

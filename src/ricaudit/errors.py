@@ -24,7 +24,7 @@ class InvalidYaml(AuditError):
 class DocumentError(AuditError):
     """A document in a manifest stream cannot be parsed or cannot become a resource."""
 
-    def __init__(self, file_path: str, document_index: int, reason: str):
+    def __init__(self, file_path: str, document_index: int | str, reason: str):
         super().__init__(f"{file_path}: document {document_index}: {reason}")
 
 

@@ -7,9 +7,9 @@ are retained: an auditor must not drop evidence it does not understand.
 
 Only the rules read a document's body. `load_directory` hands each file's
 documents on as soon as the file is parsed, and what a run keeps of a
-document after that is its ResourceRecord: kind, namespace, app label and
-ref. So a manifest stage holds one file's bodies plus one small record per
-document.
+document after that is the same ResourceDocument with no body: kind,
+namespace, app label and ref. So a manifest stage holds one file's bodies
+plus one small tuple per document.
 """
 
 from __future__ import annotations
@@ -29,54 +29,25 @@ MANIFEST_EXTENSIONS = {".yaml", ".yml", ".json"}
 CLUSTER_SCOPE = "_cluster"
 
 
-class SourceLocation(NamedTuple):
-    """Where a document came from: its file and its position in the file's stream."""
-
-    file_path: str
-    document_index: int
-
-
-class ResourceRecord(NamedTuple):
-    """What a run keeps of a document once the rules have read its body."""
-
-    kind: str
-    namespace: str | None
-    # The container the document belongs to, if it names one (see ResourceDocument.app).
-    app: str | None
-    ref: str
-
-    # A record has no body: the rules judged on records read none.
-    body = None
-
-
 class ResourceDocument(NamedTuple):
     """One parsed Kubernetes object.
 
+    `app` is the container the object belongs to: its `app` label, else its
+    `app.kubernetes.io/name` label, else None. `ref` is the canonical
+    "namespace/kind/name", with "_cluster" for a cluster-scoped object.
     `body` is the full manifest tree (maps/lists/scalars) and is treated as
-    immutable after construction; rule evaluation never mutates it. `ref` is
-    the canonical "namespace/kind/name", with "_cluster" for a cluster-scoped
-    object, rendered once when the document is built.
+    immutable; rule evaluation never mutates it. What a run keeps of a
+    document once the rules have read it is the same tuple with `body=None`.
     """
 
-    api_version: str
     kind: str
-    name: str
     namespace: str | None
-    labels: Mapping[str, str]
-    body: Mapping[str, Any]
-    source: SourceLocation
+    app: str | None
     ref: str
-
-    @property
-    def app(self) -> str | None:
-        """The `app` label, else the `app.kubernetes.io/name` label, else None."""
-        return self.labels.get("app") or self.labels.get("app.kubernetes.io/name") or None
-
-    def record(self) -> ResourceRecord:
-        return ResourceRecord(self.kind, self.namespace, self.app, self.ref)
+    body: Mapping[str, Any] | None
 
 
-def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str]:
+def _labels_of(raw: Mapping[str, Any], origin: str, index: int | str) -> Mapping[str, str]:
     labels = raw["metadata"].get("labels")
     if not isinstance(labels, (Mapping, type(None))):
         raise DocumentError(origin, index, f"labels must be a mapping (got {type(labels).__name__})")
@@ -84,10 +55,11 @@ def _labels_of(raw: Mapping[str, Any], origin: str, index: int) -> dict[str, str
         # Nothing is coerced: `tier: 2` would become "2", `app: 1.10` "1.1".
         if not (isinstance(key, str) and isinstance(value, str)):
             raise DocumentError(origin, index, f"label {key!r} must be a string")
-    return dict(labels or {})
+    return labels or {}
 
 
-def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument:
+def document_from_mapping(raw: Any, origin: str, index: int | str) -> ResourceDocument:
+    """`raw` as a document; `index` names it in errors (see `parse_manifest_stream`)."""
     if not isinstance(raw, Mapping):
         raise DocumentError(origin, index, f"document is not an object (got {type(raw).__name__})")
     kind = raw.get("kind")
@@ -97,20 +69,13 @@ def document_from_mapping(raw: Any, origin: str, index: int) -> ResourceDocument
     name = metadata.get("name") if isinstance(metadata, Mapping) else None
     if not isinstance(name, str) or not name:
         raise DocumentError(origin, index, "no metadata.name")
-    namespace = metadata.get("namespace") if isinstance(metadata, Mapping) else None
+    namespace = metadata.get("namespace")
     if not (isinstance(namespace, str) and namespace):
         namespace = None
-    api_version = raw.get("apiVersion")
-    return ResourceDocument(
-        api_version=api_version if isinstance(api_version, str) else "",
-        kind=kind,
-        name=name,
-        namespace=namespace,
-        labels=_labels_of(raw, origin, index),
-        body=raw,
-        source=SourceLocation(file_path=origin, document_index=index),
-        ref=f"{namespace or CLUSTER_SCOPE}/{kind}/{name}",
-    )
+    labels = _labels_of(raw, origin, index)
+    app = labels.get("app") or labels.get("app.kubernetes.io/name") or None
+    ref = f"{namespace or CLUSTER_SCOPE}/{kind}/{name}"
+    return ResourceDocument(kind, namespace, app, ref, raw)
 
 
 def _is_list_object(raw: Any) -> bool:
@@ -125,14 +90,15 @@ def _is_list_object(raw: Any) -> bool:
 def _flatten_list(raw: Mapping[str, Any], origin: str, index: int) -> list[ResourceDocument]:
     item_kind = raw["kind"][: -len("List")] or None
     docs = []
-    for item in raw["items"]:
+    for position, item in enumerate(raw["items"]):
         if isinstance(item, Mapping):
             item = dict(item)
             if item_kind and not item.get("kind"):
                 item["kind"] = item_kind
+            # Rules can read the apiVersion path of an item's body.
             if not item.get("apiVersion") and isinstance(raw.get("apiVersion"), str):
                 item["apiVersion"] = raw["apiVersion"]
-        docs.append(document_from_mapping(item, origin, index))
+        docs.append(document_from_mapping(item, origin, f"{index}: item {position}"))
     return docs
 
 
@@ -140,13 +106,14 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
     """Parse a (possibly multi-document) manifest stream.
 
     Returns one ResourceDocument per non-empty document in stream order;
-    empty and comment-only documents are skipped silently. `document_index`
-    is the document's position in the stream, counting skipped documents.
+    empty and comment-only documents are skipped silently.
 
     Raises DocumentError, naming the file and document, on bad UTF-8, syntax
     errors and nesting deeper than yamlio.MAX_DEPTH, and on structurally
     valid documents that are not Kubernetes objects (no kind, no
-    metadata.name, labels that are not strings).
+    metadata.name, labels that are not strings). A document is named by its
+    position in the stream, counting skipped documents; an item of a List
+    also by its position in `items` (`document 0: item 1: ...`).
     """
     documents: list[ResourceDocument] = []
     try:

@@ -7,7 +7,7 @@ without any terminal I/O.
 
 Each stage holds its input only as long as it needs it. The manifest
 stage scopes and evaluates each file's documents as the file is parsed and
-keeps a small record per document (see `rules.Evaluation`); each scan
+keeps each document without its body (see `rules.Evaluation`); each scan
 report is counted into the tally as it is read.
 """
 
@@ -22,7 +22,7 @@ from . import __version__
 from .catalogs import load_catalogs, load_inventory
 from .compliance import Evidence, FrameworkScore, score_framework
 from .errors import AuditError
-from .manifests import ResourceDocument, ResourceRecord, distinct_files, load_directory
+from .manifests import ResourceDocument, distinct_files, load_directory
 from .report import AuditResult
 from .rules import Evaluation, Finding, group_findings_by_app
 from .versions import VersionAudit, audit_components
@@ -46,15 +46,15 @@ def build_result(
     *,
     tally: VulnTally,
     findings: Sequence[Finding] = (),
-    resources: Sequence[ResourceRecord | ResourceDocument] = (),
+    resources: Sequence[ResourceDocument] = (),
     framework_scores: Sequence[FrameworkScore] = (),
     version_audit: VersionAudit | None = None,
     generated_at: str | None = None,
 ) -> AuditResult:
     """Assemble one AuditResult from whatever workflows actually ran.
 
-    `resources` are the records of the evaluated documents (or the
-    documents themselves); their app labels group the findings.
+    `resources` are the evaluated documents, with or without their bodies;
+    their app labels group the findings.
     """
     misconfig_map = group_findings_by_app(findings, resources)
     return AuditResult(
@@ -101,7 +101,7 @@ def audit(
             # A framework named twice is scored once, at its first place.
             selected = [by_id[fid] for fid in dict.fromkeys(frameworks)]
 
-    records: list[ResourceRecord] = []
+    records: list[ResourceDocument] = []
     findings: list[Finding] = []
     scores: list[FrameworkScore] = []
     if manifests:

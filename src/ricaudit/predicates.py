@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from .errors import CatalogError
-from .manifests import ResourceDocument, ResourceRecord
+from .manifests import ResourceDocument
 
 # Kinds that embed a pod template, and the path to the pod spec inside them.
 POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
@@ -63,8 +63,8 @@ class EvalContext:
         self.last_pod: tuple = (None, None)
 
     @classmethod
-    def build(cls, resources: Iterable[ResourceRecord | ResourceDocument]) -> "EvalContext":
-        """The facts of a whole set of resources: their records, or the documents themselves."""
+    def build(cls, resources: Iterable[ResourceDocument]) -> "EvalContext":
+        """The facts of a whole set of documents, with or without their bodies."""
         ctx = cls()
         for res in resources:
             ctx.namespace_kinds.setdefault(res.namespace, set()).add(res.kind)
@@ -79,8 +79,8 @@ class EvalContext:
         return last[1]
 
 
-# A check judges a node of a document; one that reads no BODY may judge a record.
-Check = Callable[[Any, ResourceDocument | ResourceRecord, EvalContext], bool]
+# A check judges a node of a document; one that reads no BODY may judge one with no body.
+Check = Callable[[Any, ResourceDocument, EvalContext], bool]
 
 
 def resolve_path(node: Any, path: str) -> list[Any]:
@@ -297,21 +297,16 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
     elif op not in ("all_of", "any_of", "not", "kind_is"):
         reads.add(BODY)
 
-    def compile_sub(sub_spec: Mapping[str, Any]) -> Check:
-        sub = compile_check(sub_spec)
-        reads.update(sub.reads)
-        return sub
-
     if op == "all_of":
         _require(isinstance(arg, list) and arg, "all_of needs a non-empty list")
-        subs = [compile_sub(s) for s in arg]
+        subs = [_compile(s, reads) for s in arg]
         return lambda node, doc, ctx: all(s(node, doc, ctx) for s in subs)
     if op == "any_of":
         _require(isinstance(arg, list) and arg, "any_of needs a non-empty list")
-        subs = [compile_sub(s) for s in arg]
+        subs = [_compile(s, reads) for s in arg]
         return lambda node, doc, ctx: any(s(node, doc, ctx) for s in subs)
     if op == "not":
-        sub = compile_sub(arg)
+        sub = _compile(arg, reads)
         return lambda node, doc, ctx: not sub(node, doc, ctx)
 
     if op == "kind_is":
@@ -344,7 +339,7 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
 
     if op == "any_item" or op == "all_items":
         path, check = entry_fields(arg, op, {"path": STRING, "check": ANY}).values()
-        sub = compile_sub(check)
+        sub = _compile(check, reads)
         if op == "any_item":
             return lambda node, doc, ctx: any(
                 sub(item, doc, ctx)
@@ -360,15 +355,15 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
         )
 
     if op == "pod_spec":
-        sub = compile_sub(arg)
+        sub = _compile(arg, reads)
         return lambda node, doc, ctx: (
             (spec_node := ctx.pod(doc)[0]) is not None and sub(spec_node, doc, ctx)
         )
     if op == "any_container":
-        sub = compile_sub(arg)
+        sub = _compile(arg, reads)
         return lambda node, doc, ctx: any(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
     if op == "all_containers":
-        sub = compile_sub(arg)
+        sub = _compile(arg, reads)
         return lambda node, doc, ctx: all(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
 
     if op == "image_registry_not_in":

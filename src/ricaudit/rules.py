@@ -6,18 +6,17 @@ framework catalogs. Evaluation is pure — it never mutates resources and
 two evaluations of the same inputs produce identical findings.
 
 `evaluate` judges a whole set of documents at once. `Evaluation` judges
-the same set one batch (one manifest file) at a time, keeping a
-ResourceRecord of each document instead of its body, and gives the same
-findings.
+the same set one batch (one manifest file) at a time, keeping each
+document without its body, and gives the same findings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any, NamedTuple
 
 from .errors import CatalogError
-from .manifests import ResourceDocument, ResourceRecord
+from .manifests import ResourceDocument
 from .predicates import (
     ANY, BODY, CONTEXT, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields)
 from .severity import SeverityClass, ThreatCategory, empty_counts
@@ -26,29 +25,16 @@ WILDCARD_KIND = "*"
 
 
 class Rule(NamedTuple):
+    """A parsed rule entry. Its `description` and `category` are checked but
+    not kept; its `check` is kept compiled, as `predicate`."""
+
     id: str
     title: str
-    description: str
     severity: SeverityClass
-    category: ThreatCategory
     applies_to: frozenset[str]
-    check: Mapping[str, Any]
     control_refs: tuple[tuple[str, str], ...]
     remediation: str
-    # `check` compiled once, when the rule is parsed. Equality and the hash
-    # ignore it: two parses of one rule compile two equal checks.
     predicate: Check
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
     def applies_to_kind(self, kind: str) -> bool:
         return WILDCARD_KIND in self.applies_to or kind in self.applies_to
@@ -84,14 +70,11 @@ def rule_from_mapping(raw: Any) -> Rule:
     try:
         if not fields["applies_to"]:
             raise ValueError("applies_to must be non-empty")
-        return Rule(**{
-            **fields,
-            "severity": SeverityClass.from_label(fields["severity"]),
-            "category": ThreatCategory(fields["category"]),
-            "applies_to": frozenset(fields["applies_to"]),
-            "control_refs": tuple(parse_control_ref(r) for r in fields["control_refs"]),
-            "predicate": compile_check(fields["check"]),
-        })
+        severity = SeverityClass.from_label(fields["severity"])
+        ThreatCategory(fields["category"])  # checked, not kept: an unknown one is a ValueError
+        return Rule(fields["id"], fields["title"], severity, frozenset(fields["applies_to"]),
+                    tuple(parse_control_ref(r) for r in fields["control_refs"]),
+                    fields["remediation"], compile_check(fields["check"]))
     except (ValueError, CatalogError) as exc:
         raise CatalogError(f"rule {fields['id']!r}: {exc}") from exc
 
@@ -138,7 +121,7 @@ def report_order(finding: Finding) -> tuple:
 
 def evaluate(
     catalog: Sequence[Rule],
-    resources: Sequence[ResourceDocument | ResourceRecord],
+    resources: Sequence[ResourceDocument],
     ctx: EvalContext | None = None,
 ) -> list[Finding]:
     """Evaluate every rule against every applicable resource.
@@ -149,8 +132,8 @@ def evaluate(
     input order. With `ctx`, `resources` are one batch of a larger set whose
     facts `ctx` holds (see `Evaluation`): the findings come in batch order,
     for the caller to sort once. Each resource meets every rule in turn, so
-    that its pod spec is walked once (see `EvalContext.pod`). A record may
-    stand for a document when no rule's check reads the body.
+    that its pod spec is walked once (see `EvalContext.pod`). A document
+    with no body may be judged by rules whose checks read no BODY.
     """
     whole = ctx is None
     if whole:
@@ -176,12 +159,12 @@ class Evaluation:
     """The findings of a document set that arrives in batches, one manifest file each.
 
     `add` judges a batch with every rule whose check reads no CONTEXT, and
-    keeps a ResourceRecord of each document. `finish` judges the rules whose
-    check reads CONTEXT, once, after the last batch: on the records when the
-    check reads no BODY, otherwise on the documents kept for such rules (the
-    ones they apply to). So no body outlives its batch unless the catalog
-    has a rule that reads both. The findings equal `evaluate`'s on the whole
-    set. A plain class, because it accumulates.
+    keeps each document without its body (its record). `finish` judges the
+    rules whose check reads CONTEXT, once, after the last batch: on the
+    records when the check reads no BODY, otherwise on the documents kept
+    for such rules (the ones they apply to). So no body outlives its batch
+    unless the catalog has a rule that reads both. The findings equal
+    `evaluate`'s on the whole set. A plain class, because it accumulates.
     """
 
     def __init__(self, catalog: Sequence[Rule]) -> None:
@@ -191,18 +174,18 @@ class Evaluation:
         # Only the pod cache of this context is used before `finish`.
         self.ctx = EvalContext()
         self.findings: list[Finding] = []
-        self.records: list[ResourceRecord] = []
+        self.records: list[ResourceDocument] = []
         self.kept: list[ResourceDocument] = []
 
     def add(self, documents: Sequence[ResourceDocument]) -> None:
         self.findings += evaluate(self.per_document, documents, self.ctx)
         self.ctx.last_pod = (None, None)  # the pod cache holds the batch's last document
-        self.records += [doc.record() for doc in documents]
+        self.records += [doc._replace(body=None) for doc in documents]
         if self.on_bodies:
             self.kept += [doc for doc in documents
                           if any(rule.applies_to_kind(doc.kind) for rule in self.on_bodies)]
 
-    def finish(self) -> tuple[list[Finding], list[ResourceRecord]]:
+    def finish(self) -> tuple[list[Finding], list[ResourceDocument]]:
         """Every finding, sorted by `report_order`, and the record of every document."""
         ctx = EvalContext.build(self.records)
         findings = self.findings
@@ -221,7 +204,7 @@ def severity_histogram(findings: Iterable[Finding]) -> dict[SeverityClass, int]:
 
 
 def group_findings_by_app(
-    findings: Sequence[Finding], resources: Iterable[ResourceRecord | ResourceDocument]
+    findings: Sequence[Finding], resources: Iterable[ResourceDocument]
 ) -> dict[str, list[Finding]]:
     """Group findings by the `app` label of the resource they fired on.
 

@@ -178,7 +178,7 @@ def test_criterion_4_compliance_scoring(capsys):
         pairs = []
         for i in range(count):
             rule_ids = ("MISC-LIMITS",) if rng.random() > 0.15 else ()
-            control = Control("nsa-cisa", f"C{i}", "t", rule_ids)
+            control = Control("nsa-cisa", f"C{i}", rule_ids)
             controls.append(control)
             if rule_ids and rng.random() > 0.1:
                 applicable = rng.randint(1, 8)
@@ -190,7 +190,7 @@ def test_criterion_4_compliance_scoring(capsys):
                 pairs.append((passing, applicable))
             else:
                 pairs.append((0, 0))
-        framework = Framework("nsa-cisa", "t", tuple(controls))
+        framework = Framework("nsa-cisa", tuple(controls))
         score = framework_score(framework, results)
         assert score.percent == oracle_percent(pairs), f"case {case}"
 

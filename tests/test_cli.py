@@ -96,6 +96,21 @@ class TestScan:
         assert err == (f"ricaudit: parse error in {path}: "
                        f"{path}: document 0: label 'app' must be a string\n")
 
+    @pytest.mark.parametrize("second, reason", [
+        ({"metadata": {"namespace": "ns"}}, "no metadata.name"),
+        ("p2", "document is not an object (got str)"),
+    ], ids=["no-name", "not-a-mapping"])
+    def test_bad_list_item_is_named_by_its_index(self, capsys, tmp_path, second, reason):
+        # As `kubectl get -o yaml` writes a live cluster: one List of three pods.
+        pods = [{"metadata": {"name": f"p{k}", "namespace": "ns"}} for k in (1, 3)]
+        path = tmp_path / "l.yaml"
+        path.write_text(yaml.safe_dump({"apiVersion": "v1", "kind": "PodList",
+                                        "items": [pods[0], second, pods[1]]}))
+        code, out, err = run_cli(capsys, "scan", str(path), "--format", "json")
+        # The file is skipped whole, as any file that fails to parse is.
+        assert (code, json_payload(out)["findings"]) == (0, [])
+        assert err == f"ricaudit: parse error in {path}: {path}: document 0: item 1: {reason}\n"
+
     @pytest.mark.parametrize("line", [
         "spec: !!timestamp x", "spec: !!bool maybe", "spec: !!int ''", "spec: {!!float '': x}",
     ])

@@ -33,7 +33,7 @@ def pods(count: int):
 
 
 def control_for(*rule_ids, framework="nsa-cisa", control_id="X-1"):
-    return Control(framework_id=framework, control_id=control_id, title="t", rule_ids=rule_ids)
+    return Control(framework_id=framework, control_id=control_id, rule_ids=rule_ids)
 
 
 class TestControlCompliance:
@@ -99,7 +99,6 @@ def result_for(passing: int, applicable: int, control_id: str):
 def framework_of(*control_ids):
     return Framework(
         id="nsa-cisa",
-        title="t",
         controls=tuple(control_for("MISC-LIMITS", control_id=c) for c in control_ids),
     )
 
@@ -113,7 +112,6 @@ class TestFrameworkScore:
     def test_mean_excludes_not_applicable(self):
         fw = Framework(
             id="nsa-cisa",
-            title="t",
             controls=(
                 control_for("MISC-LIMITS", control_id="A"),
                 control_for("MISC-LIMITS", control_id="B"),
@@ -161,7 +159,7 @@ class TestFrameworkScore:
         """(passing, applicable, has rules) per control; a control with no
         applicable resource or no rule is NotApplicable."""
         ids = [f"C{i}" for i in range(len(counts))]
-        fw = Framework(id="nsa-cisa", title="t", controls=tuple(
+        fw = Framework(id="nsa-cisa", controls=tuple(
             control_for(*(["MISC-LIMITS"] if rules else []), control_id=c)
             for (_, _, rules), c in zip(counts, ids)))
         results = [ControlResult(control, applicable, passing)
@@ -212,7 +210,6 @@ class TestFrameworkScore:
         base = framework_score(fw, [result_for(1, 2, "A"), result_for(1, 4, "B")])
         grown = Framework(
             id="nsa-cisa",
-            title="t",
             controls=fw.controls + (control_for(control_id="C"),),
         )
         extra = ControlResult(control=grown.controls[2], applicable_resources=0,

@@ -55,15 +55,22 @@ def test_empty_stream():
 def test_comment_only_documents_skipped():
     text = "---\n# just a comment\n---\n# another\n---\n" + POD
     docs = parse_manifest_stream(text, "pods.yaml")
-    assert [d.name for d in docs] == ["e2term"]
-    assert docs[0].source.document_index == 2
+    assert [d.ref for d in docs] == ["ricplt/Pod/e2term"]
+    # The skipped documents still count: the pod is document 2, so the next is 3.
+    with pytest.raises(DocumentError, match=r"^pods\.yaml: document 3: no kind field$"):
+        parse_manifest_stream(text + "---\nmetadata: {name: x}\n", "pods.yaml")
 
 
 def test_three_documents_in_stream_order():
     docs = parse_manifest_stream(THREE_DOCS, "multi.yaml")
     assert [d.kind for d in docs] == ["Pod", "Service", "ConfigMap"]
-    assert [d.source.document_index for d in docs] == [0, 1, 2]
-    assert all(d.source.file_path == "multi.yaml" for d in docs)
+    assert [d.ref for d in docs] == ["ns/Pod/a", "ns/Service/b", "ns/ConfigMap/c"]
+    # Each document is named by the file and its position in the stream.
+    streams = THREE_DOCS.split("---\n")
+    for index in range(3):
+        broken = [*streams[:index], "kind: Pod\n", *streams[index + 1:]]
+        with pytest.raises(DocumentError, match=rf"^multi\.yaml: document {index}: no metadata"):
+            parse_manifest_stream("---\n".join(broken), "multi.yaml")
 
 
 def test_missing_kind():
@@ -124,14 +131,24 @@ def test_list_kind_flattened():
         }
     )
     docs = parse_manifest_stream(text, "list.yaml")
-    assert [(d.kind, d.name) for d in docs] == [("Pod", "a"), ("Pod", "b")]
-    assert all(d.source.document_index == 0 for d in docs)
+    assert [(d.kind, d.ref) for d in docs] == [("Pod", "ns/Pod/a"), ("Pod", "ns/Pod/b")]
+    # Every item is document 0, and is named by its position among the items.
+    items = [{"metadata": {"name": "a"}}, {"metadata": {}}]
+    with pytest.raises(DocumentError, match=r"^list\.yaml: document 0: item 1: no metadata\.name$"):
+        parse_manifest_stream(yaml.safe_dump({"kind": "PodList", "items": items}), "list.yaml")
 
 
 def test_labels_extracted():
-    text = "kind: Pod\nmetadata:\n  name: x\n  labels: {app: web, tier: \"2\"}\n"
-    doc = parse_manifest_stream(text, "x.yaml")[0]
-    assert doc.labels == {"app": "web", "tier": "2"}
+    # The app is the `app` label, else the `app.kubernetes.io/name` label.
+    for labels, app in [
+        ('{app: web, tier: "2"}', "web"),
+        ("{app.kubernetes.io/name: web, tier: x}", "web"),
+        ("{app: web, app.kubernetes.io/name: other}", "web"),
+        ('{app: "", app.kubernetes.io/name: other}', "other"),
+        ('{app: "", tier: x}', None),
+    ]:
+        text = f"kind: Pod\nmetadata:\n  name: x\n  labels: {labels}\n"
+        assert parse_manifest_stream(text, "x.yaml")[0].app == app, labels
 
 
 @pytest.mark.parametrize("label,key", [
@@ -157,7 +174,7 @@ def test_labels_not_a_mapping_is_a_document_error(labels, shape):
 @pytest.mark.parametrize("labels", ["", "null", "{}"])
 def test_null_or_empty_labels_are_no_labels(labels):
     text = f"kind: Pod\nmetadata:\n  name: x\n  labels: {labels}\n"
-    assert parse_manifest_stream(text, "x.yaml")[0].labels == {}
+    assert parse_manifest_stream(text, "x.yaml")[0].app is None
 
 
 def test_label_not_a_string_skips_the_file(tmp_path):
@@ -165,7 +182,7 @@ def test_label_not_a_string_skips_the_file(tmp_path):
         "kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")
     (tmp_path / "ok.yaml").write_text(POD)
     load = load_directory(tmp_path)
-    assert [doc.name for doc in load.documents] == ["e2term"]
+    assert [doc.ref for doc in load.documents] == ["ricplt/Pod/e2term"]
     assert [str(failure.error) for failure in load.errors] == [
         f"{tmp_path / 'lab.yaml'}: document 0: label 'app' must be a string"]
 
@@ -189,7 +206,7 @@ def test_resource_ref_rendering(kind, name, namespace, expected):
     )
     doc = parse_manifest_stream(text, "r.yaml")[0]
     assert doc.ref == expected
-    assert (doc.namespace, doc.kind, doc.name) == (namespace, kind, name)
+    assert (doc.namespace, doc.kind, doc.ref.rpartition("/")[2]) == (namespace, kind, name)
 
 
 def test_load_empty_directory(tmp_path):
@@ -224,16 +241,17 @@ def test_malformed_file_recorded_not_fatal(tmp_path):
 def test_load_directory_deterministic(vulnerable_manifests):
     first = load_directory(vulnerable_manifests)
     second = load_directory(vulnerable_manifests)
-    assert [d.source for d in first.documents] == [d.source for d in second.documents]
-    assert [d.name for d in first.documents] == [d.name for d in second.documents]
+    assert [d.ref for d in first.documents] == [d.ref for d in second.documents]
+    assert [d.body for d in first.documents] == [d.body for d in second.documents]
 
 
 def test_load_directory_ordered_by_path_then_index(tmp_path):
     (tmp_path / "b.yaml").write_text(POD)
     (tmp_path / "a.yaml").write_text(THREE_DOCS)
     load = load_directory(tmp_path)
-    keys = [(d.source.file_path, d.source.document_index) for d in load.documents]
-    assert keys == sorted(keys)
+    # a.yaml's three documents in stream order, then b.yaml's pod.
+    assert [d.ref for d in load.documents] == [
+        "ns/Pod/a", "ns/Service/b", "ns/ConfigMap/c", "ricplt/Pod/e2term"]
 
 
 def test_completeness_accounting(tmp_path):
@@ -261,10 +279,13 @@ def test_only_regular_manifest_files_load_each_once(tmp_path):
     (tmp_path / "dir.yaml" / "inner.json").write_text(THREE_DOCS)
     load = load_directory(tmp_path, tmp_path / "pod.yaml")
     assert load.errors == []
-    assert [(d.source.file_path, d.name) for d in load.documents] == [
-        (str(tmp_path / "a-link.yaml"), "e2term"),
-        *((str(tmp_path / "dir.yaml" / "inner.json"), name) for name in "abc"),
-    ]
+    assert [d.ref for d in load.documents] == [
+        "ricplt/Pod/e2term", "ns/Pod/a", "ns/Service/b", "ns/ConfigMap/c"]
+    # The pod was read once, under a-link.yaml, the first path that reached it.
+    (tmp_path / "pod.yaml").write_text("kind: [unclosed\n")
+    load = load_directory(tmp_path, tmp_path / "pod.yaml")
+    assert [failure.file_path for failure in load.errors] == [str(tmp_path / "a-link.yaml")]
+    assert [d.ref for d in load.documents] == ["ns/Pod/a", "ns/Service/b", "ns/ConfigMap/c"]
 
 
 # --- metamorphic properties over generated manifest sets ---------------------
@@ -359,8 +380,8 @@ def test_namespace_scope_restricts_the_unscoped_findings(tmp_path_factory, docum
 
 # --- the streamed manifest stage against a whole-set reference ---------------
 #
-# `audit` evaluates each file as it is parsed and keeps a record per document;
-# the reference loads every document, then runs `evaluate`, `Evidence.build`
+# `audit` evaluates each file as it is parsed and keeps each document without
+# its body; the reference loads every document, then runs `evaluate`, `Evidence.build`
 # and `score_framework` on the whole set.
 
 # A user rule that reads cross-document facts and bodies both, so its bodies are kept.
@@ -431,6 +452,11 @@ def test_streamed_stage_equals_whole_set_evaluation(tmp_path_factory, files, nam
         catalogs = (root / "user.yaml",)
     for scope in (None, namespace):
         assert_streamed_equals_whole_set(root / "set", scope, catalogs)
+    # What the streamed stage keeps of each document is the document with no body.
+    evaluation = Evaluation(load_catalogs(catalogs).rules)
+    load_directory(root / "set", consume=evaluation.add)
+    whole = load_directory(root / "set").documents
+    assert evaluation.finish()[1] == [doc._replace(body=None) for doc in whole]
 
 
 def workload(kind: str, name: str, namespace: str, limits: dict | None = None) -> dict:

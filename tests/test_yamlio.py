@@ -572,7 +572,7 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
 # The package's public names, written out here rather than read from it.
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
-    "ResourceRecord", "SourceLocation", "load_directory", "parse_manifest_stream", "Finding",
+    "load_directory", "parse_manifest_stream", "Finding",
     "Rule", "evaluate", "severity_histogram", "ContainerScanSummary", "ImageRef", "VulnTally",
     "VulnTotals", "classify_severity", "occurrence_and_unique_totals", "parse_scan_report",
     "Control", "ControlResult", "Evidence",
