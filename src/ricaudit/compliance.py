@@ -86,9 +86,6 @@ def control_compliance(control: Control, evidence: Evidence) -> ControlResult:
                 f"unknown rule {rule_id!r}"
             )
         referenced.append(evidence.rules_by_id[rule_id])
-    if not referenced:
-        return ControlResult(control=control, applicable_resources=0, passing_resources=0)
-
     applicable = [
         ref
         for kind, refs in evidence.refs_by_kind.items()

@@ -70,8 +70,10 @@ def document_from_mapping(raw: Any, origin: str, index: int | str) -> ResourceDo
     if not isinstance(name, str) or not name:
         raise DocumentError(origin, index, "no metadata.name")
     namespace = metadata.get("namespace")
-    if not (isinstance(namespace, str) and namespace):
-        namespace = None
+    if not isinstance(namespace, (str, type(None))):
+        raise DocumentError(origin, index,
+                            f"metadata.namespace must be a string (got {type(namespace).__name__})")
+    namespace = namespace or None
     labels = _labels_of(raw, origin, index)
     app = labels.get("app") or labels.get("app.kubernetes.io/name") or None
     ref = f"{namespace or CLUSTER_SCOPE}/{kind}/{name}"
@@ -111,9 +113,9 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
     Raises DocumentError, naming the file and document, on bad UTF-8, syntax
     errors and nesting deeper than yamlio.MAX_DEPTH, and on structurally
     valid documents that are not Kubernetes objects (no kind, no
-    metadata.name, labels that are not strings). A document is named by its
-    position in the stream, counting skipped documents; an item of a List
-    also by its position in `items` (`document 0: item 1: ...`).
+    metadata.name, a namespace or labels that are not strings). A document
+    is named by its position in the stream, counting skipped documents; an
+    item of a List also by its position in `items` (`document 0: item 1: ...`).
     """
     documents: list[ResourceDocument] = []
     try:

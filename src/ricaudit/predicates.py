@@ -297,14 +297,11 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
     elif op not in ("all_of", "any_of", "not", "kind_is"):
         reads.add(BODY)
 
-    if op == "all_of":
-        _require(isinstance(arg, list) and arg, "all_of needs a non-empty list")
+    if op == "all_of" or op == "any_of":
+        _require(isinstance(arg, list) and arg, f"{op} needs a non-empty list")
         subs = [_compile(s, reads) for s in arg]
-        return lambda node, doc, ctx: all(s(node, doc, ctx) for s in subs)
-    if op == "any_of":
-        _require(isinstance(arg, list) and arg, "any_of needs a non-empty list")
-        subs = [_compile(s, reads) for s in arg]
-        return lambda node, doc, ctx: any(s(node, doc, ctx) for s in subs)
+        every = any if op == "any_of" else all
+        return lambda node, doc, ctx: every(s(node, doc, ctx) for s in subs)
     if op == "not":
         sub = _compile(arg, reads)
         return lambda node, doc, ctx: not sub(node, doc, ctx)
@@ -340,14 +337,8 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
     if op == "any_item" or op == "all_items":
         path, check = entry_fields(arg, op, {"path": STRING, "check": ANY}).values()
         sub = _compile(check, reads)
-        if op == "any_item":
-            return lambda node, doc, ctx: any(
-                sub(item, doc, ctx)
-                for items in resolve_path(node, path)
-                if isinstance(items, list)
-                for item in items
-            )
-        return lambda node, doc, ctx: all(
+        every = any if op == "any_item" else all
+        return lambda node, doc, ctx: every(
             sub(item, doc, ctx)
             for items in resolve_path(node, path)
             if isinstance(items, list)
@@ -359,12 +350,10 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
         return lambda node, doc, ctx: (
             (spec_node := ctx.pod(doc)[0]) is not None and sub(spec_node, doc, ctx)
         )
-    if op == "any_container":
+    if op == "any_container" or op == "all_containers":
         sub = _compile(arg, reads)
-        return lambda node, doc, ctx: any(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
-    if op == "all_containers":
-        sub = _compile(arg, reads)
-        return lambda node, doc, ctx: all(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
+        every = any if op == "any_container" else all
+        return lambda node, doc, ctx: every(sub(c, doc, ctx) for c in ctx.pod(doc)[1])
 
     if op == "image_registry_not_in":
         _require(SHAPES[STRINGS](arg) and arg,

@@ -7,7 +7,8 @@ two evaluations of the same inputs produce identical findings.
 
 `evaluate` judges a whole set of documents at once. `Evaluation` judges
 the same set one batch (one manifest file) at a time, keeping each
-document without its body, and gives the same findings.
+document without its body unless a rule that reads other documents
+also reads that body, and gives the same findings.
 """
 
 from __future__ import annotations
@@ -159,38 +160,30 @@ class Evaluation:
     """The findings of a document set that arrives in batches, one manifest file each.
 
     `add` judges a batch with every rule whose check reads no CONTEXT, and
-    keeps each document without its body (its record). `finish` judges the
-    rules whose check reads CONTEXT, once, after the last batch: on the
-    records when the check reads no BODY, otherwise on the documents kept
-    for such rules (the ones they apply to). So no body outlives its batch
-    unless the catalog has a rule that reads both. The findings equal
-    `evaluate`'s on the whole set. A plain class, because it accumulates.
+    keeps a record of each document: the document without its body, unless
+    a rule whose check reads CONTEXT and BODY applies to it. `finish` judges
+    every rule whose check reads CONTEXT, once, on the records, after the
+    last batch. So no body outlives its batch unless the catalog has a rule
+    that reads both. The findings equal `evaluate`'s on the whole set. A
+    plain class, because it accumulates.
     """
 
     def __init__(self, catalog: Sequence[Rule]) -> None:
         self.per_document = [r for r in catalog if CONTEXT not in r.predicate.reads]
-        self.on_records = [r for r in catalog if r.predicate.reads == {CONTEXT}]
-        self.on_bodies = [r for r in catalog if r.predicate.reads == {CONTEXT, BODY}]
-        # Only the pod cache of this context is used before `finish`.
-        self.ctx = EvalContext()
+        self.deferred = [r for r in catalog if CONTEXT in r.predicate.reads]
         self.findings: list[Finding] = []
         self.records: list[ResourceDocument] = []
-        self.kept: list[ResourceDocument] = []
 
     def add(self, documents: Sequence[ResourceDocument]) -> None:
-        self.findings += evaluate(self.per_document, documents, self.ctx)
-        self.ctx.last_pod = (None, None)  # the pod cache holds the batch's last document
-        self.records += [doc._replace(body=None) for doc in documents]
-        if self.on_bodies:
-            self.kept += [doc for doc in documents
-                          if any(rule.applies_to_kind(doc.kind) for rule in self.on_bodies)]
+        self.findings += evaluate(self.per_document, documents, EvalContext())
+        body_readers = [r for r in self.deferred if BODY in r.predicate.reads]
+        self.records += [doc if any(r.applies_to_kind(doc.kind) for r in body_readers)
+                         else doc._replace(body=None) for doc in documents]
 
     def finish(self) -> tuple[list[Finding], list[ResourceDocument]]:
         """Every finding, sorted by `report_order`, and the record of every document."""
-        ctx = EvalContext.build(self.records)
         findings = self.findings
-        findings += evaluate(self.on_records, self.records, ctx)
-        findings += evaluate(self.on_bodies, self.kept, ctx)
+        findings += evaluate(self.deferred, self.records, EvalContext.build(self.records))
         findings.sort(key=report_order)
         return findings, self.records
 

@@ -66,7 +66,6 @@ class ScanReport(NamedTuple):
     individually rejected ones."""
 
     container: str
-    image: ImageRef
     records: VulnTally
     rejected: list[RejectedEntry]
 
@@ -112,7 +111,7 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
     container, image, entries = _read_report(raw, what, error=AuditError)
     image = ImageRef(*_read_image(image, f"{what}: image", error=AuditError))
     tally = VulnTally()
-    report = ScanReport(container=container, image=image, records=tally, rejected=[])
+    report = ScanReport(container=container, records=tally, rejected=[])
     counts = empty_counts()
     unique, critical_rce, critical_actionable = (
         tally.unique, tally.critical_rce, tally.critical_actionable)

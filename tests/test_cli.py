@@ -96,6 +96,17 @@ class TestScan:
         assert err == (f"ricaudit: parse error in {path}: "
                        f"{path}: document 0: label 'app' must be a string\n")
 
+    def test_namespace_not_a_string_is_a_parse_error(self, capsys, tmp_path):
+        # Read as "no namespace", the Pod was scoped out of `--namespace 2024`
+        # with nothing on stderr.
+        path = tmp_path / "ns.yaml"
+        path.write_text("kind: Pod\nmetadata:\n  name: web\n  namespace: 2024\n")
+        code, out, err = run_cli(capsys, "scan", str(path), "--namespace", "2024",
+                                 "--format", "json")
+        assert (code, json_payload(out)["findings"]) == (0, [])
+        assert err == (f"ricaudit: parse error in {path}: "
+                       f"{path}: document 0: metadata.namespace must be a string (got int)\n")
+
     @pytest.mark.parametrize("second, reason", [
         ({"metadata": {"namespace": "ns"}}, "no metadata.name"),
         ("p2", "document is not an object (got str)"),

@@ -162,6 +162,24 @@ def test_label_not_a_string_is_a_document_error(label, key):
     assert str(exc.value) == f"x.yaml: document 0: label {key} must be a string"
 
 
+@pytest.mark.parametrize("namespace,shape", [("2024", "int"), ("1.10", "float"), ("[a]", "list"),
+                                             ("{a: b}", "dict"), ("true", "bool")])
+def test_namespace_not_a_string_is_a_document_error(namespace, shape):
+    # Read as "no namespace", `namespace: 2024` made the Pod cluster-scoped.
+    text = f"kind: Pod\nmetadata:\n  name: x\n  namespace: {namespace}\n"
+    with pytest.raises(DocumentError) as exc:
+        parse_manifest_stream(text, "x.yaml")
+    assert str(exc.value) == f"x.yaml: document 0: metadata.namespace must be a string (got {shape})"
+
+
+@pytest.mark.parametrize("namespace,scope", [('""', None), ("null", None), ("", None),
+                                             ('"2024"', "2024")])
+def test_empty_or_null_namespace_is_no_namespace(namespace, scope):
+    text = f"kind: Pod\nmetadata:\n  name: x\n  namespace: {namespace}\n"
+    doc = parse_manifest_stream(text, "x.yaml")[0]
+    assert (doc.namespace, doc.ref) == (scope, f"{scope or '_cluster'}/Pod/x")
+
+
 @pytest.mark.parametrize("labels,shape", [("[app, web]", "list"), ("web", "str"), ("[]", "list")])
 def test_labels_not_a_mapping_is_a_document_error(labels, shape):
     # Read as "no labels", `labels: [app, web]` gave findings but no container row.
@@ -452,11 +470,14 @@ def test_streamed_stage_equals_whole_set_evaluation(tmp_path_factory, files, nam
         catalogs = (root / "user.yaml",)
     for scope in (None, namespace):
         assert_streamed_equals_whole_set(root / "set", scope, catalogs)
-    # What the streamed stage keeps of each document is the document with no body.
+    # What the streamed stage keeps of each document is the document with no
+    # body, unless the mixed rule applies to its kind.
     evaluation = Evaluation(load_catalogs(catalogs).rules)
     load_directory(root / "set", consume=evaluation.add)
     whole = load_directory(root / "set").documents
-    assert evaluation.finish()[1] == [doc._replace(body=None) for doc in whole]
+    kept_kinds = MIXED_CATALOG["rules"][0]["applies_to"] if mixed else []
+    assert evaluation.finish()[1] == [doc if doc.kind in kept_kinds else doc._replace(body=None)
+                                      for doc in whole]
 
 
 def workload(kind: str, name: str, namespace: str, limits: dict | None = None) -> dict:
@@ -484,13 +505,14 @@ def test_rule_mixing_context_and_body_checks_keeps_only_its_bodies(tmp_path):
     assert_streamed_equals_whole_set(tmp_path / "set", "guarded", catalogs)
 
     evaluation = Evaluation(load_catalogs(catalogs).rules)
-    assert [rule.id for rule in evaluation.on_bodies] == ["USER-OPEN-UNBOUNDED"]
-    assert [rule.id for rule in evaluation.on_records] == ["MISC-NETPOL", "MISC-DUPREF"]
     for documents in files:
         evaluation.add(parse_manifest_stream(yaml.safe_dump_all(documents), "f.yaml"))
     # Only the documents the mixed rule applies to keep their bodies.
-    assert [doc.ref for doc in evaluation.kept] == [
+    records = evaluation.finish()[1]
+    assert [doc.ref for doc in records if doc.body is not None] == [
         "open/Pod/p", "open/Deployment/d", "open/Pod/b", "guarded/Deployment/d", "open/Pod/p"]
+    assert [doc.ref for doc in records if doc.body is None] == [
+        "open/ConfigMap/c", "guarded/NetworkPolicy/default-deny"]
 
 
 class Body(dict):

@@ -324,6 +324,34 @@ class TestCombinators:
             {"all_containers": {"path_exists": "resources.limits.cpu"}}, POD
         )
 
+    # Each any/all pair: its check of a sub-check, then the bodies of a Pod on
+    # which every match passes, on which one match fails, and on which nothing
+    # matches. any_of and all_of always have a match: an empty list is refused.
+    @pytest.mark.parametrize("any_op, all_op, check_of, every, one_fails, no_match", [
+        ("any_of", "all_of", lambda op: {op: [{"path_exists": "a"}, {"path_exists": "b"}]},
+         {"a": 1, "b": 2}, {"a": 1}, []),
+        ("any_item", "all_items",
+         lambda op: {op: {"path": "items", "check": {"path_exists": "ok"}}},
+         {"items": [{"ok": 1}, {"ok": 2}]}, {"items": [{"ok": 1}, {}]},
+         [{}, {"items": {"ok": 1}}, {"items": []}]),
+        ("any_container", "all_containers", lambda op: {op: {"path_exists": "ok"}},
+         {"spec": {"containers": [{"ok": 1}], "initContainers": [{"ok": 2}]}},
+         {"spec": {"containers": [{"ok": 1}], "initContainers": [{}]}},
+         [{}, {"spec": {"containers": []}}, {"spec": {"containers": "c"}}]),
+    ], ids=["of", "item", "container"])
+    def test_any_all_pair(self, any_op, all_op, check_of, every, one_fails, no_match):
+        def judge(op, fields):
+            return run(check_of(op), {"kind": "Pod", "metadata": {"name": "p"}, **fields})
+
+        assert judge(any_op, every) and judge(all_op, every)
+        assert judge(any_op, one_fails) and not judge(all_op, one_fails)
+        for fields in no_match:
+            assert not judge(any_op, fields) and judge(all_op, fields), fields
+        if not no_match:
+            for op in (any_op, all_op):
+                with pytest.raises(CatalogError, match=f"^{op} needs a non-empty list$"):
+                    compile_check({op: []})
+
     def test_pod_spec_scope(self):
         assert run({"pod_spec": {"path_exists": "containers"}}, DEPLOYMENT)
         # A kind without a pod template never satisfies pod_spec checks.
