@@ -9,14 +9,14 @@ Only the rules read a document's body. `load_directory` hands each file's
 documents on as soon as the file is parsed, and what a run keeps of a
 document after that is the same ResourceDocument with no body: kind,
 namespace, app label and ref. So a manifest stage holds one file's bodies
-plus one small tuple per document.
+plus one small tuple per document. A file that cannot be read or parsed
+is skipped with one diagnostic line; `distinct_files` decides, for every
+input, which paths name the same file.
 """
 
 from __future__ import annotations
 
-import errno
 import os
-import stat
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -131,18 +131,12 @@ def parse_manifest_stream(text: bytes | str, origin: str) -> list[ResourceDocume
     return documents
 
 
-class ParseFailure(NamedTuple):
-    """A file that failed to parse during a directory load."""
-
-    file_path: str
-    error: Exception
-
-
 class DirectoryLoad(NamedTuple):
-    """Outcome of load_directory: parsed documents plus recorded failures."""
+    """Outcome of load_directory: parsed documents plus one diagnostic line
+    per skipped file."""
 
     documents: list[ResourceDocument]
-    errors: list[ParseFailure]
+    errors: list[str]
 
 
 def distinct_files(paths: Iterable[str | Path]) -> Iterator[str | Path]:
@@ -164,62 +158,43 @@ def distinct_files(paths: Iterable[str | Path]) -> Iterator[str | Path]:
             yield path
 
 
-# Stat errors that mean a path names no file, as `Path.is_file` reads them:
-# a dangling or looping symlink, for example.
-_NO_FILE = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP}
-
-
 def load_directory(
     *roots: str | Path, consume: Callable[[list[ResourceDocument]], None] | None = None
 ) -> DirectoryLoad:
     """Recursively load every manifest file under each root, root by root.
 
-    Parse errors are collected per file, not raised, so one malformed file
-    never hides the rest of the evidence. A file reached more than once
-    (through two roots, a symlink or a hard link) is loaded once, under the
-    first path that reached it. Document order is deterministic: root
-    order, then lexicographic by file path within a root, then document
-    index.
+    A file that cannot be read or parsed is skipped with one line in the
+    result's `errors`, not raised, so one malformed file never hides the
+    rest of the evidence. Only regular files are read. A file reached more
+    than once (through two roots, a symlink or a hard link) is loaded once,
+    under the first path that reached it. Document order is deterministic:
+    root order, then lexicographic by file path within a root, then
+    document index.
 
     Each file's documents go to `consume` as soon as the file is parsed,
     and are released before the next file is read. By default they are
     collected in the result's `documents`.
     """
-    files: dict[tuple[int, int], Path] = {}
+    found: list[Path] = []
     for root in map(Path, roots):
         if not root.exists():
             raise AuditError(f"no such path: {root}")
         if root.is_file():
-            found = [root]
+            found.append(root)
         else:
-            found = sorted(
-                (p for p in root.rglob("*") if p.suffix.lower() in MANIFEST_EXTENSIONS),
-                key=lambda p: str(p),
-            )
-        for path in found:
-            # One stat both keeps regular files and identifies them.
-            try:
-                status = os.stat(path)
-            except OSError as exc:
-                if exc.errno in _NO_FILE:
-                    continue
-                raise
-            if stat.S_ISREG(status.st_mode):
-                files.setdefault((status.st_dev, status.st_ino), path)
+            found += sorted((p for p in root.rglob("*")
+                             if p.suffix.lower() in MANIFEST_EXTENSIONS and p.is_file()), key=str)
 
     result = DirectoryLoad(documents=[], errors=[])
     consume = consume or result.documents.extend
-    for path in files.values():
+    for path in distinct_files(found):
         try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            result.errors.append(ParseFailure(str(path), AuditError(f"cannot read {path}: {exc}")))
-            continue
-        try:
-            docs = parse_manifest_stream(raw, str(path))
+            docs = parse_manifest_stream(yamlio.read_file(path, "manifest"), str(path))
         except DocumentError as exc:
-            result.errors.append(ParseFailure(str(path), exc))
-            continue
-        consume(docs)
-        del docs
+            result.errors.append(f"parse error in {exc}")
+        except AuditError as exc:
+            result.errors.append(str(exc))
+        else:
+            consume(docs)
+            del docs
     return result

@@ -3,7 +3,8 @@
 The assessment's four workflows (manifest scan, vulnerability ingestion,
 compliance scoring, version audit) are stages of `audit`, each run only
 when its input is given; this module wires them into one AuditResult
-without any terminal I/O.
+without any terminal I/O. Each stage words its own problems as finished
+one-line diagnostics, which `audit` passes to `diag` unchanged.
 
 Each stage holds its input only as long as it needs it. The manifest
 stage scopes and evaluates each file's documents as the file is parsed and
@@ -27,6 +28,7 @@ from .report import AuditResult
 from .rules import Evaluation, Finding, group_findings_by_app
 from .versions import VersionAudit, audit_components
 from .vulns import VulnTally, occurrence_and_unique_totals, parse_scan_report
+from .yamlio import read_file
 
 
 def default_timestamp() -> str:
@@ -113,9 +115,8 @@ def audit(
                 documents = [d for d in documents if d.namespace == namespace]
             evaluation.add(documents)
 
-        load = load_directory(*manifests, consume=add_file)
-        for failure in load.errors:
-            diag(f"parse error in {failure.file_path}: {failure.error}")
+        for line in load_directory(*manifests, consume=add_file).errors:
+            diag(line)
         findings, records = evaluation.finish()
         if frameworks is not None:
             evidence = Evidence.build(findings, records, bundle.rules)
@@ -126,21 +127,16 @@ def audit(
     # A report reached twice (the same path, a symlink or a hard link) is
     # read once, as manifest files are.
     for path in distinct_files(scan_reports):
-        try:
-            with open(path, "rb") as file:  # Path("") would be ".", a directory
-                text = file.read()
-        except OSError as exc:
-            raise AuditError(f"cannot read scan report {path}: {exc}") from exc
-        report = parse_scan_report(text, origin=str(path))
-        for rejected in report.rejected:
-            diag(f"{report.container}: rejected entry {rejected.index}: {rejected.reason}")
+        report = parse_scan_report(read_file(path, "scan report"), origin=str(path))
+        for line in report.rejected:
+            diag(line)
         tally.merge(report.records)
 
     version_audit = None
     if inventory:
         version_audit = audit_components(load_inventory(inventory), bundle.advisories)
-        for item in version_audit.errors:
-            diag(f"inventory entry {item.component!r}: {item.error}")
+        for line in version_audit.errors:
+            diag(line)
 
     return build_result(
         tally=tally,

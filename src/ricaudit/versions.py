@@ -109,16 +109,12 @@ class VersionFinding(NamedTuple):
     severity: SeverityClass
 
 
-class InventoryError(NamedTuple):
-    component: str
-    error: MalformedVersion
-
-
 class VersionAudit(NamedTuple):
-    """Audit outcome: findings plus per-item version parse errors."""
+    """Audit outcome: findings plus one diagnostic line per item whose
+    version does not parse."""
 
     findings: list[VersionFinding]
-    errors: list[InventoryError]
+    errors: list[str]
 
 
 def audit_components(
@@ -127,8 +123,8 @@ def audit_components(
     """Match an inventory of (component, version string) pairs against advisories.
 
     One finding per matching (item, advisory) pair; a malformed version is
-    recorded for that item without aborting the rest. Findings are sorted
-    by severity descending, then component.
+    recorded for that item, as one diagnostic line, without aborting the
+    rest. Findings are sorted by severity descending, then component.
     """
     audit = VersionAudit(findings=[], errors=[])
     for component, raw in inventory:
@@ -136,7 +132,7 @@ def audit_components(
         try:
             installed = parse_version(raw)
         except MalformedVersion as exc:
-            audit.errors.append(InventoryError(component=canonical, error=exc))
+            audit.errors.append(f"inventory entry {canonical!r}: {exc}")
             continue
         for entry in advisories:
             if entry.component == canonical and entry.affected.matches(installed):

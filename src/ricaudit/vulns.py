@@ -8,7 +8,8 @@ per-entry record is built. Tallies merge in input order, so a corpus is
 aggregated one report at a time and memory is bounded by the largest
 report. Merging adds histograms and unites id sets, so the histograms and
 totals do not depend on the split or the order; a container's image is
-that of its first report with an accepted entry.
+that of its first report with an accepted entry. An entry with an
+out-of-range CVSS score is left out alone, with one diagnostic line.
 """
 
 from __future__ import annotations
@@ -56,18 +57,12 @@ def classify_severity(
     return SeverityClass.LOW
 
 
-class RejectedEntry(NamedTuple):
-    index: int
-    reason: str
-
-
 class ScanReport(NamedTuple):
-    """Parsed scan report: the tally of its accepted entries plus the
-    individually rejected ones."""
+    """Parsed scan report: the tally of its accepted entries plus one
+    diagnostic line per individually rejected one."""
 
-    container: str
     records: VulnTally
-    rejected: list[RejectedEntry]
+    rejected: list[str]
 
 
 # The fields of a scan report, of its image and of each of its entries.
@@ -90,7 +85,8 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
 
     Each accepted entry is classified and counted into the report's tally
     as it is read. Unknown fields are ignored. Entries whose CVSS score is
-    outside [0, 10] are rejected individually and reported; structural
+    outside [0, 10] are rejected individually, each with the line
+    `<container>: rejected entry <i>: <reason>` in `rejected`; structural
     problems (missing fields, wrong shapes) raise AuditError, naming the
     entry's index for an entry.
     """
@@ -111,7 +107,7 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
     container, image, entries = _read_report(raw, what, error=AuditError)
     image = ImageRef(*_read_image(image, f"{what}: image", error=AuditError))
     tally = VulnTally()
-    report = ScanReport(container=container, records=tally, rejected=[])
+    report = ScanReport(records=tally, rejected=[])
     counts = empty_counts()
     unique, critical_rce, critical_actionable = (
         tally.unique, tally.critical_rce, tally.critical_actionable)
@@ -119,8 +115,8 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
         cve_id, _, _, fixed, cvss, vendor, rce = _read_entry(entry, label, error=AuditError)
         # NaN fails both comparisons, so it is rejected too.
         if cvss is not None and not 0 <= cvss <= 10:
-            report.rejected.append(
-                RejectedEntry(index, f"cvss {cvss} outside [0.0, 10.0] for {cve_id}"))
+            report.rejected.append(f"{container}: rejected entry {index}: "
+                                   f"cvss {cvss} outside [0.0, 10.0] for {cve_id}")
             continue
         if vendor is not None:
             severity = _VENDOR_CLASSES.get(vendor)

@@ -1,13 +1,14 @@
 """The one YAML loader behind every input the toolkit reads.
 
-Manifests load through `load_all`; catalogs, inventories, config files
-and the fixture index, each a single document, through `load_file`. The
-loader is libyaml's safe loader when PyYAML was built with it and PyYAML's
-pure-Python safe loader otherwise; both produce the same trees for the
-shipped data. Where they disagree on odd input the libyaml behaviour is
-kept (see tests/test_yamlio.py). An explicit bool, int, float or timestamp
-tag on a value that does not convert (`!!bool maybe`, `!!int ''`) is a
-construction error at the value's position, like any other.
+Every input file is read by `read_file`. Manifests load through
+`load_all`; catalogs, inventories, config files and the fixture index, each
+a single document, through `load_file`. The loader is libyaml's safe loader
+when PyYAML was built with it and PyYAML's pure-Python safe loader
+otherwise; both produce the same trees for the shipped data. Where they
+disagree on odd input the libyaml behaviour is kept (see
+tests/test_yamlio.py). An explicit bool, int, float or timestamp tag on a
+value that does not convert (`!!bool maybe`, `!!int ''`) is a construction
+error at the value's position, like any other.
 
 libyaml composes nodes recursively on the C stack, so a deeply nested
 document can kill the process with a segmentation fault. A document nested
@@ -206,6 +207,15 @@ def load(data: bytes | str) -> Any:
     return documents[0] if documents else None
 
 
+def read_file(path: str | Path, what: str) -> bytes:
+    """The bytes of the `what` file at `path`; AuditError `cannot read <what> <path>: <reason>`."""
+    try:
+        with open(path, "rb") as file:  # Path("") would be ".", a directory
+            return file.read()
+    except OSError as exc:
+        raise AuditError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_file(path: str | Path, what: str) -> Any:
     """The single document of the YAML file at `path`, a `what` input.
 
@@ -213,10 +223,6 @@ def load_file(path: str | Path, what: str) -> Any:
     the file cannot be read or is not valid YAML.
     """
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise AuditError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return load(data)
+        return load(read_file(path, what))
     except InvalidYaml as exc:
         raise AuditError(f"{what} {path}: invalid YAML: {exc}") from exc

@@ -93,8 +93,7 @@ class TestScan:
         path.write_text("kind: Pod\nmetadata:\n  name: x\n  labels: {app: [x, y]}\n")
         code, out, err = run_cli(capsys, "scan", str(path), "--format", "json")
         assert (code, json_payload(out)["containers"]) == (0, [])
-        assert err == (f"ricaudit: parse error in {path}: "
-                       f"{path}: document 0: label 'app' must be a string\n")
+        assert err == f"ricaudit: parse error in {path}: document 0: label 'app' must be a string\n"
 
     def test_namespace_not_a_string_is_a_parse_error(self, capsys, tmp_path):
         # Read as "no namespace", the Pod was scoped out of `--namespace 2024`
@@ -105,7 +104,7 @@ class TestScan:
                                  "--format", "json")
         assert (code, json_payload(out)["findings"]) == (0, [])
         assert err == (f"ricaudit: parse error in {path}: "
-                       f"{path}: document 0: metadata.namespace must be a string (got int)\n")
+                       "document 0: metadata.namespace must be a string (got int)\n")
 
     @pytest.mark.parametrize("second, reason", [
         ({"metadata": {"namespace": "ns"}}, "no metadata.name"),
@@ -120,7 +119,7 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", str(path), "--format", "json")
         # The file is skipped whole, as any file that fails to parse is.
         assert (code, json_payload(out)["findings"]) == (0, [])
-        assert err == f"ricaudit: parse error in {path}: {path}: document 0: item 1: {reason}\n"
+        assert err == f"ricaudit: parse error in {path}: document 0: item 1: {reason}\n"
 
     @pytest.mark.parametrize("line", [
         "spec: !!timestamp x", "spec: !!bool maybe", "spec: !!int ''", "spec: {!!float '': x}",
@@ -130,7 +129,7 @@ class TestScan:
         path.write_text(f"kind: Pod\nmetadata: {{name: p, namespace: ns}}\n{line}\n")
         code, out, err = run_cli(capsys, "scan", str(path), "--format", "json")
         assert (code, json_payload(out)["containers"]) == (0, [])
-        assert err.startswith(f"ricaudit: parse error in {path}: {path}: document 0: cannot read ")
+        assert err.startswith(f"ricaudit: parse error in {path}: document 0: cannot read ")
         assert len(err.splitlines()) == 1
 
     def test_scan_requires_input(self, capsys):

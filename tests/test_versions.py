@@ -142,8 +142,8 @@ class TestAuditComponents:
             [("kubernetes", "latest"), ("helm", "3.5.4")], load_catalogs().advisories
         )
         assert [f.component for f in audit.findings] == ["helm"]
-        assert len(audit.errors) == 1
-        assert audit.errors[0].component == "kubernetes"
+        assert audit.errors == [
+            "inventory entry 'kubernetes': not a numeric version: 'latest'"]
 
     def test_component_name_case_insensitive(self):
         audit = audit_components([("Kubernetes", "1.16.0")], load_catalogs().advisories)

@@ -124,8 +124,7 @@ class TestParseScanReport:
         report = parse_scan_report(report_payload(entries))
         assert report.records.unique == {"CVE-2"}
         assert histogram(report) == one_in(SeverityClass.MEDIUM)
-        assert len(report.rejected) == 1
-        assert report.rejected[0].index == 0
+        assert report.rejected == ["c1: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-1"]
 
     @pytest.mark.parametrize("cvss", [11.0, -0.5, 10.01, float("nan"), float("inf"),
                                       float("-inf"), 10**400], ids=repr)
@@ -133,19 +132,18 @@ class TestParseScanReport:
         # json.dumps writes NaN and Infinity, which json.loads reads back.
         report = parse_scan_report(report_payload([{**self.ENTRY, "cvss": cvss}]))
         assert report.records == VulnTally()
-        assert [r.index for r in report.rejected] == [0]
-        assert report.rejected[0].reason == f"cvss {cvss} outside [0.0, 10.0] for CVE-1"
+        assert report.rejected == [f"c1: rejected entry 0: cvss {cvss} outside [0.0, 10.0] for CVE-1"]
 
     def test_rejected_entries_keep_entry_order(self):
         cvss_values = [5.0, 11.0, 9.5, float("nan"), None, -1, 10**30]
         entries = [{**self.ENTRY, "cve_id": f"CVE-{i}", "cvss": cvss}
                    for i, cvss in enumerate(cvss_values)]
         report = parse_scan_report(report_payload(entries))
-        assert [(r.index, r.reason) for r in report.rejected] == [
-            (1, "cvss 11.0 outside [0.0, 10.0] for CVE-1"),
-            (3, "cvss nan outside [0.0, 10.0] for CVE-3"),
-            (5, "cvss -1 outside [0.0, 10.0] for CVE-5"),
-            (6, f"cvss {10**30} outside [0.0, 10.0] for CVE-6"),
+        assert report.rejected == [
+            "c1: rejected entry 1: cvss 11.0 outside [0.0, 10.0] for CVE-1",
+            "c1: rejected entry 3: cvss nan outside [0.0, 10.0] for CVE-3",
+            "c1: rejected entry 5: cvss -1 outside [0.0, 10.0] for CVE-5",
+            f"c1: rejected entry 6: cvss {10**30} outside [0.0, 10.0] for CVE-6",
         ]
         assert report.records.unique == {"CVE-0", "CVE-2", "CVE-4"}
         assert len(report.records) == 3
