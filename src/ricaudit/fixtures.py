@@ -2,14 +2,17 @@
 
 The package ships a desk-scale reproduction corpus: eight container scan
 reports, vulnerable/hardened/planted manifest sets, and a component
-inventory. `verify_fixtures` recomputes the report payload from the raw
-fixture files through the real pipeline and compares it with every
-recorded expectation, so any edit that changes an audited number is
-caught as drift.
+inventory. `verify_fixtures` reads the fixture audit's payload back from
+the JSON text `render_json` writes, as every CLI run writes it, and
+compares it with every recorded expectation, so any edit that changes an
+audited number, in the pipeline or in the encoder, is caught as drift.
 """
 
 from __future__ import annotations
 
+import io
+import json
+from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -18,7 +21,7 @@ from . import yamlio
 from .catalogs import data_path
 from .errors import AuditError
 from .pipeline import audit
-from .report import AuditResult, to_payload
+from .report import AuditResult, render_json
 from .vulns import ImageRef
 
 AUDIT_NAMESPACE = "ricplt"
@@ -57,17 +60,30 @@ class FixtureCheck(NamedTuple):
         return self.expected == self.actual
 
 
+def _rows(cell: str, prefix: str, want: Mapping[str, Mapping[str, Any]],
+          have: Mapping[str, Mapping[str, Any]], fields: tuple[str, ...]) -> list[FixtureCheck]:
+    """One check that the payload holds exactly the expected rows, then one per field of each."""
+    checks = [FixtureCheck(cell, sorted(want), sorted(have))]
+    for key, row in want.items():
+        checks += (FixtureCheck(f"{prefix}{key}.{fld}", row[fld], have.get(key, {}).get(fld))
+                   for fld in fields)
+    return checks
+
+
 def verify_fixtures(root: str | Path | None = None) -> list[FixtureCheck]:
     """Compare every recorded fixture expectation with the report payload.
 
     The expectations in `index.yaml` use the keys of the canonical JSON
-    payload, recomputed here from the raw fixture files. Returns the full
-    check list on success; otherwise raises AuditError naming the first
-    mismatching cell with its expected and actual values.
+    payload, recomputed here from the raw fixture files and parsed from the
+    text `render_json` writes. Returns the full check list on success;
+    otherwise raises AuditError naming the first mismatching cell with its
+    expected and actual values.
     """
     root = Path(root or fixture_root())
     expected = load_index(root)["expected"]
-    payload = to_payload(fixture_audit_result(root))
+    stream = io.StringIO()
+    render_json(fixture_audit_result(root), stream)
+    payload = json.loads(stream.getvalue())
 
     containers = {c["container"]: c for c in payload["containers"]}
     checks = [FixtureCheck("containers", sorted(expected["containers"]), sorted(containers))]
@@ -88,21 +104,20 @@ def verify_fixtures(root: str | Path | None = None) -> list[FixtureCheck]:
         for key, actual in payload["totals"].items()
     )
 
-    versions = {v["component"]: v for v in payload["version_findings"]}
-    checks.append(
-        FixtureCheck(
-            "version_findings.components",
-            sorted(e["component"] for e in expected["version_findings"]),
-            sorted(versions),
-        )
-    )
-    for want in expected["version_findings"]:
-        component = want["component"]
-        have = versions.get(component, {})
-        checks.extend(
-            FixtureCheck(f"versions.{component}.{fld}", want[fld], have.get(fld))
-            for fld in ("installed", "cve_count", "cvss_min", "cvss_max")
-        )
+    checks += _rows("version_findings.components", "versions.",
+                    {v["component"]: v for v in expected["version_findings"]},
+                    {v["component"]: v for v in payload["version_findings"]},
+                    ("installed", "cve_count", "cvss_min", "cvss_max"))
+
+    counts = Counter(f["rule_id"] for f in payload["findings"])
+    checks.append(FixtureCheck("findings.rules", sorted(expected["findings"]), sorted(counts)))
+    checks += (FixtureCheck(f"findings.{rule_id}", count, counts[rule_id])
+               for rule_id, count in expected["findings"].items())
+
+    checks += _rows("framework_scores.frameworks", "framework_scores.",
+                    expected["framework_scores"],
+                    {s["framework_id"]: s for s in payload["framework_scores"]},
+                    ("percent", "evaluated_controls", "not_applicable_controls"))
 
     for check in checks:
         if not check.ok:

@@ -121,6 +121,7 @@ def audit(
         if frameworks is not None:
             evidence = Evidence.build(findings, records, bundle.rules)
             scores = [score_framework(fw, evidence)[0] for fw in selected]
+            del evidence  # not held through the later stages
 
     # Each report's tally is merged in as it is read: memory is bounded by the largest report.
     tally = VulnTally()

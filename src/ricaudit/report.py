@@ -6,8 +6,8 @@ the one run-dependent field; pin it with SOURCE_DATE_EPOCH. `render_json`
 writes it to a stream as it encodes it, each list in slices of at most
 JSON_SLICE items, building each slice's dicts just before it encodes them,
 so rendering holds one slice of dicts and text and never the whole
-document. `to_payload` builds the same document whole, from the same
-per-item converters.
+document. That text is the one canonical form, and `render_json` the one
+payload encoder: the fixture verifier reads the payload back from it.
 """
 
 from __future__ import annotations
@@ -151,20 +151,14 @@ def _scalar_payload(result: AuditResult) -> dict[str, Any]:
     }
 
 
-def to_payload(result: AuditResult) -> dict[str, Any]:
-    """The payload as one dict, for `fixtures.verify_fixtures`; `render_json` never builds it."""
-    payload = _scalar_payload(result)
-    for key, (field, convert) in _LISTS.items():
-        payload[key] = [convert(item) for item in getattr(result, field)]
-    return payload
-
-
 def render_json(result: AuditResult, stream: TextIO) -> None:
     """Write the canonical serialization of `result` to `stream`.
 
-    The text is that of `json.dumps(to_payload(result), sort_keys=True,
-    separators=(",", ":"), ensure_ascii=False)`. The dicts of each slice
-    of a list are built, encoded and written before the next slice's.
+    The text is that of `json.dumps(payload, sort_keys=True, separators=(",",
+    ":"), ensure_ascii=False)`, where the payload holds `_scalar_payload(result)`
+    and, under each `_LISTS` key, the converted items of its result field.
+    That payload is never built: the dicts of each slice of a list are built,
+    encoded and written before the next slice's.
     """
     scalars = _scalar_payload(result)
     write = stream.write

@@ -15,7 +15,8 @@ from .errors import MalformedVersion
 from .severity import SeverityClass
 from .vulns import classify_severity
 
-_VERSION_RE = re.compile(r"^v?(\d+)\.(\d+)(?:\.(\d+))?$")
+# SemVer 2.0.0 build metadata: "+" and dot-separated identifiers, after the patch.
+_VERSION_RE = re.compile(r"^v?(\d+)\.(\d+)(?:\.(\d+)(?:\+[0-9A-Za-z-]+(?:\.[0-9A-Za-z-]+)*)?)?$")
 
 
 class Version(NamedTuple):
@@ -32,9 +33,11 @@ class Version(NamedTuple):
 def parse_version(text: str) -> Version:
     """Parse an optionally v-prefixed dotted numeric version.
 
-    A missing patch component defaults to 0. Anything else — pre-release
-    tags, build metadata, channel names like "latest" — is rejected rather
-    than coerced: silent coercion hides supply-chain drift.
+    A missing patch component defaults to 0. Build metadata after the patch
+    (`v3.5.4+g1b5edb6` from `helm version --short`, `v1.16.0+k3s1`) is
+    dropped: SemVer 2.0.0 §10 gives it no part in precedence. Anything
+    else — pre-release tags, channel names like "latest" — is rejected
+    rather than coerced: silent coercion hides supply-chain drift.
     """
     match = _VERSION_RE.match(text.strip())
     if not match:

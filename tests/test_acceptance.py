@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ricaudit
-from conftest import rendered_json
+from conftest import payload_of, rendered_json
 from ricaudit.catalogs import data_path, load_catalogs
 from ricaudit.cli import main
 from ricaudit.compliance import (
@@ -29,7 +29,7 @@ from ricaudit.compliance import (
     framework_score,
 )
 from ricaudit.manifests import load_directory
-from ricaudit.report import AuditResult, to_payload
+from ricaudit.report import AuditResult
 from ricaudit.rules import Finding, evaluate, severity_histogram
 from ricaudit.severity import SeverityClass
 from ricaudit.vulns import (
@@ -360,7 +360,7 @@ def test_criterion_5e_render_json_canonical_round_trip(result):
     parsed = json.loads(rendered)
     canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert canonical == rendered
-    assert parsed == json.loads(json.dumps(to_payload(result)))
+    assert parsed == json.loads(json.dumps(payload_of(result)))
 
 
 def test_criterion_5_summary():

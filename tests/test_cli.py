@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import sys
+import traceback
 from typing import NamedTuple
 
 import pytest
@@ -410,6 +412,18 @@ class TestVersions:
         payload = json_payload(out)
         assert [v["component"] for v in payload["version_findings"]] == ["helm"]
 
+    def test_build_metadata_is_dropped(self, capsys, tmp_path):
+        # The versions `helm version --short` and k3s report.
+        inv = tmp_path / "inv.yaml"
+        inv.write_text("- component: helm\n  version: v3.5.4+g1b5edb6\n"
+                       "- component: kubernetes\n  version: v1.16.0+k3s1\n")
+        code, out, err = run_cli(capsys, "versions", "--inventory", str(inv), "--format", "json",
+                                 "--fail-on", "high")
+        found = {v["component"]: v for v in json_payload(out)["version_findings"]}
+        assert (code, err) == (1, "")
+        assert {c: (v["installed"], v["cve_count"]) for c, v in found.items()} == {
+            "helm": ("3.5.4", 7), "kubernetes": ("1.16.0", 23)}
+
     def test_missing_inventory_flag_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "versions")
         assert code == 2
@@ -808,7 +822,10 @@ def test_fast_path_reads_1600_scan_reports_without_argparse(capsys, monkeypatch,
         expected_run = run_cli(capsys, *argv)
 
     def no_argparse():
-        raise AssertionError("argparse read a plain argv")
+        # Name the argv that reached the parser and the calls that brought it there.
+        words = sys._getframe(1).f_locals.get("argv", ())
+        raise AssertionError(f"argparse read a plain argv of {len(words)} words\n"
+                             + "".join(traceback.format_stack()))
 
     monkeypatch.setattr(cli, "_build_parser", no_argparse)
     assert vars(cli._read_argv(argv)) == expected
@@ -1086,7 +1103,7 @@ def test_verify_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "verify-fixtures")
     assert code == 0
     assert "checks passed" in err
-    assert "fixtures verified: 111 checks passed" in err
+    assert "fixtures verified: 138 checks passed" in err
 
 
 @pytest.mark.parametrize("debug", [None, "", "1"])

@@ -16,7 +16,6 @@ from ricaudit.compliance import (
     control_compliance,
     framework_score,
 )
-from ricaudit.errors import AuditError, CatalogError
 from ricaudit.manifests import parse_manifest_stream
 from ricaudit.pipeline import audit
 from ricaudit.rules import Finding, evaluate
@@ -56,14 +55,6 @@ class TestControlCompliance:
             configmap_control, Evidence.build([], pods(2), load_catalogs().rules)
         )
         assert result.not_applicable
-
-    def test_unknown_rule_id(self):
-        with pytest.raises(
-            CatalogError, match=r"^control nsa-cisa/X-1 references unknown rule 'MISC-NOPE'$"
-        ):
-            control_compliance(
-                control_for("MISC-NOPE"), Evidence.build([], pods(1), load_catalogs().rules)
-            )
 
     def test_resource_with_two_findings_fails_once(self):
         resources = pods(2)
@@ -171,18 +162,6 @@ class TestFrameworkScore:
         assert score.percent == expected
         assert score.evaluated_controls == len(scores)
         assert score.not_applicable_controls == len(counts) - len(scores)
-
-    def test_missing_control_rejected(self):
-        fw = framework_of("A", "B")
-        with pytest.raises(AuditError, match=r"^framework nsa-cisa: results do not cover "
-                                             r"controls exactly once; missing \['B'\]$"):
-            framework_score(fw, [result_for(1, 2, "A")])
-
-    def test_duplicate_control_rejected(self):
-        fw = framework_of("A")
-        with pytest.raises(AuditError, match=r"^framework nsa-cisa: results do not cover "
-                                             r"controls exactly once; duplicated \['A'\]$"):
-            framework_score(fw, [result_for(1, 2, "A"), result_for(1, 2, "A")])
 
     def test_all_not_applicable_reports_none(self):
         fw = framework_of("A")

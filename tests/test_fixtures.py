@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import re
 import shutil
@@ -8,6 +9,7 @@ import pytest
 import yaml
 
 from conftest import rendered_json
+from ricaudit import fixtures
 from ricaudit.catalogs import load_catalogs
 from ricaudit.cli import main
 from ricaudit.errors import AuditError
@@ -18,6 +20,7 @@ from ricaudit.fixtures import (
     load_index,
     verify_fixtures,
 )
+from ricaudit.report import render_json
 from ricaudit.rules import evaluate
 from ricaudit.manifests import load_directory
 from ricaudit.vulns import VulnTally, parse_scan_report
@@ -25,8 +28,22 @@ from ricaudit.vulns import VulnTally, parse_scan_report
 
 def test_pristine_corpus_verifies():
     checks = verify_fixtures()
-    assert checks
+    # 89 container cells, 5 totals, 17 version cells, 17 finding counts, 10 score cells.
+    assert len(checks) == 138
     assert all(check.ok for check in checks)
+
+
+def test_drift_in_the_written_json_is_reported_at_its_cell(monkeypatch):
+    # The payload is read from the text `render_json` writes, not rebuilt beside it.
+    def altered(result, stream):
+        text = io.StringIO()
+        render_json(result, text)
+        stream.write(text.getvalue().replace('"percent":17', '"percent":18'))
+
+    monkeypatch.setattr(fixtures, "render_json", altered)
+    with pytest.raises(AuditError, match=r"^fixture drift at framework_scores\.mitre-attack"
+                                         r"\.percent: expected 17, got 18$"):
+        verify_fixtures()
 
 
 def test_deleted_cve_entry_reported_as_drift(tmp_path):
@@ -70,10 +87,36 @@ def _edit_index_total(root):
     )
 
 
+def _copy_duplicate_configmap(root):
+    cluster = root / "manifests" / "vulnerable" / "cluster"
+    shutil.copy(cluster / "configmap-common-b.yaml", cluster / "configmap-common-c.yaml")
+
+
+def _delete_duplicate_configmap(root):
+    (root / "manifests" / "vulnerable" / "cluster" / "configmap-common-b.yaml").unlink()
+
+
+def _edit_index_score(root):
+    index = root / "index.yaml"
+    index.write_text(index.read_text().replace(
+        "nsa-cisa: {percent: 11, evaluated_controls: 14,",
+        "nsa-cisa: {percent: 11, evaluated_controls: 15,"))
+
+
+def _pin_unknown_framework(root):
+    index = root / "index.yaml"
+    index.write_text(index.read_text().replace("  framework_scores:\n", "  framework_scores:\n"
+        "    extra: {percent: 1, evaluated_controls: 1, not_applicable_controls: 0}\n"))
+
+
 @pytest.mark.parametrize("mutate, cell", [
     (_delete_scan_report, "influxdb2.image"),
     (_change_inventory_version, "version_findings.components"),
     (_edit_index_total, "totals.critical_rce_unique"),
+    (_copy_duplicate_configmap, "findings.MISC-DUPREF"),
+    (_delete_duplicate_configmap, "findings.rules"),
+    (_edit_index_score, "framework_scores.nsa-cisa.evaluated_controls"),
+    (_pin_unknown_framework, "framework_scores.frameworks"),
 ])
 def test_drift_names_first_mismatching_cell(tmp_path, mutate, cell):
     root = tmp_path / "fixtures"

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
-from conftest import rendered_json
-from ricaudit import report
+from conftest import canonical_dumps, payload_of, rendered_json
 from ricaudit.catalogs import data_path
 from ricaudit.compliance import FrameworkScore
 from ricaudit.fixtures import fixture_audit_result
@@ -18,7 +18,6 @@ from ricaudit.report import (
     render_json,
     render_remediations,
     render_table,
-    to_payload,
 )
 from ricaudit.rules import Finding
 from ricaudit.severity import TABLE_ORDER, SeverityClass
@@ -75,7 +74,7 @@ class TestRenderJson:
         parsed = json.loads(rendered)
         canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         assert canonical == rendered
-        assert parsed == json.loads(json.dumps(to_payload(result)))
+        assert parsed == json.loads(json.dumps(payload_of(result)))
 
     def test_keys_sorted_no_whitespace(self):
         rendered = rendered_json(result_with())
@@ -89,11 +88,6 @@ class TestRenderJson:
         )
         payload = json.loads(rendered_json(fixture_audit_result(generated_at="t")))
         schema_validate(payload, schema)
-
-
-def canonical_dumps(result: AuditResult) -> str:
-    return json.dumps(to_payload(result), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
 
 
 # Text that JSON escapes (quotes, backslashes, control characters) or that the
@@ -140,17 +134,35 @@ class TestStreamedJson:
         assert max(per_write) == JSON_SLICE
         assert sum(per_write) == 5000 and per_write.count(JSON_SLICE) == 5
 
-    def test_renders_without_building_the_whole_payload(self, monkeypatch):
-        findings = tuple(Finding("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r")
+    def test_renders_without_building_the_whole_payload(self):
+        # A finding is read only when its dict is built, so the dicts of the
+        # findings written so far are all that have been built at each write.
+        read = []
+
+        class Counted(Finding):
+            __slots__ = ()
+
+            @property
+            def rule_id(self):
+                read.append(self)
+                return self[0]
+
+        findings = tuple(Counted("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r")
                          for i in range(2500))
         result = fixture_audit_result(generated_at="t")._replace(findings=findings)
-        expected = canonical_dumps(result)
+        reads_at_write = []
 
-        def whole_payload(result):
-            raise AssertionError("render_json built the whole payload")
+        class Stream(list):
+            def write(self, text):
+                self.append(text)
+                reads_at_write.append(len(read))
 
-        monkeypatch.setattr(report, "to_payload", whole_payload)
-        assert rendered_json(result) == expected
+        stream = Stream()
+        render_json(result, stream)
+        written = accumulate(text.count('"rule_id":') for text in stream)
+        assert list(written) == reads_at_write
+        assert len(read) == 2500
+        assert "".join(stream) == canonical_dumps(result)
 
 
 class TestRenderTable:

@@ -24,6 +24,10 @@ class TestParseVersion:
             ("0.7.5", (0, 7, 5)),
             ("1.2", (1, 2, 0)),
             (" 1.2.3 ", (1, 2, 3)),
+            ("1.2.3+build5", (1, 2, 3)),
+            ("v3.5.4+g1b5edb6", (3, 5, 4)),
+            ("v1.16.0+k3s1", (1, 16, 0)),
+            ("1.2.3+a.b-c.01", (1, 2, 3)),
         ],
     )
     def test_accepted(self, text, triple):
@@ -32,7 +36,8 @@ class TestParseVersion:
 
     @pytest.mark.parametrize(
         "text",
-        ["latest", "1", "1.2.3.4", "1.2.3-beta", "1.2.3+build5", "v", "", "one.two"],
+        ["latest", "1", "1.2.3.4", "1.2.3-beta", "1.2.3-beta+build5", "1.2.3+", "1.2.3+a..b",
+         "1.2+build5", "latest+build5", "v", "", "one.two"],
     )
     def test_rejected(self, text):
         with pytest.raises(MalformedVersion):
