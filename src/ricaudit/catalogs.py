@@ -3,6 +3,9 @@
 All three catalog kinds share one file format: a YAML document whose
 top-level keys discriminate the content (`rules:`, `frameworks:`,
 `advisories:`). A single --catalog flag can therefore feed any of them.
+
+A control's `rule_ids` are the one statement of which rules count toward
+it: to add a rule to a built-in control, a user file redefines that framework.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .compliance import Control, Framework
 from .errors import AuditError, CatalogError, MalformedVersion
 from .manifests import distinct_files
 from .predicates import INTEGER, LIST, NUMBER, STRING, STRINGS, entry_fields
-from .rules import Rule, reject_duplicates, rule_from_mapping, validate_catalog
+from .rules import Rule, rule_from_mapping, validate_catalog
 from .versions import AdvisoryEntry, VersionPredicate, parse_version
 
 
@@ -38,6 +41,15 @@ ADVISORY_FIELDS = {
     "cvss_max": NUMBER, "vulnerability_classes": (STRINGS, []),
     "recommended_min_version": (STRING, None)}
 INVENTORY_FIELDS = {"component": STRING, "version": STRING}
+
+
+def reject_duplicates(ids: Iterable[str], message: str) -> None:
+    """Raise CatalogError with `message` and the first id that repeats."""
+    seen: set[str] = set()
+    for item in ids:
+        if item in seen:
+            raise CatalogError(f"{message} {item}")
+        seen.add(item)
 
 
 def _framework_from_mapping(raw: Any) -> Framework:
@@ -155,7 +167,8 @@ def load_catalogs(user_paths: Iterable[str | Path] = ()) -> CatalogBundle:
     overridden without forking the whole catalog). Advisories only extend.
     A file reached twice (the same path, a symlink or a hard link) is read
     once, at its first position, as manifests and scan reports are.
-    The merged rule catalog is validated before anything is evaluated.
+    Every control's rule_ids must then name a merged rule (see
+    `rules.validate_catalog`), before anything is evaluated.
     """
     rules_by_id: dict[str, Rule] = {}
     frameworks_by_id: dict[str, Framework] = {}

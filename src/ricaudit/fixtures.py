@@ -35,9 +35,7 @@ def load_index(root: str | Path | None = None) -> Mapping[str, Any]:
     return yamlio.load_file(Path(root or fixture_root()) / "index.yaml", "fixture index")
 
 
-def fixture_audit_result(
-    root: str | Path | None = None, generated_at: str | None = None
-) -> AuditResult:
+def fixture_audit_result(root: str | Path | None = None) -> AuditResult:
     """The combined audit of the fixture corpus, namespace-scoped to ricplt."""
     root = Path(root or fixture_root())
     return audit(
@@ -46,7 +44,6 @@ def fixture_audit_result(
         frameworks=(),
         scan_reports=sorted((root / "scan-reports").glob("*.json")),
         inventory=root / "inventory.yaml",
-        generated_at=generated_at,
     )
 
 

@@ -51,7 +51,6 @@ def build_result(
     resources: Sequence[ResourceDocument] = (),
     framework_scores: Sequence[FrameworkScore] = (),
     version_audit: VersionAudit | None = None,
-    generated_at: str | None = None,
 ) -> AuditResult:
     """Assemble one AuditResult from whatever workflows actually ran.
 
@@ -65,7 +64,7 @@ def build_result(
         framework_scores=tuple(framework_scores),
         version_findings=tuple(version_audit.findings) if version_audit else (),
         totals=occurrence_and_unique_totals(tally),
-        generated_at=generated_at if generated_at is not None else default_timestamp(),
+        generated_at=default_timestamp(),
         tool_version=__version__,
     )
 
@@ -78,7 +77,6 @@ def audit(
     frameworks: Sequence[str] | None = None,
     scan_reports: Sequence[str | Path] = (),
     inventory: str | Path | None = None,
-    generated_at: str | None = None,
     diag: Callable[[str], None] = lambda message: None,
 ) -> AuditResult:
     """Run every stage whose input is given and assemble one AuditResult.
@@ -145,5 +143,4 @@ def audit(
         resources=records,
         framework_scores=scores,
         version_audit=version_audit,
-        generated_at=generated_at,
     )

@@ -38,6 +38,10 @@ POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
 }
 
 
+# The pod securityContext fields that apply to each container that does not set them.
+INHERITED_SECURITY_FIELDS = ("runAsNonRoot", "runAsUser", "runAsGroup", "seccompProfile",
+                             "seLinuxOptions", "windowsOptions", "appArmorProfile")
+
 PodView = tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]
 
 # What a check reads beyond its document's kind, namespace and ref (see `compile_check`).
@@ -132,16 +136,30 @@ def pod_spec_of(doc: ResourceDocument) -> Mapping[str, Any] | None:
     return node if isinstance(node, Mapping) else None
 
 
+def _effective(container: Mapping[str, Any], inherited: Mapping[str, Any]) -> Mapping[str, Any]:
+    """`container`, or a copy whose securityContext adds the `inherited` fields it leaves unset."""
+    own = container.get("securityContext")
+    own = own if isinstance(own, Mapping) else {}
+    missing = {k: v for k, v in inherited.items() if own.get(k) is None}
+    return {**container, "securityContext": {**own, **missing}} if missing else container
+
+
 def pod_of(doc: ResourceDocument) -> PodView:
-    """The pod spec of `doc` (None if it has none) and its containers and init containers."""
+    """The pod spec of `doc` (None if it has none) and its containers and init containers,
+    each with its effective securityContext: the `INHERITED_SECURITY_FIELDS` that the pod
+    sets and the container does not are copied into a view of it, as Kubernetes applies them.
+    """
     spec = pod_spec_of(doc)
     if spec is None:
         return None, []
+    pod_context = spec.get("securityContext")
+    inherited = {k: pod_context[k] for k in INHERITED_SECURITY_FIELDS
+                 if pod_context.get(k) is not None} if isinstance(pod_context, Mapping) else {}
     found = []
     for key in ("containers", "initContainers"):
         items = spec.get(key)
         if isinstance(items, list):
-            found.extend(c for c in items if isinstance(c, Mapping))
+            found.extend(_effective(c, inherited) for c in items if isinstance(c, Mapping))
     return spec, found
 
 

@@ -1,9 +1,10 @@
 """Misconfiguration rule catalog and evaluation engine.
 
 Rules are data: each one pairs a declarative check (see `predicates`) with
-a fixed severity, a threat category, and references into the compliance
-framework catalogs. Evaluation is pure — it never mutates resources and
-two evaluations of the same inputs produce identical findings.
+a fixed severity and a threat category. A rule counts toward a compliance
+control only when that control's `rule_ids` lists it; the rule itself names
+no control. Evaluation is pure — it never mutates resources and two
+evaluations of the same inputs produce identical findings.
 
 `evaluate` judges a whole set of documents at once. `Evaluation` judges
 the same set one batch (one manifest file) at a time, keeping each
@@ -33,7 +34,6 @@ class Rule(NamedTuple):
     title: str
     severity: SeverityClass
     applies_to: frozenset[str]
-    control_refs: tuple[tuple[str, str], ...]
     remediation: str
     predicate: Check
 
@@ -51,19 +51,10 @@ class Finding(NamedTuple):
     remediation: str
 
 
-def parse_control_ref(ref: str) -> tuple[str, str]:
-    """Split "framework-id/control-id" on the first slash."""
-    framework_id, _, control_id = ref.partition("/")
-    if not framework_id or not control_id:
-        raise CatalogError(f"control ref must look like 'framework/control': {ref!r}")
-    return framework_id, control_id
-
-
-# The fields of a rule entry.
+# The fields of a rule entry; any other key is ignored.
 RULE_FIELDS = {
     "id": STRING, "title": STRING, "description": (STRING, ""), "severity": STRING,
-    "category": STRING, "applies_to": STRINGS, "check": ANY,
-    "control_refs": (STRINGS, []), "remediation": (STRING, "")}
+    "category": STRING, "applies_to": STRINGS, "check": ANY, "remediation": (STRING, "")}
 
 
 def rule_from_mapping(raw: Any) -> Rule:
@@ -74,45 +65,24 @@ def rule_from_mapping(raw: Any) -> Rule:
         severity = SeverityClass.from_label(fields["severity"])
         ThreatCategory(fields["category"])  # checked, not kept: an unknown one is a ValueError
         return Rule(fields["id"], fields["title"], severity, frozenset(fields["applies_to"]),
-                    tuple(parse_control_ref(r) for r in fields["control_refs"]),
                     fields["remediation"], compile_check(fields["check"]))
     except (ValueError, CatalogError) as exc:
         raise CatalogError(f"rule {fields['id']!r}: {exc}") from exc
 
 
-def reject_duplicates(ids: Iterable[str], message: str) -> None:
-    """Raise CatalogError with `message` and the first id that repeats."""
-    seen: set[str] = set()
-    for item in ids:
-        if item in seen:
-            raise CatalogError(f"{message} {item}")
-        seen.add(item)
+def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any]) -> None:
+    """Require every control's rule_ids to name a rule of `catalog`.
 
-
-def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any] | None = None) -> None:
-    """Check catalog invariants; raises CatalogError before any evaluation.
-
-    With `frameworks` given, also requires every control_ref to resolve
-    against a loaded framework, and every control's rule_ids against a rule
-    (`control <framework>/<control> references unknown rule <id>`).
+    Raises CatalogError, before any evaluation, naming the first that does
+    not (`control <framework>/<control> references unknown rule <id>`).
     """
-    reject_duplicates((rule.id for rule in catalog), "duplicate rule id:")
-    if frameworks is not None:
-        rule_ids = {rule.id for rule in catalog}
-        known = set()
-        for fw in frameworks:
-            for control in fw.controls:
-                known.add((fw.id, control.control_id))
-                for rule_id in control.rule_ids:
-                    if rule_id not in rule_ids:
-                        raise CatalogError(f"control {fw.id}/{control.control_id} references "
-                                            f"unknown rule {rule_id!r}")
-        for rule in catalog:
-            for ref in rule.control_refs:
-                if ref not in known:
-                    raise CatalogError(
-                        f"rule {rule.id}: control ref {ref[0]}/{ref[1]} does not resolve"
-                    )
+    rule_ids = {rule.id for rule in catalog}
+    for fw in frameworks:
+        for control in fw.controls:
+            for rule_id in control.rule_ids:
+                if rule_id not in rule_ids:
+                    raise CatalogError(f"control {fw.id}/{control.control_id} references "
+                                       f"unknown rule {rule_id!r}")
 
 
 def report_order(finding: Finding) -> tuple:
@@ -171,13 +141,13 @@ class Evaluation:
     def __init__(self, catalog: Sequence[Rule]) -> None:
         self.per_document = [r for r in catalog if CONTEXT not in r.predicate.reads]
         self.deferred = [r for r in catalog if CONTEXT in r.predicate.reads]
+        self.body_readers = [r for r in self.deferred if BODY in r.predicate.reads]
         self.findings: list[Finding] = []
         self.records: list[ResourceDocument] = []
 
     def add(self, documents: Sequence[ResourceDocument]) -> None:
         self.findings += evaluate(self.per_document, documents, EvalContext())
-        body_readers = [r for r in self.deferred if BODY in r.predicate.reads]
-        self.records += [doc if any(r.applies_to_kind(doc.kind) for r in body_readers)
+        self.records += [doc if any(r.applies_to_kind(doc.kind) for r in self.body_readers)
                          else doc._replace(body=None) for doc in documents]
 
     def finish(self) -> tuple[list[Finding], list[ResourceDocument]]:

@@ -981,8 +981,7 @@ rules:
          "rule 'X-1': applies_to must be a list of strings"),
         ("rules", 5, "rule must be a mapping, got 5"),
         ("rules", replaced("rule", severity=["low"]), "rule 'X-1': severity must be a string"),
-        ("rules", replaced("rule", control_refs=5),
-         "rule 'X-1': control_refs must be a list of strings"),
+        ("rules", replaced("rule", remediation=5), "rule 'X-1': remediation must be a string"),
         ("frameworks", replaced("framework", controls=5),
          "framework 'fw': controls must be a list"),
         ("frameworks", replaced("framework", controls=[5]),
@@ -1069,6 +1068,23 @@ rules:
         code, out, err = run_cli(capsys, *argv, "--catalog", str(catalog))
         assert (code, out) == (2, "")
         assert err == "ricaudit: control extra/X-1 references unknown rule 'NO-SUCH-RULE'\n"
+
+    def test_rule_side_control_refs_are_ignored(self, capsys, tmp_path, vulnerable_manifests):
+        # Only a control's rule_ids count a rule toward it. A `control_refs` key,
+        # malformed or naming no control, is an unknown key of a rule entry.
+        catalog = tmp_path / "refs.yaml"
+        catalog.write_text(yaml.safe_dump({"rules": [
+            replaced("rule", id="X-MALFORMED", applies_to=["Deployment"], control_refs=["no-slash"]),
+            replaced("rule", id="X-DANGLING", applies_to=["Deployment"],
+                     control_refs=["nsa-cisa/NOPE-1", "mitre-attack/T1611"]),
+        ]}))
+        argv = ["score", str(vulnerable_manifests), "--namespace", "ricplt", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv, "--catalog", str(catalog))
+        assert (code, err) == (0, "")
+        with_refs = json_payload(out)
+        assert {"X-MALFORMED", "X-DANGLING"} <= {f["rule_id"] for f in with_refs["findings"]}
+        without = json_payload(run_cli(capsys, *argv)[1])
+        assert with_refs["framework_scores"] == without["framework_scores"]
 
     def test_broken_catalog_exits_2(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "broken.yaml"

@@ -179,4 +179,5 @@ def test_fixture_audit_equals_cli_report(capsys, monkeypatch):
         argv += ["--scan-report", str(path)]
     main(argv)
     payload = capsys.readouterr().out
-    assert payload == rendered_json(fixture_audit_result(generated_at="2023-11-14T22:13:20Z")) + "\n"
+    assert '"generated_at":"2023-11-14T22:13:20Z"' in payload
+    assert payload == rendered_json(fixture_audit_result()) + "\n"

@@ -512,13 +512,15 @@ def whole_set_result(directory, namespace, catalogs=()):
     evidence = Evidence.build(findings, documents, bundle.rules)
     scores = [score_framework(fw, evidence)[0] for fw in bundle.frameworks]
     return build_result(tally=VulnTally(), findings=findings, resources=documents,
-                        framework_scores=scores, generated_at="t")
+                        framework_scores=scores)
 
 
 def assert_streamed_equals_whole_set(directory, namespace, catalogs=()):
-    streamed = audit(catalogs=catalogs, manifests=[directory], namespace=namespace,
-                     frameworks=(), generated_at="t")
-    reference = whole_set_result(directory, namespace, catalogs)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        streamed = audit(catalogs=catalogs, manifests=[directory], namespace=namespace,
+                         frameworks=())
+        reference = whole_set_result(directory, namespace, catalogs)
     assert streamed.findings == reference.findings
     assert streamed.framework_scores == reference.framework_scores
     assert rendered_json(streamed) == rendered_json(reference)
@@ -596,9 +598,11 @@ def test_no_body_outlives_its_file(monkeypatch, vulnerable_manifests):
         bodies.extend(weakref.ref(doc.body) for doc in documents)
         return documents
 
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     monkeypatch.setattr(manifests, "parse_manifest_stream", tracked)
-    result = audit(manifests=[vulnerable_manifests], frameworks=(), generated_at="t")
+    result = audit(manifests=[vulnerable_manifests], frameworks=())
     assert len(alive_at_parse) > 10
     assert alive_at_parse == [0] * len(alive_at_parse)
     monkeypatch.undo()
-    assert result == audit(manifests=[vulnerable_manifests], frameworks=(), generated_at="t")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert result == audit(manifests=[vulnerable_manifests], frameworks=())

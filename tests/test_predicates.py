@@ -486,6 +486,30 @@ class TestPodRecord:
             for doc in docs:
                 assert check(doc.body, doc, ctx) == check(doc.body, doc, walking())
 
+    def test_containers_inherit_the_pod_security_context(self):
+        pod_context = {"runAsNonRoot": True, "runAsUser": 1000, "fsGroup": 2000,
+                       "seccompProfile": {"type": "RuntimeDefault"}}
+        own = {"runAsUser": 0, "privileged": True}
+        whole = {"runAsNonRoot": False, "runAsUser": 1, "runAsGroup": 1,
+                 "seccompProfile": {"type": "Localhost"}, "seLinuxOptions": {},
+                 "windowsOptions": {}, "appArmorProfile": {}}
+        containers = [{"name": "a"}, {"name": "b", "securityContext": own},
+                      {"name": "c", "securityContext": whole}]
+        doc = doc_of(self.templated("Deployment", {"securityContext": pod_context,
+                                                   "containers": containers}))
+        spec, seen = pod_of(doc)
+        assert spec is doc.body["spec"]["template"]["spec"]
+        assert [c["securityContext"] for c in seen] == [
+            {"runAsNonRoot": True, "runAsUser": 1000, "seccompProfile": {"type": "RuntimeDefault"}},
+            {"runAsUser": 0, "privileged": True, "runAsNonRoot": True,
+             "seccompProfile": {"type": "RuntimeDefault"}},
+            whole,
+        ]
+        assert seen[2] is doc.body["spec"]["template"]["spec"]["containers"][2]
+        assert doc.body["spec"]["template"]["spec"]["containers"][:2] == containers[:2]
+        bare = doc_of(self.templated("Pod", {"containers": containers}))
+        assert all(c is o for c, o in zip(pod_of(bare)[1], bare.body["spec"]["containers"]))
+
     def test_check_judges_its_own_document(self):
         privileged, plain = (doc_of(self.templated("Pod", spec))
                              for spec in ({"containers": [self.CONTAINER]},

@@ -56,20 +56,24 @@ class TestAuditResultInvariants:
 
 
 class TestRenderJson:
-    def test_canonical_byte_identity_modulo_timestamp(self):
-        first = rendered_json(fixture_audit_result(generated_at="2026-01-01T00:00:00Z"))
-        second = rendered_json(fixture_audit_result(generated_at="2026-02-02T00:00:00Z"))
+    def test_canonical_byte_identity_modulo_timestamp(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")  # 2026-01-01T00:00:00Z
+        first = rendered_json(fixture_audit_result())
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1769990400")  # 2026-02-02T00:00:00Z
+        second = rendered_json(fixture_audit_result())
         assert first != second
         unstamped = [json.loads(rendered) | {"generated_at": ""} for rendered in (first, second)]
         assert unstamped[0] == unstamped[1]
 
-    def test_equal_inputs_byte_identical(self):
-        a = rendered_json(fixture_audit_result(generated_at="t"))
-        b = rendered_json(fixture_audit_result(generated_at="t"))
+    def test_equal_inputs_byte_identical(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        a = rendered_json(fixture_audit_result())
+        b = rendered_json(fixture_audit_result())
         assert a == b
 
-    def test_round_trip_structural(self):
-        result = fixture_audit_result(generated_at="t")
+    def test_round_trip_structural(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        result = fixture_audit_result()
         rendered = rendered_json(result)
         parsed = json.loads(rendered)
         canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
@@ -82,11 +86,12 @@ class TestRenderJson:
         payload = json.loads(rendered)
         assert list(payload) == sorted(payload)
 
-    def test_validates_against_shipped_schema(self):
+    def test_validates_against_shipped_schema(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         schema = json.loads(
             data_path("schema", "audit-result.schema.json").read_text(encoding="utf-8")
         )
-        payload = json.loads(rendered_json(fixture_audit_result(generated_at="t")))
+        payload = json.loads(rendered_json(fixture_audit_result()))
         schema_validate(payload, schema)
 
 
@@ -134,9 +139,10 @@ class TestStreamedJson:
         assert max(per_write) == JSON_SLICE
         assert sum(per_write) == 5000 and per_write.count(JSON_SLICE) == 5
 
-    def test_renders_without_building_the_whole_payload(self):
+    def test_renders_without_building_the_whole_payload(self, monkeypatch):
         # A finding is read only when its dict is built, so the dicts of the
         # findings written so far are all that have been built at each write.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         read = []
 
         class Counted(Finding):
@@ -149,7 +155,7 @@ class TestStreamedJson:
 
         findings = tuple(Counted("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r")
                          for i in range(2500))
-        result = fixture_audit_result(generated_at="t")._replace(findings=findings)
+        result = fixture_audit_result()._replace(findings=findings)
         reads_at_write = []
 
         class Stream(list):
@@ -166,8 +172,9 @@ class TestStreamedJson:
 
 
 class TestRenderTable:
-    def test_cells_equal_histograms(self):
-        result = fixture_audit_result(generated_at="t")
+    def test_cells_equal_histograms(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        result = fixture_audit_result()
         text = render_table(result)
         for s in result.summaries:
             row = next(line for line in text.splitlines() if line.startswith(f"| {s.container} "))
@@ -190,8 +197,9 @@ class TestRenderTable:
         assert "no findings" in text
         assert "Container Name" in text
 
-    def test_totals_footer_labels_distinct(self):
-        text = render_table(fixture_audit_result(generated_at="t"))
+    def test_totals_footer_labels_distinct(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        text = render_table(fixture_audit_result())
         assert "Vulnerability occurrences : 888" in text
         assert "Unique CVEs               : 355" in text
 
@@ -238,15 +246,17 @@ class TestExitCode:
         )
         assert exit_code(result, SeverityClass.CRITICAL) == 1
 
-    def test_version_findings_counted(self):
-        result = fixture_audit_result(generated_at="t")
+    def test_version_findings_counted(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        result = fixture_audit_result()
         stripped = result_with(
             version_findings=result.version_findings,
         )
         assert exit_code(stripped, SeverityClass.CRITICAL) == 1  # docker advisory is Critical
 
-    def test_monotone_in_threshold(self):
-        result = fixture_audit_result(generated_at="t")
+    def test_monotone_in_threshold(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        result = fixture_audit_result()
         codes = [exit_code(result, threshold) for threshold in sorted(SeverityClass)]
         # Once clean at some threshold, raising it further stays clean.
         for lower, higher in zip(codes, codes[1:]):
