@@ -218,13 +218,18 @@ def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
 
 def _emit(result: AuditResult, format: str, output: str | None) -> None:
     """Write the payload to `output` (UTF-8), or to stdout, as it is rendered."""
-    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
-        if format in ("table", "both"):
-            stream.write(render_table(result))
-            stream.write(render_remediations(result))
-        if format in ("json", "both"):
-            render_json(result, stream)
-            stream.write("\n")
+    try:
+        with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
+            if format in ("table", "both"):
+                render_table(result, stream)
+                stream.write(render_remediations(result))
+            if format in ("json", "both"):
+                render_json(result, stream)
+                stream.write("\n")
+    except OSError as exc:
+        if not output:
+            raise
+        raise AuditError(f"cannot write output {output}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -8,6 +8,8 @@ JSON_SLICE items, building each slice's dicts just before it encodes them,
 so rendering holds one slice of dicts and text and never the whole
 document. That text is the one canonical form, and `render_json` the one
 payload encoder: the fixture verifier reads the payload back from it.
+`render_table` writes to a stream too, one container row at a time, after
+a first pass that keeps only the column widths.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ SCHEMA_VERSION = "1"
 
 # The canonical form: sorted keys, compact separators, text left unescaped.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-JSON_SLICE = 1000
+JSON_SLICE = 100
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -189,25 +191,25 @@ def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
     return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
 
 
-def render_table(result: AuditResult) -> str:
-    """Fixed-width summary table plus totals and score footer lines.
+def _row_cells(s: ContainerScanSummary) -> list[str]:
+    registry = s.image.registry if s.image else "-"
+    image_tag = f"{s.image.repository}:{s.image.tag}" if s.image else "-"
+    return [s.container, registry, image_tag,
+            *(str(s.vuln_histogram.get(cls, 0)) for cls in TABLE_ORDER),
+            *(str(s.misconfig_histogram.get(cls, 0)) for cls in TABLE_ORDER)]
+
+
+def render_table(result: AuditResult, stream: TextIO) -> None:
+    """Write the fixed-width summary table plus totals and score footer lines.
 
     Numeric cells are exactly the histogram counts; severity columns run
-    C, H, M, L, N for both groups.
+    C, H, M, L, N for both groups. A first pass over the summaries keeps
+    only the column widths; each row is then formatted and written alone.
     """
     headers = ["Container Name", "Registry", "Image Tag"] + _SEV_HEADERS + _SEV_HEADERS
-    rows = []
-    for s in result.summaries:
-        registry = s.image.registry if s.image else "-"
-        image_tag = f"{s.image.repository}:{s.image.tag}" if s.image else "-"
-        cells = [s.container, registry, image_tag]
-        cells += [str(s.vuln_histogram.get(cls, 0)) for cls in TABLE_ORDER]
-        cells += [str(s.misconfig_histogram.get(cls, 0)) for cls in TABLE_ORDER]
-        rows.append(cells)
-
     widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
+    for s in result.summaries:
+        widths = [max(w, len(c)) for w, c in zip(widths, _row_cells(s))]
 
     info_width = widths[0] + widths[1] + widths[2] + 2 * 3
     vuln_width = sum(widths[3:8]) + 4 * 3
@@ -223,15 +225,15 @@ def render_table(result: AuditResult) -> str:
     )
     separator = "+" + "-" * (len(group_line) - 2) + "+"
 
-    lines = [separator, group_line, separator, _format_row(headers, widths), separator]
-    for row in rows:
-        lines.append(_format_row(row, widths))
-    if rows:
-        lines.append(separator)
-    else:
-        lines.append("| no findings".ljust(len(separator) - 1) + "|")
-        lines.append(separator)
+    write = stream.write
+    write("\n".join([separator, group_line, separator, _format_row(headers, widths), separator, ""]))
+    for s in result.summaries:
+        write(_format_row(_row_cells(s), widths) + "\n")
 
+    if result.summaries:
+        lines = [separator]
+    else:
+        lines = ["| no findings".ljust(len(separator) - 1) + "|", separator]
     lines.append("")
     lines.append("Totals")
     lines.append(f"  Vulnerability occurrences : {result.totals.occurrences}")
@@ -264,7 +266,7 @@ def render_table(result: AuditResult) -> str:
                 + (f"  ({classes})" if classes else "")
             )
 
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
 
 
 def render_remediations(result: AuditResult) -> str:

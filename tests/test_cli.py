@@ -502,7 +502,19 @@ class TestReport:
         argv = self._argv(vulnerable_manifests, scan_report_paths, inventory_path)
         code, out, err = run_cli(capsys, *argv, "--output", str(path))
         assert (code, out) == (2, "")
-        assert re.fullmatch(rf"ricaudit: \[Errno \d+\] [^\n]*: '{re.escape(str(path))}'\n", err)
+        quoted = re.escape(str(path))
+        assert re.fullmatch(
+            rf"ricaudit: cannot write output {quoted}: \[Errno \d+\] [^\n]*: '{quoted}'\n", err)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_output_that_opens_but_cannot_be_written_is_one_line_exit_2(
+        self, capsys, vulnerable_manifests, scan_report_paths, inventory_path
+    ):
+        argv = self._argv(vulnerable_manifests, scan_report_paths, inventory_path)
+        code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == ("ricaudit: cannot write output /dev/full: "
+                       "[Errno 28] No space left on device\n")
 
     def test_render_failing_after_its_first_slice_is_exit_2(
         self, capsys, monkeypatch, vulnerable_manifests, scan_report_paths, inventory_path

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from itertools import accumulate
 
@@ -122,7 +123,8 @@ class Writes(list):
 
 
 class TestStreamedJson:
-    @pytest.mark.parametrize("count", [0, 1, 999, 1000, 1001, 2001])
+    @pytest.mark.parametrize(
+        "count", [0, 1, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1, 2 * JSON_SLICE + 1])
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(data=st.data())
     def test_streamed_text_equals_canonical_dumps(self, count, data):
@@ -130,14 +132,15 @@ class TestStreamedJson:
         assert rendered_json(result) == canonical_dumps(result)
 
     def test_no_write_holds_more_than_one_slice(self):
+        count = 5 * JSON_SLICE + 7
         result = result_with(findings=tuple(
-            Finding("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r") for i in range(5000)))
+            Finding("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r") for i in range(count)))
         writes = Writes()
         render_json(result, writes)
         assert "".join(writes) == canonical_dumps(result)
         per_write = [text.count('"rule_id":') for text in writes]
         assert max(per_write) == JSON_SLICE
-        assert sum(per_write) == 5000 and per_write.count(JSON_SLICE) == 5
+        assert sum(per_write) == count and per_write.count(JSON_SLICE) == 5
 
     def test_renders_without_building_the_whole_payload(self, monkeypatch):
         # A finding is read only when its dict is built, so the dicts of the
@@ -171,11 +174,96 @@ class TestStreamedJson:
         assert "".join(stream) == canonical_dumps(result)
 
 
+def table_text(result) -> str:
+    """The text `render_table` writes for `result`."""
+    stream = io.StringIO()
+    render_table(result, stream)
+    return stream.getvalue()
+
+
+def table_result():
+    """A result that fills every part of the table: a row with an image and
+    one without, a score and an n/a score, version findings with and
+    without vulnerability classes."""
+    return result_with(
+        summaries=(summary("row0", vuln={SeverityClass.CRITICAL: 12, SeverityClass.LOW: 3},
+                           misconfig={SeverityClass.HIGH: 1}),
+                   summary("a-longer-name", image=False)),
+        findings=(Finding("R1", "ns/Pod/p", SeverityClass.HIGH, "m", "r"),),
+        framework_scores=(FrameworkScore("nsa-cisa", 50, 4, 1), FrameworkScore("o-ran", None, 0, 3)),
+        version_findings=(
+            VersionFinding("c", parse_version("1.0.0"), ADVISORY, SeverityClass.HIGH),
+            VersionFinding("d", parse_version("2.1.0"), ADVISORY._replace(vulnerability_classes=()),
+                           SeverityClass.LOW)),
+        totals=VulnTotals(15, 7, 2, 1),
+    )
+
+
+# The text render_table wrote for table_result() and for an empty result
+# when it built the whole table before writing it.
+TABLE_HEADER = """\
++---------------------------------------------------------------------------------+
+| Generic Infos                          | Vulnerabilities    | Misconfigurations |
++---------------------------------------------------------------------------------+
+| Container Name | Registry  | Image Tag | C  | H | M | L | N | C | H | M | L | N |
++---------------------------------------------------------------------------------+
+"""
+TABLE_ROWS = [
+    "| row0           | r.example | app:1     | 12 | 0 | 0 | 3 | 0 | 0 | 1 | 0 | 0 | 0 |\n",
+    "| a-longer-name  | -         | -         | 0  | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |\n",
+]
+TABLE_FOOTER = """\
++---------------------------------------------------------------------------------+
+
+Totals
+  Vulnerability occurrences : 15
+  Unique CVEs               : 7
+  Critical occurrences      : 12
+  Critical unique with RCE  : 2
+  Critical unique actionable: 1
+  Misconfiguration findings : 1
+
+Framework compliance
+  nsa-cisa              50%  (4 controls evaluated, 1 not applicable)
+  o-ran                 n/a  (0 controls evaluated, 3 not applicable)
+
+Outdated components
+  c 1.0.0  [High]  1 CVEs, CVSS 5.0-5.0  (x)
+  d 2.1.0  [Low]  1 CVEs, CVSS 5.0-5.0
+"""
+EMPTY_TABLE = """\
++-------------------------------------------------------------------------------+
+| Generic Infos                         | Vulnerabilities   | Misconfigurations |
++-------------------------------------------------------------------------------+
+| Container Name | Registry | Image Tag | C | H | M | L | N | C | H | M | L | N |
++-------------------------------------------------------------------------------+
+| no findings                                                                   |
++-------------------------------------------------------------------------------+
+
+Totals
+  Vulnerability occurrences : 0
+  Unique CVEs               : 0
+  Critical occurrences      : 0
+  Critical unique with RCE  : 0
+  Critical unique actionable: 0
+  Misconfiguration findings : 0
+"""
+
+
 class TestRenderTable:
+    def test_text_as_before(self):
+        assert table_text(table_result()) == TABLE_HEADER + "".join(TABLE_ROWS) + TABLE_FOOTER
+        assert table_text(result_with()) == EMPTY_TABLE
+
+    def test_each_row_written_alone(self):
+        writes = Writes()
+        assert render_table(table_result(), writes) is None
+        assert writes == [TABLE_HEADER, *TABLE_ROWS, TABLE_FOOTER]
+
     def test_cells_equal_histograms(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         result = fixture_audit_result()
-        text = render_table(result)
+        text = table_text(result)
         for s in result.summaries:
             row = next(line for line in text.splitlines() if line.startswith(f"| {s.container} "))
             cells = [c.strip() for c in row.strip("|").split("|")]
@@ -188,25 +276,25 @@ class TestRenderTable:
         result = result_with(
             summaries=(summary("a"), summary("b")), totals=VulnTotals(0, 0, 0, 0)
         )
-        lines = render_table(result).splitlines()
+        lines = table_text(result).splitlines()
         rows = [l for l in lines if l.startswith("| a ") or l.startswith("| b ")]
         assert len(rows) == 2
 
     def test_empty_result(self):
-        text = render_table(result_with())
+        text = table_text(result_with())
         assert "no findings" in text
         assert "Container Name" in text
 
     def test_totals_footer_labels_distinct(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        text = render_table(fixture_audit_result())
+        text = table_text(fixture_audit_result())
         assert "Vulnerability occurrences : 888" in text
         assert "Unique CVEs               : 355" in text
 
     def test_missing_image_rendered_as_dash(self):
         result = result_with(summaries=(summary(image=False),))
         row = next(
-            line for line in render_table(result).splitlines() if line.startswith("| c1 ")
+            line for line in table_text(result).splitlines() if line.startswith("| c1 ")
         )
         assert "| - " in row
 
