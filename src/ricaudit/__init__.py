@@ -13,10 +13,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "severity": ("SeverityClass", "ThreatCategory"),
+    "severity": ("SeverityClass", "ThreatCategory", "classify_severity", "severity_histogram"),
     "manifests": ("DirectoryLoad", "ResourceDocument", "load_directory", "parse_manifest_stream"),
-    "rules": ("Finding", "Rule", "evaluate", "severity_histogram"),
-    "vulns": ("ContainerScanSummary", "ImageRef", "VulnTally", "VulnTotals", "classify_severity",
+    "rules": ("Finding", "Rule", "evaluate"),
+    "vulns": ("ContainerScanSummary", "ImageRef", "VulnTally", "VulnTotals",
               "occurrence_and_unique_totals", "parse_scan_report"),
     "compliance": ("Control", "ControlResult", "Evidence", "Framework", "FrameworkScore",
                    "control_compliance", "framework_score"),

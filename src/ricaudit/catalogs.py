@@ -66,9 +66,10 @@ def _framework_from_mapping(raw: Any) -> Framework:
 
 def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
     adv = entry_fields(raw, "advisory", ADVISORY_FIELDS, key="component")
+    what = f"advisory {adv['component']!r}"
     recommended = adv["recommended_min_version"]
     try:
-        return AdvisoryEntry(
+        entry = AdvisoryEntry(
             component=adv["component"].lower(),
             affected=VersionPredicate.parse(adv["affected"]),
             cve_count=adv["cve_count"],
@@ -77,8 +78,15 @@ def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
             vulnerability_classes=tuple(adv["vulnerability_classes"]),
             recommended_min_version=parse_version(recommended) if recommended else None,
         )
-    except (ValueError, MalformedVersion) as exc:
-        raise CatalogError(f"advisory {adv['component']!r}: {exc}") from exc
+    except MalformedVersion as exc:
+        raise CatalogError(f"{what}: {exc}") from exc
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not 0.0 <= entry.cvss_min <= entry.cvss_max <= 10.0:
+        raise CatalogError(f"{what}: cvss_min {entry.cvss_min} and cvss_max {entry.cvss_max} "
+                           "must satisfy 0 <= cvss_min <= cvss_max <= 10")
+    if entry.cve_count < 1:
+        raise CatalogError(f"{what}: cve_count must be >= 1")
+    return entry
 
 
 # Mappings and lists a catalog may hold once its YAML aliases are expanded.

@@ -227,9 +227,7 @@ def _emit(result: AuditResult, format: str, output: str | None) -> None:
                 render_json(result, stream)
                 stream.write("\n")
     except OSError as exc:
-        if not output:
-            raise
-        raise AuditError(f"cannot write output {output}: {exc}") from exc
+        raise AuditError(f"cannot write output {output or '<stdout>'}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

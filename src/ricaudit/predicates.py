@@ -58,10 +58,9 @@ class EvalContext:
 
     __slots__ = ("namespace_kinds", "ref_counts", "last_pod")
 
-    def __init__(self, namespace_kinds: dict[str | None, set[str]] | None = None,
-                 ref_counts: Counter | None = None) -> None:
-        self.namespace_kinds = {} if namespace_kinds is None else namespace_kinds
-        self.ref_counts = Counter() if ref_counts is None else ref_counts
+    def __init__(self) -> None:
+        self.namespace_kinds: dict[str | None, set[str]] = {}
+        self.ref_counts: Counter = Counter()
         # (document, its pod). Holding the document keeps the `is` test in `pod`
         # from matching a new object that reuses a freed one's address.
         self.last_pod: tuple = (None, None)

@@ -15,7 +15,7 @@ a first pass that keeps only the column widths.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any, NamedTuple, TextIO
 
 from .severity import TABLE_ORDER, SeverityClass
@@ -35,7 +35,9 @@ EXIT_FINDINGS = 1
 EXIT_TOOL_ERROR = 2
 
 
-class _AuditResult(NamedTuple):
+class AuditResult(NamedTuple):
+    """Everything one audit run produced, ready for rendering."""
+
     summaries: tuple[ContainerScanSummary, ...] = ()
     findings: tuple[Finding, ...] = ()
     framework_scores: tuple[FrameworkScore, ...] = ()
@@ -43,32 +45,6 @@ class _AuditResult(NamedTuple):
     totals: VulnTotals = VulnTotals(0, 0, 0, 0)
     generated_at: str = ""
     tool_version: str = ""
-
-
-class AuditResult(_AuditResult):
-    """Everything one audit run produced, ready for rendering."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> AuditResult:
-        self = super().__new__(cls, *args, **kwargs)
-        histogram_sum = sum(
-            count for s in self.summaries for count in s.vuln_histogram.values()
-        )
-        if histogram_sum != self.totals.occurrences:
-            raise ValueError(
-                f"totals inconsistent with summaries: histograms sum to {histogram_sum}, "
-                f"totals.occurrences is {self.totals.occurrences}"
-            )
-        ids = [s.framework_id for s in self.framework_scores]
-        if len(ids) != len(set(ids)):
-            raise ValueError("framework score ids must be unique")
-        return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> AuditResult:
-        # `_replace` builds through `_make`; this makes it check as well.
-        return cls(*iterable)
 
     def critical_occurrences(self) -> int:
         return sum(s.vuln_histogram[SeverityClass.CRITICAL] for s in self.summaries)

@@ -21,7 +21,7 @@ from .errors import CatalogError
 from .manifests import ResourceDocument
 from .predicates import (
     ANY, BODY, CONTEXT, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields)
-from .severity import SeverityClass, ThreatCategory, empty_counts
+from .severity import SeverityClass, ThreatCategory
 
 WILDCARD_KIND = "*"
 
@@ -156,14 +156,6 @@ class Evaluation:
         findings += evaluate(self.deferred, self.records, EvalContext.build(self.records))
         findings.sort(key=report_order)
         return findings, self.records
-
-
-def severity_histogram(findings: Iterable[Finding]) -> dict[SeverityClass, int]:
-    """Zero-filled counts per severity class; sums to the number of findings."""
-    counts = empty_counts()
-    for finding in findings:
-        counts[finding.severity] += 1
-    return counts
 
 
 def group_findings_by_app(

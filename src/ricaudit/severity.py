@@ -2,12 +2,18 @@
 
 The five severity classes form a total order (Critical > High > Medium >
 Low > Negligible); the integer values encode that order so findings can be
-sorted and thresholded directly.
+sorted and thresholded directly. CVSS classification and per-class counts
+live here too, so that a stage that needs either loads no other stage.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum, IntEnum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .rules import Finding
 
 
 class SeverityClass(IntEnum):
@@ -46,6 +52,34 @@ TABLE_ORDER = (
 def empty_counts() -> dict[SeverityClass, int]:
     """A zero-filled histogram over all five classes."""
     return {cls: 0 for cls in TABLE_ORDER}
+
+
+def severity_histogram(findings: Iterable[Finding]) -> dict[SeverityClass, int]:
+    """Zero-filled counts per severity class; sums to the number of findings."""
+    counts = empty_counts()
+    for finding in findings:
+        counts[finding.severity] += 1
+    return counts
+
+
+def classify_severity(cvss: float | None, vendor: SeverityClass | None = None) -> SeverityClass:
+    """Resolve a severity class from a CVSS score and a vendor rating.
+
+    Vendor severity wins when present (scanners encode distro-specific
+    adjustments). Otherwise the standard qualitative buckets apply, with
+    score 0 or no score at all landing in Negligible.
+    """
+    if vendor is not None:
+        return vendor
+    if cvss is None or cvss == 0.0:
+        return SeverityClass.NEGLIGIBLE
+    if cvss >= 9.0:
+        return SeverityClass.CRITICAL
+    if cvss >= 7.0:
+        return SeverityClass.HIGH
+    if cvss >= 4.0:
+        return SeverityClass.MEDIUM
+    return SeverityClass.LOW
 
 
 class ThreatCategory(Enum):

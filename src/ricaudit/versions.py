@@ -12,8 +12,7 @@ import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedVersion
-from .severity import SeverityClass
-from .vulns import classify_severity
+from .severity import SeverityClass, classify_severity
 
 # SemVer 2.0.0 build metadata: "+" and dot-separated identifiers, after the patch.
 _VERSION_RE = re.compile(r"^v?(\d+)\.(\d+)(?:\.(\d+)(?:\+[0-9A-Za-z-]+(?:\.[0-9A-Za-z-]+)*)?)?$")
@@ -76,7 +75,9 @@ class VersionPredicate(NamedTuple):
         return cls(op=op, version=parse_version(raw))
 
 
-class _AdvisoryEntry(NamedTuple):
+class AdvisoryEntry(NamedTuple):
+    """One advisory. `catalogs` checks its numbers when it parses one."""
+
     component: str
     affected: VersionPredicate
     cve_count: int
@@ -84,25 +85,6 @@ class _AdvisoryEntry(NamedTuple):
     cvss_max: float
     vulnerability_classes: tuple[str, ...]
     recommended_min_version: Version | None = None
-
-
-class AdvisoryEntry(_AdvisoryEntry):
-    __slots__ = ()
-
-    def __new__(cls, *args: object, **kwargs: object) -> AdvisoryEntry:
-        self = super().__new__(cls, *args, **kwargs)
-        # Written so that NaN fails too: every comparison with NaN is false.
-        if not 0.0 <= self.cvss_min <= self.cvss_max <= 10.0:
-            raise ValueError(f"cvss_min {self.cvss_min} and cvss_max {self.cvss_max} "
-                             "must satisfy 0 <= cvss_min <= cvss_max <= 10")
-        if self.cve_count < 1:
-            raise ValueError("cve_count must be >= 1")
-        return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> AdvisoryEntry:
-        # `_replace` builds through `_make`; this makes it check as well.
-        return cls(*iterable)
 
 
 class VersionFinding(NamedTuple):

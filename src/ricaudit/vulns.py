@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AuditError
 from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, field_reader
-from .rules import Finding, severity_histogram
-from .severity import SeverityClass, empty_counts
+from .severity import SeverityClass, classify_severity, empty_counts, severity_histogram
+
+if TYPE_CHECKING:
+    from .rules import Finding
 
 
 class ImageRef(NamedTuple):
@@ -33,28 +35,6 @@ class ImageRef(NamedTuple):
 
     def render(self) -> str:
         return f"{self.registry}/{self.repository}:{self.tag}"
-
-
-def classify_severity(
-    cvss: float | None, vendor: SeverityClass | None = None
-) -> SeverityClass:
-    """Resolve a severity class from a CVSS score and a vendor rating.
-
-    Vendor severity wins when present (scanners encode distro-specific
-    adjustments). Otherwise the standard qualitative buckets apply, with
-    score 0 or no score at all landing in Negligible.
-    """
-    if vendor is not None:
-        return vendor
-    if cvss is None or cvss == 0.0:
-        return SeverityClass.NEGLIGIBLE
-    if cvss >= 9.0:
-        return SeverityClass.CRITICAL
-    if cvss >= 7.0:
-        return SeverityClass.HIGH
-    if cvss >= 4.0:
-        return SeverityClass.MEDIUM
-    return SeverityClass.LOW
 
 
 class ScanReport(NamedTuple):

@@ -30,14 +30,13 @@ from ricaudit.compliance import (
 )
 from ricaudit.manifests import load_directory
 from ricaudit.report import AuditResult
-from ricaudit.rules import Finding, evaluate, severity_histogram
-from ricaudit.severity import SeverityClass
+from ricaudit.rules import Finding, evaluate
+from ricaudit.severity import SeverityClass, classify_severity, severity_histogram
 from ricaudit.vulns import (
     ContainerScanSummary,
     ImageRef,
     VulnTally,
     VulnTotals,
-    classify_severity,
     occurrence_and_unique_totals,
     parse_scan_report,
 )

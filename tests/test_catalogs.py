@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ricaudit.catalogs import data_path, load_catalog_file, load_catalogs, load_inventory
+from ricaudit.catalogs import (
+    data_path, load_catalog_file, load_catalogs, load_inventory, parse_catalog)
 from ricaudit.errors import AuditError, CatalogError
 from ricaudit.severity import SeverityClass
 
@@ -93,6 +94,26 @@ advisories:
     )
     with pytest.raises(CatalogError):
         load_catalog_file(path)
+
+
+ADVISORY = {"component": "helm", "affected": "== 3.1.0", "cve_count": 2,
+            "cvss_min": 4.0, "cvss_max": 7.5}
+CVSS_RANGE = "must satisfy 0 <= cvss_min <= cvss_max <= 10"
+
+
+@pytest.mark.parametrize("changes, reason", [
+    pytest.param(changes, reason, id=repr(changes)) for changes, reason in [
+        ({"cvss_max": float("nan")}, f"cvss_min 4.0 and cvss_max nan {CVSS_RANGE}"),
+        ({"cvss_max": 10.5}, f"cvss_min 4.0 and cvss_max 10.5 {CVSS_RANGE}"),
+        ({"cvss_min": -0.5}, f"cvss_min -0.5 and cvss_max 7.5 {CVSS_RANGE}"),
+        # The version fields are parsed before the numbers are checked.
+        ({"affected": "banana", "cve_count": 0}, "not a numeric version: 'banana'"),
+    ]
+])
+def test_advisory_numbers_checked_when_parsed(changes, reason):
+    with pytest.raises(CatalogError) as info:
+        parse_catalog({"advisories": [{**ADVISORY, **changes}]})
+    assert str(info.value) == f"advisory 'helm': {reason}"
 
 
 def test_inventory_shape_enforced(tmp_path):

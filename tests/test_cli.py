@@ -516,6 +516,19 @@ class TestReport:
         assert err == ("ricaudit: cannot write output /dev/full: "
                        "[Errno 28] No space left on device\n")
 
+    def test_closed_stdout_is_worded_like_an_unwritable_output(
+        self, capsys, monkeypatch, vulnerable_manifests, scan_report_paths, inventory_path
+    ):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        argv = self._argv(vulnerable_manifests, scan_report_paths, inventory_path, "both")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "ricaudit: cannot write output <stdout>: "
+                                  "[Errno 32] Broken pipe\n")
+
     def test_render_failing_after_its_first_slice_is_exit_2(
         self, capsys, monkeypatch, vulnerable_manifests, scan_report_paths, inventory_path
     ):

@@ -475,7 +475,7 @@ class TestPodRecord:
 
         def walking():
             """A context that has walked no document yet."""
-            return EvalContext(ctx.namespace_kinds, ctx.ref_counts)
+            return EvalContext.build(docs)
 
         expected = sorted(
             (rule.id, doc.ref) for rule in rules for doc in docs

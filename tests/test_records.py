@@ -1,16 +1,14 @@
 """What the program relies on in its record types, beyond plain tuple behaviour.
 
 Public records are named tuples. A version compares and hashes as its three
-numbers, every record that collects results holds lists, sets and dicts of
-its own, and the records that check their fields still check them when
-built.
+numbers, and every record that collects results holds lists, sets and dicts
+of its own.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-import math
 import operator
 import pkgutil
 
@@ -19,9 +17,8 @@ import pytest
 import ricaudit
 from ricaudit.catalogs import parse_catalog
 from ricaudit.manifests import load_directory
-from ricaudit.report import AuditResult
-from ricaudit.versions import AdvisoryEntry, VersionPredicate, audit_components, parse_version
-from ricaudit.vulns import ImageRef, VulnTally, VulnTotals, parse_scan_report
+from ricaudit.versions import VersionPredicate, audit_components, parse_version
+from ricaudit.vulns import ImageRef, VulnTally, parse_scan_report
 
 OPERATORS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
 
@@ -90,35 +87,6 @@ def test_no_record_defaults_to_a_list_set_or_dict():
     for record in records:
         for name, default in record._field_defaults.items():
             assert not isinstance(default, (list, set, dict)), (record.__qualname__, name)
-
-
-ADVISORY = {
-    "component": "helm", "affected": VersionPredicate.parse("== 3.1.0"), "cve_count": 2,
-    "cvss_min": 4.0, "cvss_max": 7.5, "vulnerability_classes": ("dos",),
-}
-
-
-@pytest.mark.parametrize("changes", [
-    {"cvss_min": 8.0},  # above cvss_max
-    {"cvss_min": math.nan},
-    {"cvss_max": math.nan},
-    {"cvss_max": 10.5},
-    {"cvss_min": -0.5},
-    {"cve_count": 0},
-], ids=repr)
-def test_advisory_entry_checks_when_built(changes):
-    valid = AdvisoryEntry(**ADVISORY)
-    with pytest.raises(ValueError):
-        AdvisoryEntry(**{**ADVISORY, **changes})
-    with pytest.raises(ValueError):
-        AdvisoryEntry(*{**ADVISORY, **changes}.values())
-    with pytest.raises(ValueError):
-        valid._replace(**changes)
-
-
-def test_audit_result_checks_when_replaced():
-    with pytest.raises(ValueError, match="totals inconsistent"):
-        AuditResult()._replace(totals=VulnTotals(1, 1, 0, 0))
 
 
 def test_public_records_are_tuples():

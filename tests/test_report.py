@@ -42,20 +42,6 @@ def result_with(**kwargs):
     return AuditResult(**kwargs)
 
 
-class TestAuditResultInvariants:
-    def test_totals_must_match_histograms(self):
-        with pytest.raises(ValueError):
-            result_with(
-                summaries=(summary(vuln={SeverityClass.HIGH: 2}),),
-                totals=VulnTotals(1, 1, 0, 0),
-            )
-
-    def test_framework_ids_unique(self):
-        score = FrameworkScore("nsa-cisa", 50, 1, 0)
-        with pytest.raises(ValueError):
-            result_with(framework_scores=(score, score))
-
-
 class TestRenderJson:
     def test_canonical_byte_identity_modulo_timestamp(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")  # 2026-01-01T00:00:00Z

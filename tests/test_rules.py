@@ -14,10 +14,9 @@ from ricaudit.rules import (
     evaluate,
     group_findings_by_app,
     rule_from_mapping,
-    severity_histogram,
     validate_catalog,
 )
-from ricaudit.severity import SeverityClass, empty_counts
+from ricaudit.severity import SeverityClass, empty_counts, severity_histogram
 
 NAMED_RULE_SEVERITIES = {
     "MISC-LIMITS": SeverityClass.LOW,

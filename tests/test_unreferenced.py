@@ -7,8 +7,7 @@ module (`yamlio.load_file`); a method or property when some attribute access
 names it. A read `C.m` off a class `C` of the package names `C`'s own `m`
 only: a `parse` of one class is no use of another's. The names listed in
 `ricaudit._EXPORTS` are strings, not references. Dunder methods, which
-Python calls, and the named-tuple `_make` hooks, which `_replace` calls, are
-exempt.
+Python calls, are exempt.
 
 Every field of a named tuple in the package is read, too: some part of
 `src/ricaudit` reads an attribute of that name off something. A class whose
@@ -66,8 +65,7 @@ def unreferenced() -> list[str]:
             if in_package[node.name] == names(node, module)[node.name]:
                 unused.append(f"{module}.{node.name}")
             for member in node.body if isinstance(node, ast.ClassDef) else ():
-                if (not isinstance(member, FUNCTIONS) or member.name.startswith("__")
-                        or member.name == "_make"):
+                if not isinstance(member, FUNCTIONS) or member.name.startswith("__"):
                     continue
                 keys = (member.name, f"{node.name}.{member.name}")
                 own = names(member, classes=classes)

@@ -5,13 +5,12 @@ from hypothesis import given, strategies as st
 
 from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import MalformedVersion
-from ricaudit.severity import SeverityClass
+from ricaudit.severity import SeverityClass, classify_severity
 from ricaudit.versions import (
     VersionPredicate,
     audit_components,
     parse_version,
 )
-from ricaudit.vulns import classify_severity
 
 
 class TestParseVersion:

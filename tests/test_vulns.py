@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from ricaudit.cli import main
 from ricaudit.errors import AuditError
 from ricaudit.pipeline import audit
-from ricaudit.severity import SeverityClass, empty_counts
+from ricaudit.severity import SeverityClass, classify_severity, empty_counts
 from ricaudit.vulns import (
     ImageRef,
     VulnTally,
-    classify_severity,
     occurrence_and_unique_totals,
     parse_scan_report,
 )

@@ -541,6 +541,26 @@ def test_package_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_versions_import_loads_no_other_stage():
+    code = (
+        "import sys, ricaudit.versions\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ricaudit'))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "['ricaudit', 'ricaudit.errors', 'ricaudit.severity', 'ricaudit.versions']\n")
+
+
+def test_vulns_import_leaves_rules_unloaded():
+    code = (
+        "import sys, ricaudit.vulns\n"
+        "assert 'ricaudit.rules' not in sys.modules\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_leaves_fixtures_unloaded():
     code = (
         "import sys, ricaudit.cli\n"
