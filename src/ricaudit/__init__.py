@@ -13,7 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "severity": ("SeverityClass", "ThreatCategory", "classify_severity", "severity_histogram"),
+    "severity": ("SeverityClass", "ThreatCategory", "classify_severity"),
     "manifests": ("DirectoryLoad", "ResourceDocument", "load_directory", "parse_manifest_stream"),
     "rules": ("Finding", "Rule", "evaluate"),
     "vulns": ("ContainerScanSummary", "ImageRef", "VulnTally", "VulnTotals",

@@ -10,6 +10,7 @@ it: to add a rule to a built-in control, a user file redefines that framework.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -57,7 +58,7 @@ def _framework_from_mapping(raw: Any) -> Framework:
     controls = []
     for raw_control in fw["controls"]:
         c = entry_fields(raw_control, f"framework {fw['id']!r} control", CONTROL_FIELDS, key="id")
-        controls.append(Control(fw["id"], c["id"], tuple(c["rule_ids"])))
+        controls.append(Control(c["id"], tuple(c["rule_ids"])))
     if not controls:
         raise CatalogError(f"framework {fw['id']}: controls must be non-empty")
     reject_duplicates((c.control_id for c in controls), f"framework {fw['id']}: duplicate control")
@@ -69,24 +70,23 @@ def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
     what = f"advisory {adv['component']!r}"
     recommended = adv["recommended_min_version"]
     try:
-        entry = AdvisoryEntry(
-            component=adv["component"].lower(),
-            affected=VersionPredicate.parse(adv["affected"]),
-            cve_count=adv["cve_count"],
-            cvss_min=float(adv["cvss_min"]),
-            cvss_max=float(adv["cvss_max"]),
-            vulnerability_classes=tuple(adv["vulnerability_classes"]),
-            recommended_min_version=parse_version(recommended) if recommended else None,
-        )
+        affected = VersionPredicate.parse(adv["affected"])
+        recommended = parse_version(recommended) if recommended else None
     except MalformedVersion as exc:
         raise CatalogError(f"{what}: {exc}") from exc
-    # Written so that NaN fails too: every comparison with NaN is false.
-    if not 0.0 <= entry.cvss_min <= entry.cvss_max <= 10.0:
-        raise CatalogError(f"{what}: cvss_min {entry.cvss_min} and cvss_max {entry.cvss_max} "
+    cvss_min, cvss_max = adv["cvss_min"], adv["cvss_max"]
+    # Checked as given, since an integer too large for a float is out of range
+    # too; written so that NaN fails: every comparison with NaN is false.
+    if not 0 <= cvss_min <= cvss_max <= 10:
+        # Each shown as a float, or abridged when no float holds it.
+        low, high = (str(float(n)) if abs(n) < 1e308 else reprlib.repr(n)
+                     for n in (cvss_min, cvss_max))
+        raise CatalogError(f"{what}: cvss_min {low} and cvss_max {high} "
                            "must satisfy 0 <= cvss_min <= cvss_max <= 10")
-    if entry.cve_count < 1:
+    if adv["cve_count"] < 1:
         raise CatalogError(f"{what}: cve_count must be >= 1")
-    return entry
+    return AdvisoryEntry(adv["component"].lower(), affected, adv["cve_count"], float(cvss_min),
+                         float(cvss_max), tuple(adv["vulnerability_classes"]), recommended)
 
 
 # Mappings and lists a catalog may hold once its YAML aliases are expanded.

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .manifests import ResourceDocument
-from .rules import Finding, Rule
+if TYPE_CHECKING:
+    from .manifests import ResourceDocument
+    from .rules import Finding, Rule
 
 
 class Control(NamedTuple):
-    framework_id: str
     control_id: str
     rule_ids: tuple[str, ...]
 

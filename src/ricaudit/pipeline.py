@@ -26,8 +26,9 @@ from .errors import AuditError
 from .manifests import ResourceDocument, distinct_files, load_directory
 from .report import AuditResult
 from .rules import Evaluation, Finding, group_findings_by_app
+from .severity import empty_counts
 from .versions import VersionAudit, audit_components
-from .vulns import VulnTally, occurrence_and_unique_totals, parse_scan_report
+from .vulns import ContainerScanSummary, VulnTally, occurrence_and_unique_totals, parse_scan_report
 from .yamlio import read_file
 
 
@@ -55,11 +56,18 @@ def build_result(
     """Assemble one AuditResult from whatever workflows actually ran.
 
     `resources` are the evaluated documents, with or without their bodies;
-    their app labels group the findings.
+    their app labels group the findings. This is where the vulnerability and
+    misconfiguration stages meet: one row per container of the tally or of
+    the misconfiguration counts (so a manifest-only audit has rows too),
+    sorted by name.
     """
-    misconfig_map = group_findings_by_app(findings, resources)
+    misconfig = group_findings_by_app(findings, resources)
+    vulns = tally.containers
     return AuditResult(
-        summaries=tuple(tally.summaries(misconfig_map)),
+        summaries=tuple(
+            ContainerScanSummary(container, *vulns.get(container, (None, empty_counts())),
+                                 misconfig.get(container, empty_counts()))
+            for container in sorted(vulns.keys() | misconfig.keys())),
         findings=tuple(findings),
         framework_scores=tuple(framework_scores),
         version_findings=tuple(version_audit.findings) if version_audit else (),

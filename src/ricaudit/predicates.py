@@ -21,10 +21,12 @@ import re
 import reprlib
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import CatalogError
-from .manifests import ResourceDocument
+
+if TYPE_CHECKING:
+    from .manifests import ResourceDocument
 
 # Kinds that embed a pod template, and the path to the pod spec inside them.
 POD_SPEC_PATHS: dict[str, tuple[str, ...]] = {
@@ -83,7 +85,7 @@ class EvalContext:
 
 
 # A check judges a node of a document; one that reads no BODY may judge one with no body.
-Check = Callable[[Any, ResourceDocument, EvalContext], bool]
+Check = Callable[[Any, "ResourceDocument", EvalContext], bool]
 
 
 def resolve_path(node: Any, path: str) -> list[Any]:
@@ -105,7 +107,10 @@ def resolve_path(node: Any, path: str) -> list[Any]:
                 if segment in value:
                     nxt.append(value[segment])
             elif isinstance(value, list) and segment.isdigit():
-                idx = int(segment)
+                try:
+                    idx = int(segment)
+                except ValueError:  # "²", or more digits than int() converts: out of range too
+                    continue
                 if idx < len(value):
                     nxt.append(value[idx])
         current = nxt

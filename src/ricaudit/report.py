@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Any, NamedTuple, TextIO
 
 from .severity import TABLE_ORDER, SeverityClass
-from .versions import VersionFinding
 from .vulns import ContainerScanSummary, VulnTotals
-from .rules import Finding
-from .compliance import FrameworkScore
+
+if TYPE_CHECKING:
+    from .compliance import FrameworkScore
+    from .rules import Finding
+    from .versions import VersionFinding
 
 SCHEMA_VERSION = "1"
 

@@ -15,13 +15,15 @@ also reads that body, and gives the same findings.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import CatalogError
-from .manifests import ResourceDocument
 from .predicates import (
     ANY, BODY, CONTEXT, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields)
-from .severity import SeverityClass, ThreatCategory
+from .severity import SeverityClass, ThreatCategory, empty_counts
+
+if TYPE_CHECKING:
+    from .manifests import ResourceDocument
 
 WILDCARD_KIND = "*"
 
@@ -160,21 +162,20 @@ class Evaluation:
 
 def group_findings_by_app(
     findings: Sequence[Finding], resources: Iterable[ResourceDocument]
-) -> dict[str, list[Finding]]:
-    """Group findings by the `app` label of the resource they fired on.
+) -> dict[str, dict[SeverityClass, int]]:
+    """Count findings per severity class (all five) by the `app` label of the
+    resource they fired on, for each app with a finding.
 
     Resources without an app label (cluster plumbing, RBAC objects, shared
-    config) stay out of the per-container grouping; their findings are
-    still reported, just not attributed to a container column.
+    config) stay out of the per-container counts; their findings are still
+    reported, just not attributed to a container column.
     """
-    label_by_ref: dict[str, str] = {}
-    for res in resources:
-        app = res.app
-        if app:
-            label_by_ref[res.ref] = app
-    grouped: dict[str, list[Finding]] = {}
+    label_by_ref = {res.ref: res.app for res in resources if res.app}
+    counts: dict[str, dict[SeverityClass, int]] = {}
     for finding in findings:
         app = label_by_ref.get(finding.resource)
         if app:
-            grouped.setdefault(app, []).append(finding)
-    return grouped
+            if app not in counts:
+                counts[app] = empty_counts()
+            counts[app][finding.severity] += 1
+    return counts

@@ -8,12 +8,7 @@ live here too, so that a stage that needs either loads no other stage.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from enum import Enum, IntEnum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .rules import Finding
 
 
 class SeverityClass(IntEnum):
@@ -52,14 +47,6 @@ TABLE_ORDER = (
 def empty_counts() -> dict[SeverityClass, int]:
     """A zero-filled histogram over all five classes."""
     return {cls: 0 for cls in TABLE_ORDER}
-
-
-def severity_histogram(findings: Iterable[Finding]) -> dict[SeverityClass, int]:
-    """Zero-filled counts per severity class; sums to the number of findings."""
-    counts = empty_counts()
-    for finding in findings:
-        counts[finding.severity] += 1
-    return counts
 
 
 def classify_severity(cvss: float | None, vendor: SeverityClass | None = None) -> SeverityClass:

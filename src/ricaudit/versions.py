@@ -9,6 +9,7 @@ databases may also use inclusive upper-bound ranges.
 from __future__ import annotations
 
 import re
+import reprlib
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedVersion
@@ -42,11 +43,11 @@ def parse_version(text: str) -> Version:
     if not match:
         raise MalformedVersion(f"not a numeric version: {text!r}")
     major, minor, patch = match.groups()
-    return Version(
-        major=int(major),
-        minor=int(minor),
-        patch=int(patch) if patch is not None else 0,
-    )
+    try:
+        return Version(int(major), int(minor), int(patch) if patch is not None else 0)
+    except ValueError:  # a part longer than the interpreter converts to an int
+        raise MalformedVersion(
+            f"not a numeric version: {reprlib.repr(text)} (a part has too many digits)") from None
 
 
 class VersionPredicate(NamedTuple):

@@ -15,15 +15,12 @@ out-of-range CVSS score is left out alone, with one diagnostic line.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from collections.abc import Mapping
+from typing import NamedTuple
 
 from .errors import AuditError
 from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, field_reader
-from .severity import SeverityClass, classify_severity, empty_counts, severity_histogram
-
-if TYPE_CHECKING:
-    from .rules import Finding
+from .severity import SeverityClass, classify_severity, empty_counts
 
 
 class ImageRef(NamedTuple):
@@ -180,19 +177,6 @@ class VulnTally:
         self.critical_rce |= other.critical_rce
         self.critical_actionable |= other.critical_actionable
         return self
-
-    def summaries(
-        self, misconfig_findings_by_container: Mapping[str, Sequence[Finding]] | None = None
-    ) -> list[ContainerScanSummary]:
-        """One row per container of the tally or of the misconfiguration
-        map (so a manifest-only audit has rows too), sorted by name."""
-        misconfig = misconfig_findings_by_container or {}
-        rows = []
-        for container in sorted(self.containers.keys() | misconfig.keys()):
-            image, counts = self.containers.get(container, (None, empty_counts()))
-            rows.append(ContainerScanSummary(
-                container, image, dict(counts), severity_histogram(misconfig.get(container, []))))
-        return rows
 
 
 def occurrence_and_unique_totals(tally: VulnTally) -> VulnTotals:

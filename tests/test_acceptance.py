@@ -28,10 +28,10 @@ from ricaudit.compliance import (
     FrameworkScore,
     framework_score,
 )
-from ricaudit.manifests import load_directory
+from ricaudit.manifests import ResourceDocument, load_directory
 from ricaudit.report import AuditResult
-from ricaudit.rules import Finding, evaluate
-from ricaudit.severity import SeverityClass, classify_severity, severity_histogram
+from ricaudit.rules import Finding, evaluate, group_findings_by_app
+from ricaudit.severity import SeverityClass, classify_severity
 from ricaudit.vulns import (
     ContainerScanSummary,
     ImageRef,
@@ -177,7 +177,7 @@ def test_criterion_4_compliance_scoring(capsys):
         pairs = []
         for i in range(count):
             rule_ids = ("MISC-LIMITS",) if rng.random() > 0.15 else ()
-            control = Control("nsa-cisa", f"C{i}", rule_ids)
+            control = Control(f"C{i}", rule_ids)
             controls.append(control)
             if rule_ids and rng.random() > 0.1:
                 applicable = rng.randint(1, 8)
@@ -248,8 +248,13 @@ def test_criterion_5b_evaluate_order_independent():
 )
 def test_criterion_5c_histogram_conservation(raw):
     findings = [Finding("R", f"ns/Pod/p{n}", sev, "m", "r") for sev, n in raw]
-    counts = severity_histogram(findings)
-    assert sum(counts.values()) == len(findings)
+    # Every fourth resource has no app label; the rest spread over three apps.
+    resources = [ResourceDocument("Pod", "ns", f"app{n % 3}" if n % 4 else None, f"ns/Pod/p{n}",
+                                  None) for n in {n for _, n in raw}]
+    grouped = group_findings_by_app(findings, resources)
+    assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
+    assert (sum(sum(counts.values()) for counts in grouped.values())
+            == sum(1 for _, n in raw if n % 4))
 
 
 triples = st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99))

@@ -877,6 +877,12 @@ def replaced(kind: str, **fields) -> dict:
     return {**BASES[kind], **fields}
 
 
+# A version with more digits in one part than int() converts, and its diagnostic.
+TOO_LONG_VERSION = "9" * 5000 + ".1.1"
+TOO_LONG_MESSAGE = ("not a numeric version: '999999999999...999999999.1.1' "
+                    "(a part has too many digits)")
+
+
 class TestUserCatalogs:
     def test_extra_rule_catalog(self, capsys, tmp_path, hardened_manifests):
         catalog = tmp_path / "extra.yaml"
@@ -1048,6 +1054,14 @@ rules:
          "must satisfy 0 <= cvss_min <= cvss_max <= 10"),
         ("advisories", replaced("advisory", cve_count=0),
          "advisory 'helm': cve_count must be >= 1"),
+        # Each of these ended in an internal error: float() or int() refused the value.
+        ("advisories", replaced("advisory", cvss_min=10**400),
+         "advisory 'helm': cvss_min 100000000000000000...0000000000000000000 and cvss_max 2.0 "
+         "must satisfy 0 <= cvss_min <= cvss_max <= 10"),
+        ("advisories", replaced("advisory", affected=TOO_LONG_VERSION),
+         f"advisory 'helm': {TOO_LONG_MESSAGE}"),
+        ("advisories", replaced("advisory", recommended_min_version=TOO_LONG_VERSION),
+         f"advisory 'helm': {TOO_LONG_MESSAGE}"),
     ])
     def test_entry_of_wrong_shape_exits_2(
         self, capsys, tmp_path, hardened_manifests, inventory_path, section, entry, message
@@ -1138,6 +1152,38 @@ advisories:
         )
         payload = json_payload(out)
         assert [v["component"] for v in payload["version_findings"]] == ["nginx"]
+
+
+class TestOversizedNumbersInData:
+    """Values that str.isdigit or the YAML loader accept but int() refuses get
+    their input's one-line diagnostic, or match nothing."""
+
+    def test_inventory_version_with_a_huge_part_is_one_entry_line(self, capsys, tmp_path):
+        inv = tmp_path / "inv.yaml"
+        inv.write_text(yaml.safe_dump([{"component": "helm", "version": TOO_LONG_VERSION},
+                                       {"component": "helm", "version": "3.5.4"}]))
+        code, out, err = run_cli(capsys, "versions", "--inventory", str(inv), "--format", "json",
+                                 "--fail-on", "negligible")
+        assert code == 1
+        assert [v["component"] for v in json_payload(out)["version_findings"]] == ["helm"]
+        assert err == f"ricaudit: inventory entry 'helm': {TOO_LONG_MESSAGE}\n"
+
+    @pytest.mark.parametrize("segment", ["²", "0" * 5000], ids=["superscript", "5000-digits"])
+    def test_rule_path_segment_int_refuses_matches_nothing(self, capsys, tmp_path, segment):
+        manifest = tmp_path / "pod.yaml"
+        manifest.write_text(yaml.safe_dump({
+            "apiVersion": "v1", "kind": "Pod", "metadata": {"name": "p", "namespace": "ns"},
+            "spec": {"containers": [{"name": "c", "image": "x:1"}]}}))
+        catalog = tmp_path / "rule.yaml"
+        catalog.write_text(yaml.safe_dump({"rules": [
+            replaced("rule", id="X-ODD", check={"path_exists": f"spec.containers.{segment}"}),
+            replaced("rule", id="X-FIRST", check={"path_exists": "spec.containers.0"}),
+        ]}))
+        code, out, err = run_cli(capsys, "scan", str(manifest), "--catalog", str(catalog),
+                                 "--format", "json", "--fail-on", "critical")
+        assert (code, err) == (0, "")
+        fired = {f["rule_id"] for f in json_payload(out)["findings"]}
+        assert "X-FIRST" in fired and "X-ODD" not in fired
 
 
 def test_verify_fixtures_command(capsys):

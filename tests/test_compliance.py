@@ -31,8 +31,8 @@ def pods(count: int):
     return parse_manifest_stream(text, "pods.yaml")
 
 
-def control_for(*rule_ids, framework="nsa-cisa", control_id="X-1"):
-    return Control(framework_id=framework, control_id=control_id, rule_ids=rule_ids)
+def control_for(*rule_ids, control_id="X-1"):
+    return Control(control_id=control_id, rule_ids=rule_ids)
 
 
 class TestControlCompliance:

@@ -90,6 +90,11 @@ class TestResolvePath:
         assert resolve_path({"l": ["a", "b"]}, "l.1") == ["b"]
         assert resolve_path({"l": ["a"]}, "l.5") == []
 
+    @pytest.mark.parametrize("segment", ["²", "0" * 5000], ids=["superscript", "5000-digits"])
+    def test_digit_segment_int_refuses_matches_nothing(self, segment):
+        # str.isdigit accepts both; int() refuses them, as an index out of range.
+        assert resolve_path({"l": ["a", "b"]}, f"l.{segment}") == []
+
     def test_null_value_counts_as_present(self):
         assert resolve_path({"a": None}, "a") == [None]
 

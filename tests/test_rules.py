@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import CatalogError
-from ricaudit.manifests import load_directory, parse_manifest_stream
+from ricaudit.manifests import ResourceDocument, load_directory, parse_manifest_stream
 from ricaudit.rules import (
     Finding,
     evaluate,
@@ -16,7 +16,7 @@ from ricaudit.rules import (
     rule_from_mapping,
     validate_catalog,
 )
-from ricaudit.severity import SeverityClass, empty_counts, severity_histogram
+from ricaudit.severity import SeverityClass, empty_counts
 
 NAMED_RULE_SEVERITIES = {
     "MISC-LIMITS": SeverityClass.LOW,
@@ -114,13 +114,14 @@ class TestEvaluate:
     def test_vulnerable_deployment_profile(self, vulnerable_workloads):
         load = load_directory(vulnerable_workloads / "ricplt-e2term.yaml")
         findings = evaluate(load_catalogs().rules, load.documents)
-        assert severity_histogram(findings) == {
+        # Every finding lands on a resource labelled with the container's app.
+        assert group_findings_by_app(findings, load.documents) == {"ricplt-e2term": {
             SeverityClass.CRITICAL: 0,
             SeverityClass.HIGH: 1,
             SeverityClass.MEDIUM: 3,
             SeverityClass.LOW: 9,
             SeverityClass.NEGLIGIBLE: 0,
-        }
+        }}
 
     def test_anonymous_auth_both_surfaces(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests / "cluster")
@@ -197,9 +198,15 @@ class TestEvaluate:
             base = findings
 
 
+def labelled(ref: str, app: str | None) -> ResourceDocument:
+    return ResourceDocument("Pod", "ns", app, ref, None)
+
+
 class TestSeverityHistogram:
+    """The per-app severity counts that `group_findings_by_app` returns."""
+
     def test_empty(self):
-        assert severity_histogram([]) == empty_counts()
+        assert group_findings_by_app([], [labelled("a", "x")]) == {}
 
     def test_counting(self):
         findings = [
@@ -207,21 +214,25 @@ class TestSeverityHistogram:
             Finding("R", "b", SeverityClass.HIGH, "m", "r"),
             Finding("S", "a", SeverityClass.HIGH, "m", "r"),
         ]
-        counts = severity_histogram(findings)
-        assert counts[SeverityClass.HIGH] == 3
-        assert sum(counts.values()) == 3
+        grouped = group_findings_by_app(findings, [labelled("a", "x"), labelled("b", "x")])
+        assert grouped == {"x": {**empty_counts(), SeverityClass.HIGH: 3}}
 
     @given(
         st.lists(
             st.tuples(st.sampled_from(list(SeverityClass)), st.text(max_size=5)),
             max_size=60,
-        )
+        ),
+        st.dictionaries(st.text(max_size=5), st.sampled_from(["x", "y", None])),
     )
-    def test_conservation(self, raw):
+    def test_conservation(self, raw, app_of):
         findings = [Finding("R", res, sev, "m", "r") for sev, res in raw]
-        counts = severity_histogram(findings)
-        assert sum(counts.values()) == len(findings)
-        assert set(counts) == set(SeverityClass)
+        grouped = group_findings_by_app(findings, [labelled(r, a) for r, a in app_of.items()])
+        assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
+        assert (sum(sum(counts.values()) for counts in grouped.values())
+                == sum(1 for f in findings if app_of.get(f.resource)))
+        for app, counts in grouped.items():
+            assert counts == {sev: sum(1 for f in findings if app_of.get(f.resource) == app
+                                       and f.severity is sev) for sev in SeverityClass}
 
 
 class TestGrouping:
@@ -231,9 +242,10 @@ class TestGrouping:
         findings = evaluate(load_catalogs().rules, documents)
         grouped = group_findings_by_app(findings, documents)
         assert len(grouped) == 8
-        assert all(len(group) == 13 for group in grouped.values())
+        assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
+        assert all(sum(counts.values()) == 13 for counts in grouped.values())
         # Cluster-scoped findings stay unattributed.
-        attributed = sum(len(g) for g in grouped.values())
+        attributed = sum(sum(counts.values()) for counts in grouped.values())
         assert attributed == len(findings) - 4
 
 

@@ -42,6 +42,12 @@ class TestParseVersion:
         with pytest.raises(MalformedVersion):
             parse_version(text)
 
+    def test_part_too_long_for_int_is_malformed(self):
+        # More digits than int() converts from text (4,300 by default).
+        with pytest.raises(MalformedVersion, match=r"not a numeric version: '9+\.\.\.9+\.1\.1' "
+                                                   r"\(a part has too many digits\)$"):
+            parse_version("9" * 5000 + ".1.1")
+
     def test_v_prefix_equality(self):
         assert parse_version("v3.5.4") == parse_version("3.5.4")
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from ricaudit.cli import main
 from ricaudit.errors import AuditError
-from ricaudit.pipeline import audit
+from ricaudit.manifests import ResourceDocument
+from ricaudit.pipeline import audit, build_result
+from ricaudit.rules import Finding
 from ricaudit.severity import SeverityClass, classify_severity, empty_counts
 from ricaudit.vulns import (
     ImageRef,
@@ -106,8 +108,7 @@ class TestParseScanReport:
         path = next(p for p in scan_report_paths if p.name == "influxdb2.json")
         report = parse_scan_report(path.read_bytes())
         assert len(report.records) == 84
-        summary = report.records.summaries()[0]
-        assert summary.vuln_histogram == {
+        assert histogram(report) == {
             SeverityClass.CRITICAL: 10,
             SeverityClass.HIGH: 44,
             SeverityClass.MEDIUM: 28,
@@ -274,11 +275,10 @@ def reports_of(entries):
 
 class TestAggregation:
     def test_full_fixture_reproduces_all_rows(self, scan_report_paths):
-        summaries = fixture_tally(scan_report_paths).summaries()
-        assert [s.container for s in summaries] == sorted(s.container for s in summaries)
+        containers = fixture_tally(scan_report_paths).containers
         cells = {
-            s.container: tuple(s.vuln_histogram[c] for c in sorted(SeverityClass, reverse=True))
-            for s in summaries
+            container: tuple(counts[c] for c in sorted(SeverityClass, reverse=True))
+            for container, (_, counts) in containers.items()
         }
         assert cells == {
             "ricplt-dbass-redis": (6, 14, 26, 2, 0),
@@ -290,32 +290,34 @@ class TestAggregation:
             "ricplt-appmgr": (0, 8, 36, 24, 19),
             "ricplt-a1mediator": (0, 9, 8, 8, 7),
         }
-        critical_total = sum(s.vuln_histogram[SeverityClass.CRITICAL] for s in summaries)
+        critical_total = sum(counts[SeverityClass.CRITICAL] for _, counts in containers.values())
         assert critical_total == 16
 
     def test_single_container(self):
-        summaries = fold(reports_of([Entry("CVE-1", "only")])).summaries()
-        assert len(summaries) == 1
-        assert summaries[0].container == "only"
-        assert sum(summaries[0].vuln_histogram.values()) == 1
+        containers = fold(reports_of([Entry("CVE-1", "only")])).containers
+        assert list(containers) == ["only"]
+        assert sum(containers["only"][1].values()) == 1
 
     def test_histogram_sums_match_record_counts(self, scan_report_paths):
         for path in scan_report_paths:
             report = parse_scan_report(path.read_bytes())
-            summary = report.records.summaries()[0]
             entries = json.loads(path.read_bytes())["entries"]
-            assert sum(summary.vuln_histogram.values()) == len(report.records)
+            assert sum(histogram(report).values()) == len(report.records)
             assert len(report.records) == len(entries) - len(report.rejected)
 
     def test_misconfig_only_container_gets_row(self):
-        from ricaudit.rules import Finding
-
+        # Rows come from the tally and from the misconfiguration counts, sorted by name.
         finding = Finding("R", "ns/Pod/x", SeverityClass.LOW, "m", "r")
-        summaries = VulnTally().summaries({"appx": [finding]})
-        assert summaries[0].container == "appx"
+        pod = ResourceDocument("Pod", "ns", "appx", "ns/Pod/x", None)
+        tally = fold(reports_of([Entry("CVE-1", "b")]))
+        summaries = build_result(tally=tally, findings=[finding], resources=[pod]).summaries
+        assert [s.container for s in summaries] == ["appx", "b"]
         assert summaries[0].image is None
-        assert summaries[0].misconfig_histogram[SeverityClass.LOW] == 1
+        assert summaries[0].misconfig_histogram == one_in(SeverityClass.LOW)
         assert summaries[0].vuln_histogram == empty_counts()
+        assert summaries[1].image == ImageRef("r.example", "app", "1")
+        assert summaries[1].misconfig_histogram == empty_counts()
+        assert summaries[1].vuln_histogram == one_in(SeverityClass.MEDIUM)
 
     def test_interleaved_containers_match_a_per_record_fold(self):
         # Reports of containers A, B, A, C, B: a container that comes back
@@ -355,11 +357,11 @@ class TestAggregation:
         split = min(split, len(entries))
         merged: dict[str, dict] = {}
         for part in (entries[:split], entries[split:]):
-            for summary in fold(reports_of(part)).summaries():
-                bucket = merged.setdefault(summary.container, empty_counts())
-                for cls, count in summary.vuln_histogram.items():
+            for container, counts in histograms(fold(reports_of(part))).items():
+                bucket = merged.setdefault(container, empty_counts())
+                for cls, count in counts.items():
                     bucket[cls] += count
-        whole = {s.container: dict(s.vuln_histogram) for s in fold(reports_of(entries)).summaries()}
+        whole = histograms(fold(reports_of(entries)))
         assert merged == whole
 
 
@@ -411,7 +413,8 @@ entries_st = st.lists(
 
 
 def rows(tally):
-    return [(s.container, s.image, dict(s.vuln_histogram)) for s in tally.summaries()]
+    return [(container, image, dict(counts))
+            for container, (image, counts) in sorted(tally.containers.items())]
 
 
 def histograms(tally):

@@ -541,24 +541,28 @@ def test_package_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_versions_import_loads_no_other_stage():
+# The ricaudit modules each stage module loads: only what it runs. Names that
+# only annotations use are imported under TYPE_CHECKING.
+STAGE_CLOSURES = {
+    "predicates": {"errors", "predicates"},
+    "rules": {"errors", "predicates", "rules", "severity"},
+    "compliance": {"compliance"},
+    "report": {"errors", "predicates", "report", "severity", "vulns"},
+    "vulns": {"errors", "predicates", "severity", "vulns"},
+    "versions": {"errors", "severity", "versions"},
+}
+
+
+@pytest.mark.parametrize("module", STAGE_CLOSURES)
+def test_stage_import_loads_only_what_it_runs(module):
     code = (
-        "import sys, ricaudit.versions\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ricaudit'))\n"
+        f"import sys, ricaudit.{module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('ricaudit', 'yaml')))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "['ricaudit', 'ricaudit.errors', 'ricaudit.severity', 'ricaudit.versions']\n")
-
-
-def test_vulns_import_leaves_rules_unloaded():
-    code = (
-        "import sys, ricaudit.vulns\n"
-        "assert 'ricaudit.rules' not in sys.modules\n"
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
+    expected = ["ricaudit", *(f"ricaudit.{name}" for name in sorted(STAGE_CLOSURES[module]))]
+    assert proc.stdout == f"{expected}\n"
 
 
 def test_cli_import_leaves_fixtures_unloaded():
@@ -593,7 +597,7 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
     "load_directory", "parse_manifest_stream", "Finding",
-    "Rule", "evaluate", "severity_histogram", "ContainerScanSummary", "ImageRef", "VulnTally",
+    "Rule", "evaluate", "ContainerScanSummary", "ImageRef", "VulnTally",
     "VulnTotals", "classify_severity", "occurrence_and_unique_totals", "parse_scan_report",
     "Control", "ControlResult", "Evidence",
     "Framework", "FrameworkScore", "control_compliance", "framework_score", "AdvisoryEntry",
