@@ -10,14 +10,13 @@ it: to add a rule to a built-in control, a user file redefines that framework.
 
 from __future__ import annotations
 
-import reprlib
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import yamlio
 from .compliance import Control, Framework
-from .errors import AuditError, CatalogError, MalformedVersion
+from .errors import AuditError, CatalogError, MalformedVersion, quoted
 from .manifests import distinct_files
 from .predicates import INTEGER, LIST, NUMBER, STRING, STRINGS, entry_fields
 from .rules import Rule, rule_from_mapping, validate_catalog
@@ -57,7 +56,8 @@ def _framework_from_mapping(raw: Any) -> Framework:
     fw = entry_fields(raw, "framework", FRAMEWORK_FIELDS, key="id")
     controls = []
     for raw_control in fw["controls"]:
-        c = entry_fields(raw_control, f"framework {fw['id']!r} control", CONTROL_FIELDS, key="id")
+        c = entry_fields(raw_control, f"framework {quoted(fw['id'])} control", CONTROL_FIELDS,
+                         key="id")
         controls.append(Control(c["id"], tuple(c["rule_ids"])))
     if not controls:
         raise CatalogError(f"framework {fw['id']}: controls must be non-empty")
@@ -67,7 +67,7 @@ def _framework_from_mapping(raw: Any) -> Framework:
 
 def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
     adv = entry_fields(raw, "advisory", ADVISORY_FIELDS, key="component")
-    what = f"advisory {adv['component']!r}"
+    what = f"advisory {quoted(adv['component'])}"
     recommended = adv["recommended_min_version"]
     try:
         affected = VersionPredicate.parse(adv["affected"])
@@ -79,7 +79,7 @@ def _advisory_from_mapping(raw: Any) -> AdvisoryEntry:
     # too; written so that NaN fails: every comparison with NaN is false.
     if not 0 <= cvss_min <= cvss_max <= 10:
         # Each shown as a float, or abridged when no float holds it.
-        low, high = (str(float(n)) if abs(n) < 1e308 else reprlib.repr(n)
+        low, high = (str(float(n)) if abs(n) < 1e308 else quoted(n)
                      for n in (cvss_min, cvss_max))
         raise CatalogError(f"{what}: cvss_min {low} and cvss_max {high} "
                            "must satisfy 0 <= cvss_min <= cvss_max <= 10")

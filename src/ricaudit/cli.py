@@ -15,7 +15,6 @@ as it is rendered: after exit 2 either may hold part of a payload.
 from __future__ import annotations
 
 import os
-import reprlib
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import nullcontext
@@ -23,7 +22,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from . import __version__, yamlio
-from .errors import AuditError
+from .errors import AuditError, quoted
 from .pipeline import audit
 from .predicates import NONEMPTY, SHAPES
 from .report import (
@@ -198,7 +197,7 @@ def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
         keys = {SETTINGS[name][1] for name in names}
         for key in file_values:
             if key not in keys:
-                raise AuditError(f"config {args.config}: unknown key {reprlib.repr(key)} "
+                raise AuditError(f"config {args.config}: unknown key {quoted(key)} "
                                  f"for {args.command}")
     values = {}
     for name in names:
@@ -211,7 +210,7 @@ def _resolve(args: argparse.Namespace | SimpleNamespace) -> dict[str, Any]:
             elif not valid(value):
                 # Bounded: aliases can make a value huge.
                 raise AuditError(f"config {args.config}: invalid value for {key}: "
-                                 f"{reprlib.repr(value)}")
+                                 f"{quoted(value)}")
         values[name] = value
     return values
 
@@ -259,7 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             import traceback
 
             traceback.print_exc()
-        _diag(f"internal error: {type(exc).__name__}: {reprlib.repr(str(exc))}")
+        _diag(f"internal error: {type(exc).__name__}: {quoted(str(exc))}")
         return EXIT_TOOL_ERROR
 
 

@@ -4,8 +4,8 @@ Every error raised by ricaudit derives from AuditError so the CLI can map
 any tool failure to exit code 2 without enumerating subclasses; the CLI
 prints `str(exc)`, so each message is written whole where it is raised.
 A subclass exists only where some code catches it or builds its message.
-`quoted` shows an input string in a message abridged, so one long value
-cannot make a diagnostic line long.
+`quoted` shows an input value in a message abridged, so one long value
+cannot make a diagnostic line long; no other module quotes one itself.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import reprlib
 
 
-def quoted(text: str) -> str:
-    """`repr(text)`, or for a long string its two ends around `...`: at most 30 characters."""
-    return reprlib.repr(text)
+def quoted(value: object) -> str:
+    """`repr(value)`, abridged: a long string as its two ends around `...`, at most 30
+    characters, and a large container as its first few items."""
+    return reprlib.repr(value)
 
 
 class AuditError(Exception):

@@ -9,9 +9,10 @@ Only the rules read a document's body. `load_directory` hands each file's
 documents on as soon as the file is parsed, and what a run keeps of a
 document after that is the same ResourceDocument with no body: kind,
 namespace, app label and ref. So a manifest stage holds one file's bodies
-plus one small tuple per document. A file that cannot be read or parsed
-is skipped with one diagnostic line; `distinct_files` decides, for every
-input, which paths name the same file.
+plus one small tuple per document. Discovery keeps nothing per file but
+its path, as a plain string in one sorted list. A file that cannot be read
+or parsed is skipped with one diagnostic line; `distinct_files` decides,
+for every input, which paths name the same file.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import yamlio
-from .errors import AuditError, DocumentError, InvalidYaml
+from .errors import AuditError, DocumentError, InvalidYaml, quoted
 
 MANIFEST_EXTENSIONS = {".yaml", ".yml", ".json"}
 
@@ -55,7 +56,7 @@ def _labels_of(raw: Mapping[str, Any], origin: str, index: int | str) -> Mapping
     for key, value in (labels or {}).items():
         # Nothing is coerced: `tier: 2` would become "2", `app: 1.10` "1.1".
         if not (isinstance(key, str) and isinstance(value, str)):
-            raise DocumentError(origin, index, f"label {key!r} must be a string")
+            raise DocumentError(origin, index, f"label {quoted(key)} must be a string")
     return labels or {}
 
 
@@ -160,38 +161,77 @@ def distinct_files(paths: Iterable[str | Path]) -> Iterator[str | Path]:
             yield path
 
 
+def _is_manifest_name(name: str) -> bool:
+    """Whether `name` has a manifest suffix, by `PurePath.suffix`'s rule: the
+    text from the last dot, where that dot is not the name's first character.
+    So `..yaml` is a manifest, and a bare `.yaml` is not."""
+    dot = name.rfind(".")
+    return dot > 0 and name[dot:].lower() in MANIFEST_EXTENSIONS
+
+
+def _manifest_files(root: str) -> list[str]:
+    """The paths of the manifest files under the directory `root`, sorted.
+
+    Hidden entries are included. A directory is walked whatever its name; a
+    symlink to a directory is not entered, and one to a regular file is
+    listed under its own path. A directory that cannot be listed is skipped.
+    Paths are joined to `root` as `Path` joins them, so `.` adds no prefix.
+    """
+    found: list[str] = []
+    pending = [root]
+    while pending:
+        directory = pending.pop()
+        prefix = "" if directory == "." else os.path.join(directory, "")
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(prefix + entry.name)
+                    # `os.path.isfile`, not `entry.is_file()`, for a symlink: a link
+                    # loop makes `entry.is_file()` raise, which would skip the directory.
+                    elif _is_manifest_name(entry.name) and (
+                            entry.is_file(follow_symlinks=False) or os.path.isfile(entry.path)):
+                        found.append(prefix + entry.name)
+        except OSError:
+            continue
+    found.sort()
+    return found
+
+
 def load_directory(
     *roots: str | Path, consume: Callable[[list[ResourceDocument]], None] | None = None
 ) -> DirectoryLoad:
     """Recursively load every manifest file under each root, root by root.
 
-    A file that cannot be read or parsed is skipped with one line in the
-    result's `errors`, not raised, so one malformed file never hides the
-    rest of the evidence. Only regular files are read. A file reached more
-    than once (through two roots, a symlink or a hard link) is loaded once,
-    under the first path that reached it. Document order is deterministic:
-    root order, then lexicographic by file path within a root, then
-    document index.
+    A manifest file is a regular file whose name ends in `.yaml`, `.yml` or
+    `.json`, in any case, after at least one other character (see
+    `_manifest_files`). A file that cannot be read or parsed is skipped with
+    one line in the result's `errors`, not raised, so one malformed file
+    never hides the rest of the evidence. A file reached more than once
+    (through two roots, a symlink or a hard link) is loaded once, under the
+    first path that reached it. Document order is deterministic: root order,
+    then lexicographic by file path within a root, then document index.
 
+    Discovery holds each root's file paths as one sorted list of strings.
     Each file's documents go to `consume` as soon as the file is parsed,
     and are released before the next file is read. By default they are
     collected in the result's `documents`.
     """
-    found: list[Path] = []
-    for root in map(Path, roots):
-        if not root.exists():
+    found: list[str] = []
+    for root in roots:
+        root = str(Path(root))  # normalised as `Path` does, so diagnostics name the same paths
+        if not os.path.exists(root):
             raise AuditError(f"no such path: {root}")
-        if root.is_file():
+        if os.path.isfile(root):
             found.append(root)
         else:
-            found += sorted((p for p in root.rglob("*")
-                             if p.suffix.lower() in MANIFEST_EXTENSIONS and p.is_file()), key=str)
+            found += _manifest_files(root)
 
     result = DirectoryLoad(documents=[], errors=[])
     consume = consume or result.documents.extend
     for path in distinct_files(found):
         try:
-            docs = parse_manifest_stream(yamlio.read_file(path, "manifest"), str(path))
+            docs = parse_manifest_stream(yamlio.read_file(path, "manifest"), path)
         except DocumentError as exc:
             result.errors.append(f"parse error in {exc}")
         except AuditError as exc:

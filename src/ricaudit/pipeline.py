@@ -11,6 +11,9 @@ stage scopes and evaluates each file's documents as the file is parsed and
 keeps each document without its body, and each finding as its document's
 ref in its rule's list (see `rules.Evaluation`); the result holds those
 lists as they are. Each scan report is counted into the tally as it is read.
+`build_result` adds nothing per row that the payload does not show: the
+rows without vulnerability or misconfiguration counts share one zero
+histogram.
 """
 
 from __future__ import annotations
@@ -60,14 +63,17 @@ def build_result(
     their app labels group the findings. This is where the vulnerability and
     misconfiguration stages meet: one row per container of the tally or of
     the misconfiguration counts (so a manifest-only audit has rows too),
-    sorted by name.
+    sorted by name. Every row with no counts of a kind shares the result's
+    one zero histogram, so the rows' histograms are read-only.
     """
     misconfig = group_findings_by_app(findings, resources)
     vulns = tally.containers
+    zero = empty_counts()
+    no_vulns = None, zero
     return AuditResult(
         summaries=tuple(
-            ContainerScanSummary(container, *vulns.get(container, (None, empty_counts())),
-                                 misconfig.get(container, empty_counts()))
+            ContainerScanSummary(container, *vulns.get(container, no_vulns),
+                                 misconfig.get(container, zero))
             for container in sorted(vulns.keys() | misconfig.keys())),
         findings=findings,
         framework_scores=tuple(framework_scores),

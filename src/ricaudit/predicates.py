@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import re
-import reprlib
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING, Any
 
-from .errors import CatalogError
+from .errors import CatalogError, quoted
 
 if TYPE_CHECKING:
     from .manifests import ResourceDocument
@@ -209,10 +208,10 @@ def entry_fields(raw: Any, what: str, fields: Mapping[str, Any], key: str | None
     to (shape, default), the value taken when the field is absent or null.
     A failed check raises `error` with a one-line message that names `what`,
     followed by the value of its `key` field if given. Values are quoted by
-    `reprlib`, bounded: aliases can make them huge.
+    `errors.quoted`, bounded: aliases can make them huge.
     """
     if not isinstance(raw, Mapping):
-        raise error(f"{what} must be a mapping, got {reprlib.repr(raw)}")
+        raise error(f"{what} must be a mapping, got {quoted(raw)}")
     values = {}
     for name, shape in fields.items():
         value = raw.get(name, _ABSENT)
@@ -222,7 +221,7 @@ def entry_fields(raw: Any, what: str, fields: Mapping[str, Any], key: str | None
                 values[name] = default
                 continue
         if value is _ABSENT or not SHAPES[shape](value):
-            label = what if key is None else f"{what} {reprlib.repr(raw.get(key))}"
+            label = what if key is None else f"{what} {quoted(raw.get(key))}"
             problem = f"missing field {name!r}" if value is _ABSENT else f"{name} must be {shape}"
             raise error(f"{label}: {problem}")
         values[name] = value
@@ -312,7 +311,7 @@ def compile_check(spec: Mapping[str, Any]) -> Check:
 def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
     """`compile_check` without the `reads` mark: what the check reads is added to `reads`."""
     _require(isinstance(spec, Mapping) and len(spec) == 1,
-             f"a check must be a one-key mapping, got {spec!r}")
+             f"a check must be a one-key mapping, got {quoted(spec)}")
     op, arg = next(iter(spec.items()))
     if op in ("namespace_lacks_kind", "duplicate_ref"):
         reads.add(CONTEXT)
@@ -351,7 +350,7 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
         try:
             regex = re.compile(pattern)
         except re.error as exc:
-            raise CatalogError(f"path_matches pattern {pattern!r}: {exc}") from exc
+            raise CatalogError(f"path_matches pattern {quoted(pattern)}: {exc}") from exc
         return lambda node, doc, ctx: any(
             isinstance(v, str) and regex.search(v) for v in resolve_path(node, path)
         )
@@ -411,4 +410,4 @@ def _compile(spec: Mapping[str, Any], reads: set[str]) -> Check:
     if op == "duplicate_ref":
         return lambda node, doc, ctx: ctx.ref_counts[doc.ref] > 1
 
-    raise CatalogError(f"unknown check combinator: {op!r}")
+    raise CatalogError(f"unknown check combinator: {quoted(op)}")

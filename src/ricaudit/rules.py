@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .errors import CatalogError
+from .errors import CatalogError, quoted
 from .predicates import (
     ANY, BODY, CONTEXT, STRING, STRINGS, Check, EvalContext, compile_check, entry_fields)
 from .severity import SeverityClass, ThreatCategory, empty_counts
@@ -71,7 +71,7 @@ def rule_from_mapping(raw: Any) -> Rule:
         return Rule(fields["id"], fields["title"], severity, frozenset(fields["applies_to"]),
                     fields["remediation"], compile_check(fields["check"]))
     except (ValueError, CatalogError) as exc:
-        raise CatalogError(f"rule {fields['id']!r}: {exc}") from exc
+        raise CatalogError(f"rule {quoted(fields['id'])}: {exc}") from exc
 
 
 def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any]) -> None:
@@ -86,7 +86,7 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any]) -> None
             for rule_id in control.rule_ids:
                 if rule_id not in rule_ids:
                     raise CatalogError(f"control {fw.id}/{control.control_id} references "
-                                       f"unknown rule {rule_id!r}")
+                                       f"unknown rule {quoted(rule_id)}")
 
 
 def report_order(finding: Finding) -> tuple:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from enum import Enum, IntEnum
 
+from .errors import quoted
+
 
 class SeverityClass(IntEnum):
     NEGLIGIBLE = 0
@@ -31,7 +33,7 @@ class SeverityClass(IntEnum):
         try:
             return cls[text.strip().upper()]
         except KeyError:
-            raise ValueError(f"unknown severity class: {text!r}") from None
+            raise ValueError(f"unknown severity class: {quoted(text)}") from None
 
 
 # Column order used by the report table: C, H, M, L, N.

@@ -71,7 +71,7 @@ class VersionPredicate(NamedTuple):
         elif len(parts) == 2 and parts[0] in ("==", "<="):
             op, raw = parts
         else:
-            raise MalformedVersion(f"not a version predicate: {text!r}")
+            raise MalformedVersion(f"not a version predicate: {quoted(text)}")
         return cls(op=op, version=parse_version(raw))
 
 
@@ -117,7 +117,7 @@ def audit_components(
         try:
             installed = parse_version(raw)
         except MalformedVersion as exc:
-            audit.errors.append(f"inventory entry {canonical!r}: {exc}")
+            audit.errors.append(f"inventory entry {quoted(canonical)}: {exc}")
             continue
         for entry in advisories:
             if entry.component == canonical and entry.affected.matches(installed):

@@ -1210,6 +1210,25 @@ class TestLongStringsInData:
                        "not a numeric version: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
         assert len(err) < 100
 
+    def test_long_inventory_component_is_quoted_bounded(self, capsys, tmp_path):
+        inv = tmp_path / "inv.yaml"
+        inv.write_text(yaml.safe_dump([{"component": "h" * 100_000, "version": "banana"}]))
+        code, out, err = run_cli(capsys, "versions", "--inventory", str(inv), "--format", "json")
+        assert code == 0 and json_payload(out)["version_findings"] == []
+        assert err == ("ricaudit: inventory entry 'hhhhhhhhhhhh...hhhhhhhhhhhhh': "
+                       "not a numeric version: 'banana'\n")
+
+    def test_long_vendor_severity_is_quoted_bounded(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({
+            "container": "c", "image": {"registry": "r", "repository": "a", "tag": "1"},
+            "entries": [{"cve_id": "CVE-1", "package": "p", "installed_version": "1",
+                         "vendor_severity": "x" * 100_000}]}))
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(report))
+        assert (code, out) == (2, "")
+        assert err == (f"ricaudit: scan report {report}: entry 0: "
+                       "unknown severity class: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
+
 
 def test_verify_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "verify-fixtures")

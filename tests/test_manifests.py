@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from ricaudit.errors import AuditError, DocumentError
 from ricaudit.manifests import load_directory, parse_manifest_stream
 from ricaudit.pipeline import audit, build_result
 from ricaudit.rules import Evaluation, evaluate
+from ricaudit.severity import empty_counts
 from ricaudit.vulns import VulnTally
 
 from conftest import rendered_json
@@ -314,16 +317,72 @@ def test_only_regular_manifest_files_load_each_once(tmp_path):
     assert [d.ref for d in load.documents] == ["ns/Pod/a", "ns/Service/b", "ns/ConfigMap/c"]
 
 
-def test_hard_link_loads_once_under_its_first_path(tmp_path, monkeypatch):
-    (tmp_path / "pod.yaml").write_text(POD)
-    os.link(tmp_path / "pod.yaml", tmp_path / "hard.yaml")  # sorts before pod.yaml
-    parsed = []
+def read_order(monkeypatch) -> list[str]:
+    """The origins `load_directory` parses, in the order it parses them."""
+    parsed: list[str] = []
 
     def spy(text, origin):
         parsed.append(origin)
         return parse_manifest_stream(text, origin)
 
     monkeypatch.setattr(manifests, "parse_manifest_stream", spy)
+    return parsed
+
+
+def test_discovery_reads_manifest_names_in_sorted_path_order(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    outside = tmp_path / "outside.yaml"
+    outside.write_text(POD.replace("e2term", "outside"))
+    for number, name in enumerate(["..yaml", ".yaml", ".hidden/x.yaml", "a/x.yaml", "a-b/x.yaml",
+                                   "d.yaml/in.yaml", "real/r.yaml", "notes.txt"]):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(POD.replace("e2term", f"pod{number}"))
+    (tree / "X.YAML").symlink_to(outside)  # a symlinked file is read under its own path
+    (tree / "link.yaml").symlink_to(tree / "a" / "x.yaml")  # reached first as a/x.yaml
+    (tree / "linked").symlink_to(tree / "real", target_is_directory=True)  # not entered
+    (tree / "broken.yaml").symlink_to(tree / "gone.yaml")
+    expected = ["..yaml", ".hidden/x.yaml", "X.YAML", "a-b/x.yaml", "a/x.yaml",
+                "d.yaml/in.yaml", "real/r.yaml"]
+    parsed = read_order(monkeypatch)
+    load = load_directory(f"{tree}//./")  # named as Path(root) names it
+    assert parsed == [str(tree / name) for name in expected]
+    assert load.errors == [] and len(load.documents) == len(expected)
+    # A root of "." adds no prefix to the paths it names.
+    parsed.clear()
+    monkeypatch.chdir(tree)
+    load_directory(".")
+    assert parsed == expected
+
+
+def test_discovery_holds_under_300_bytes_per_file(tmp_path, monkeypatch):
+    for number in range(2000):
+        (tmp_path / f"pod-{number:04}.yaml").write_text(POD.replace("e2term", f"p{number}"))
+    # Paths relative to the root, so the bound does not depend on where tmp_path lies.
+    monkeypatch.chdir(tmp_path)
+    load_directory("pod-0000.yaml")  # warm up: first-call allocations are not per file
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        load = load_directory(".", consume=lambda documents: None)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert load.errors == []
+    assert peak < 300 * 2000, f"{peak / 2000:.0f} bytes per file"
+
+
+def test_rows_without_vulnerabilities_share_one_zero_histogram(vulnerable_manifests):
+    summaries = audit(manifests=[vulnerable_manifests]).summaries
+    assert len(summaries) > 1
+    assert len({id(s.vuln_histogram) for s in summaries}) == 1
+    assert summaries[0].vuln_histogram == empty_counts()
+
+
+def test_hard_link_loads_once_under_its_first_path(tmp_path, monkeypatch):
+    (tmp_path / "pod.yaml").write_text(POD)
+    os.link(tmp_path / "pod.yaml", tmp_path / "hard.yaml")  # sorts before pod.yaml
+    parsed = read_order(monkeypatch)
     load = load_directory(tmp_path, tmp_path / "pod.yaml")
     assert [d.ref for d in load.documents] == ["ricplt/Pod/e2term"]
     assert parsed == [str(tmp_path / "hard.yaml")]

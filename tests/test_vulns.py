@@ -319,6 +319,12 @@ class TestAggregation:
         assert summaries[1].misconfig_histogram == empty_counts()
         assert summaries[1].vuln_histogram == one_in(SeverityClass.MEDIUM)
 
+    def test_rows_without_findings_share_one_zero_histogram(self, scan_report_paths):
+        summaries = audit(scan_reports=scan_report_paths).summaries
+        assert len(summaries) > 1
+        assert len({id(s.misconfig_histogram) for s in summaries}) == 1
+        assert summaries[0].misconfig_histogram == empty_counts()
+
     def test_interleaved_containers_match_a_per_record_fold(self):
         # Reports of containers A, B, A, C, B: a container that comes back
         # after another container's report keeps the image of its first report.
