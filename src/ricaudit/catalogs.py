@@ -48,7 +48,7 @@ def reject_duplicates(ids: Iterable[str], message: str) -> None:
     seen: set[str] = set()
     for item in ids:
         if item in seen:
-            raise CatalogError(f"{message} {item}")
+            raise CatalogError(f"{message} {quoted(item)}")
         seen.add(item)
 
 
@@ -60,8 +60,9 @@ def _framework_from_mapping(raw: Any) -> Framework:
                          key="id")
         controls.append(Control(c["id"], tuple(c["rule_ids"])))
     if not controls:
-        raise CatalogError(f"framework {fw['id']}: controls must be non-empty")
-    reject_duplicates((c.control_id for c in controls), f"framework {fw['id']}: duplicate control")
+        raise CatalogError(f"framework {quoted(fw['id'])}: controls must be non-empty")
+    reject_duplicates((c.control_id for c in controls),
+                      f"framework {quoted(fw['id'])}: duplicate control")
     return Framework(id=fw["id"], controls=tuple(controls))
 
 

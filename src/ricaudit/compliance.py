@@ -6,8 +6,9 @@ none of those rules fired against it. The framework score is the mean of
 the applicable control scores, rounded half-up to an integer percent.
 Controls without rules or without applicable resources are NotApplicable
 and excluded from the mean: scoring what cannot be checked would fabricate
-compliance. `Evidence` keeps the failing refs as one list per rule; a
-control unites its rules' lists into one set only while it is scored.
+compliance. `Evidence` keeps the failing refs as one list per rule, read
+from the findings head by head; a control unites its rules' lists into one
+set only while it is scored.
 Scoring re-checks nothing that holds by construction:
 `rules.validate_catalog` refuses a control that names an unknown rule, and
 `score_framework` scores each control of a framework once.
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .manifests import ResourceDocument
-    from .rules import Finding, Rule
+    from .rules import Findings, Rule
 
 
 class Control(NamedTuple):
@@ -61,7 +62,7 @@ class Evidence(NamedTuple):
     @classmethod
     def build(
         cls,
-        findings: Iterable[Finding],
+        findings: Findings,
         resources: Iterable[ResourceDocument],
         catalog: Sequence[Rule],
     ) -> "Evidence":
@@ -70,8 +71,8 @@ class Evidence(NamedTuple):
         for res in resources:
             refs_by_kind.setdefault(res.kind, []).append(res.ref)
         failing_refs: dict[str, list[str]] = {}
-        for finding in findings:
-            failing_refs.setdefault(finding.rule_id, []).append(finding.resource)
+        for head, refs in findings.refs_by_rule:
+            failing_refs.setdefault(head.rule_id, []).extend(refs)
         return cls({rule.id: rule for rule in catalog}, refs_by_kind, failing_refs)
 
 

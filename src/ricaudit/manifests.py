@@ -146,16 +146,16 @@ def distinct_files(paths: Iterable[str | Path]) -> Iterator[str | Path]:
     """Each path that names a file no earlier path named (the same path, a
     symlink or a hard link), in order. Device and inode identify a file as
     resolving its path would, with one stat call instead of one per path
-    component. A path that cannot be stat'ed is yielded as it is, so that
-    reading it reports the error."""
-    seen: set[tuple[int, int]] = set()
+    component; they are kept as one int per file. A path that cannot be
+    stat'ed is yielded as it is, so that reading it reports the error."""
+    seen: set[int] = set()
     for path in paths:
         try:
             status = os.stat(path)
         except OSError:
             yield path
             continue
-        identity = status.st_dev, status.st_ino
+        identity = status.st_dev << 64 | status.st_ino
         if identity not in seen:
             seen.add(identity)
             yield path

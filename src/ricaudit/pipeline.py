@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .catalogs import load_catalogs, load_inventory
@@ -52,20 +52,22 @@ def default_timestamp() -> str:
 def build_result(
     *,
     tally: VulnTally,
-    findings: Sequence[Finding] | Findings = (),
+    findings: Iterable[Finding] = (),
     resources: Sequence[ResourceDocument] = (),
     framework_scores: Sequence[FrameworkScore] = (),
     version_audit: VersionAudit | None = None,
 ) -> AuditResult:
     """Assemble one AuditResult from whatever workflows actually ran.
 
-    `resources` are the evaluated documents, with or without their bodies;
-    their app labels group the findings. This is where the vulnerability and
-    misconfiguration stages meet: one row per container of the tally or of
-    the misconfiguration counts (so a manifest-only audit has rows too),
-    sorted by name. Every row with no counts of a kind shares the result's
-    one zero histogram, so the rows' histograms are read-only.
+    `findings` are held as `Findings` (a plain iterable is grouped once, in
+    its order). `resources` are the evaluated documents, with or without
+    their bodies; their app labels group the findings. This is where the
+    vulnerability and misconfiguration stages meet: one row per container of
+    the tally or of the misconfiguration counts (so a manifest-only audit has
+    rows too), sorted by name. Every row with no counts of a kind shares the
+    result's one zero histogram, so the rows' histograms are read-only.
     """
+    findings = Findings.of(findings)
     misconfig = group_findings_by_app(findings, resources)
     vulns = tally.containers
     zero = empty_counts()
@@ -117,7 +119,7 @@ def audit(
             selected = [by_id[fid] for fid in dict.fromkeys(frameworks)]
 
     records: list[ResourceDocument] = []
-    findings: Sequence[Finding] | Findings = ()
+    findings = Findings(())
     scores: list[FrameworkScore] = []
     if manifests:
         evaluation = Evaluation(bundle.rules)

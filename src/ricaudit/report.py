@@ -4,12 +4,16 @@ The JSON document is the stable CI contract: keys sorted, no insignificant
 whitespace, byte-identical across runs for equal inputs. `generated_at` is
 the one run-dependent field; pin it with SOURCE_DATE_EPOCH. `render_json`
 writes it to a stream as it encodes it, each list in slices of at most
-JSON_SLICE items read from an iterator, building each slice's dicts just
-before it encodes them, so rendering holds one slice of dicts and text and
-never the whole document. A list may be any sized iterable, such as the
-`rules.Findings` of a manifest stage, which builds each finding as it is
-read. That text is the one canonical form, and `render_json` the one
-payload encoder: the fixture verifier reads the payload back from it.
+JSON_SLICE items read from an iterator, so rendering holds one slice of
+text and never the whole document. A slice of containers, scores or
+version findings is built as dicts just before it is encoded. A finding
+is written from a template instead: the text of its other fields is made
+once per distinct rule id, severity, message and remediation, and only
+its resource is encoded per finding. A list may be any sized iterable,
+such as the `rules.Findings` of a manifest stage, which builds each
+finding as it is read. That text is the one canonical form, and
+`render_json` the one payload encoder: the fixture verifier reads the
+payload back from it.
 `render_table` writes to a stream too, one container row at a time, after
 a first pass that keeps only the column widths.
 """
@@ -17,8 +21,10 @@ a first pass that keeps only the column widths.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import islice
+from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, NamedTuple, TextIO
 
 from .severity import TABLE_ORDER, SeverityClass
@@ -72,14 +78,48 @@ def _container_payload(s: ContainerScanSummary) -> dict[str, Any]:
     }
 
 
-def _finding_payload(f: Finding) -> dict[str, Any]:
-    return {
-        "rule_id": f.rule_id,
-        "resource": f.resource,
-        "severity": f.severity.name.lower(),
-        "message": f.message,
-        "remediation": f.remediation,
-    }
+# A finding's fields but its resource: the same for every finding of a rule.
+_head_of = attrgetter("rule_id", "severity", "message", "remediation")
+
+
+def _finding_template(
+    rule_id: str, severity: SeverityClass, message: str, remediation: str
+) -> tuple[str, str]:
+    """The canonical text of a finding with this head: the part before its
+    resource's encoded string and the part after it.
+
+    The fields other than the resource are encoded as `key:value` pairs in
+    sorted key order; those that sort before "resource" open the text, the
+    others close it.
+    """
+    fields = {"rule_id": rule_id, "severity": severity.name.lower(), "message": message,
+              "remediation": remediation}
+    head, tail = "{", ""
+    for key, value in sorted(fields.items()):
+        pair = _ENCODER.encode(key) + ":" + _ENCODER.encode(value)
+        if key < "resource":
+            head += pair + ","
+        else:
+            tail += "," + pair
+    return head + '"resource":', tail + "}"
+
+
+def _finding_slices(findings: Iterator[Finding]) -> Iterator[str]:
+    """The text of each slice of `findings`: each finding is its head's
+    template around its encoded resource, and each distinct head is made
+    into a template once."""
+    templates: dict[tuple, tuple[str, str]] = {}
+    while True:
+        texts = []
+        for finding in islice(findings, JSON_SLICE):
+            head = _head_of(finding)
+            template = templates.get(head)
+            if template is None:
+                template = templates[head] = _finding_template(*head)
+            texts.append(template[0] + encode_basestring(finding.resource) + template[1])
+        if not texts:
+            return
+        yield ",".join(texts)
 
 
 def _score_payload(s: FrameworkScore) -> dict[str, Any]:
@@ -109,12 +149,26 @@ def _version_payload(v: VersionFinding) -> dict[str, Any]:
     }
 
 
-# Each list in the payload: its key, the result field it lists and the converter of one item.
-_LISTS: dict[str, tuple[str, Callable[[Any], dict[str, Any]]]] = {
-    "containers": ("summaries", _container_payload),
-    "findings": ("findings", _finding_payload),
-    "framework_scores": ("framework_scores", _score_payload),
-    "version_findings": ("version_findings", _version_payload),
+_Slicer = Callable[[Iterator[Any]], Iterator[str]]
+
+
+def _dict_slices(convert: Callable[[Any], dict[str, Any]]) -> _Slicer:
+    """The slicer of a list whose items `convert` makes into dicts: the dicts
+    of each slice are built, encoded in one call and dropped."""
+
+    def slices(items: Iterator[Any]) -> Iterator[str]:
+        while text := _ENCODER.encode([convert(item) for item in islice(items, JSON_SLICE)])[1:-1]:
+            yield text
+
+    return slices
+
+
+# Each list in the payload: its key, the result field it lists and the text of each of its slices.
+_LISTS: dict[str, tuple[str, _Slicer]] = {
+    "containers": ("summaries", _dict_slices(_container_payload)),
+    "findings": ("findings", _finding_slices),
+    "framework_scores": ("framework_scores", _dict_slices(_score_payload)),
+    "version_findings": ("version_findings", _dict_slices(_version_payload)),
 }
 
 
@@ -139,9 +193,9 @@ def render_json(result: AuditResult, stream: TextIO) -> None:
 
     The text is that of `json.dumps(payload, sort_keys=True, separators=(",",
     ":"), ensure_ascii=False)`, where the payload holds `_scalar_payload(result)`
-    and, under each `_LISTS` key, the converted items of its result field.
-    That payload is never built: the dicts of each slice of a list are built,
-    encoded and written before the next slice's.
+    and, under each `_LISTS` key, the payload of each item of its result field.
+    That payload is never built: each slice of a list is read, encoded and
+    written before the next slice is read.
     """
     scalars = _scalar_payload(result)
     write = stream.write
@@ -150,12 +204,10 @@ def render_json(result: AuditResult, stream: TextIO) -> None:
         if key in scalars:
             write(_ENCODER.encode(scalars[key]))
             continue
-        field, convert = _LISTS[key]
-        items = iter(getattr(result, field))
+        field, slices = _LISTS[key]
         write("[")
         separator = ""
-        # A slice's dicts are unnamed, so they are freed as soon as they are encoded.
-        while text := _ENCODER.encode([convert(item) for item in islice(items, JSON_SLICE)])[1:-1]:
+        for text in slices(iter(getattr(result, field))):
             write(separator + text)
             separator = ","
         write("]")

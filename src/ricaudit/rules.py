@@ -10,13 +10,18 @@ evaluations of the same inputs produce identical findings.
 the same set one batch (one manifest file) at a time, keeping each
 document without its body unless a rule that reads other documents
 also reads that body, and gives the same findings. It keeps each finding
-as its document's ref in its rule's list and hands them on as `Findings`,
-which builds each `Finding` only as it is read.
+as its document's ref in its rule's list and hands them on as `Findings`:
+each rule's `FindingHead`, the part that all its findings share, with its
+refs. The consumers that aggregate findings read them head by head, so
+their work per finding is one ref; `Findings.of` groups a plain list of
+findings the same way.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import groupby
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import CatalogError, quoted
@@ -55,6 +60,23 @@ class Finding(NamedTuple):
     remediation: str
 
 
+class FindingHead(NamedTuple):
+    """All of a `Finding` but its resource: what every finding of one rule shares."""
+
+    rule_id: str
+    severity: SeverityClass
+    message: str
+    remediation: str
+
+    @classmethod
+    def of_rule(cls, rule: Rule) -> FindingHead:
+        return cls(rule.id, rule.severity, rule.title, rule.remediation)
+
+    @classmethod
+    def of_finding(cls, finding: Finding) -> FindingHead:
+        return cls(finding.rule_id, finding.severity, finding.message, finding.remediation)
+
+
 # The fields of a rule entry; any other key is ignored.
 RULE_FIELDS = {
     "id": STRING, "title": STRING, "description": (STRING, ""), "severity": STRING,
@@ -85,8 +107,8 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any]) -> None
         for control in fw.controls:
             for rule_id in control.rule_ids:
                 if rule_id not in rule_ids:
-                    raise CatalogError(f"control {fw.id}/{control.control_id} references "
-                                       f"unknown rule {quoted(rule_id)}")
+                    raise CatalogError(f"control {quoted(fw.id)}/{quoted(control.control_id)} "
+                                       f"references unknown rule {quoted(rule_id)}")
 
 
 def report_order(finding: Finding) -> tuple:
@@ -131,19 +153,29 @@ def evaluate(
 
 
 class Findings:
-    """Findings held as one list of refs per rule, read-only.
+    """Findings held as runs of one head each, read-only.
 
-    Iterating yields one `Finding` per ref, built when it is read, rule by
-    rule in the order given; `len` counts them. A ref held twice (a
-    duplicate document) is two findings. `Evaluation.finish` gives the
-    rules by severity descending, then id, each with its refs sorted,
-    which is `report_order`. The refs are the strings each document's
-    record holds, so a finding costs one list slot, not one tuple.
+    Each run is a `FindingHead` with the list of refs it fired on.
+    Iterating yields one `Finding` per ref, built when it is read, run by
+    run in the order given; `len` counts them. A ref held twice (a
+    duplicate document) is two findings. `Evaluation.finish` gives one run
+    per rule that fired, by severity descending, then id, each with its
+    refs sorted, which is `report_order`. The refs are the strings each
+    document's record holds, so a finding costs one list slot, not one
+    tuple.
     """
 
-    def __init__(self, refs_by_rule: Iterable[tuple[Rule, list[str]]]) -> None:
+    def __init__(self, refs_by_rule: Iterable[tuple[FindingHead, list[str]]]) -> None:
         self.refs_by_rule = tuple(refs_by_rule)
         self.count = sum(len(refs) for _, refs in self.refs_by_rule)
+
+    @classmethod
+    def of(cls, findings: Iterable[Finding]) -> Findings:
+        """`findings` in their order, each run of findings with one head held as one entry."""
+        if isinstance(findings, Findings):
+            return findings
+        return cls((head, [f.resource for f in run])
+                   for head, run in groupby(findings, FindingHead.of_finding))
 
     def __len__(self) -> int:
         return self.count
@@ -155,9 +187,9 @@ class Findings:
         return list(self) == list(other)
 
     def __iter__(self) -> Iterator[Finding]:
-        for rule, refs in self.refs_by_rule:
+        for (rule_id, severity, message, remediation), refs in self.refs_by_rule:
             for ref in refs:
-                yield Finding(rule.id, ref, rule.severity, rule.title, rule.remediation)
+                yield Finding(rule_id, ref, severity, message, remediation)
 
 
 class Evaluation:
@@ -178,7 +210,8 @@ class Evaluation:
         self.per_document = [r for r in catalog if CONTEXT not in r.predicate.reads]
         self.deferred = [r for r in catalog if CONTEXT in r.predicate.reads]
         self.body_readers = [r for r in self.deferred if BODY in r.predicate.reads]
-        self.refs: dict[str, tuple[Rule, list[str]]] = {r.id: (r, []) for r in catalog}
+        self.refs: dict[str, tuple[FindingHead, list[str]]] = {
+            r.id: (FindingHead.of_rule(r), []) for r in catalog}
         self.records: list[ResourceDocument] = []
 
     def _keep(self, findings: list[Finding]) -> None:
@@ -194,28 +227,29 @@ class Evaluation:
         """Every finding, in `report_order`, and the record of every document."""
         self._keep(evaluate(self.deferred, self.records, EvalContext.build(self.records)))
         fired = sorted((entry for entry in self.refs.values() if entry[1]),
-                       key=lambda entry: (-entry[0].severity, entry[0].id))
+                       key=lambda entry: (-entry[0].severity, entry[0].rule_id))
         for _, refs in fired:
             refs.sort()
         return Findings(fired), self.records
 
 
 def group_findings_by_app(
-    findings: Sequence[Finding], resources: Iterable[ResourceDocument]
+    findings: Findings, resources: Iterable[ResourceDocument]
 ) -> dict[str, dict[SeverityClass, int]]:
     """Count findings per severity class (all five) by the `app` label of the
     resource they fired on, for each app with a finding.
 
     Resources without an app label (cluster plumbing, RBAC objects, shared
     config) stay out of the per-container counts; their findings are still
-    reported, just not attributed to a container column.
+    reported, just not attributed to a container column. The refs of each
+    head are counted by app at once.
     """
     label_by_ref = {res.ref: res.app for res in resources if res.app}
     counts: dict[str, dict[SeverityClass, int]] = {}
-    for finding in findings:
-        app = label_by_ref.get(finding.resource)
-        if app:
-            if app not in counts:
-                counts[app] = empty_counts()
-            counts[app][finding.severity] += 1
+    for head, refs in findings.refs_by_rule:
+        for app, fired in Counter(map(label_by_ref.get, refs)).items():
+            if app:
+                if app not in counts:
+                    counts[app] = empty_counts()
+                counts[app][head.severity] += fired
     return counts

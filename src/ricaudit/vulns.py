@@ -18,7 +18,7 @@ import json
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .errors import AuditError
+from .errors import AuditError, quoted
 from .predicates import ANY, BOOLEAN, LIST, NONEMPTY, NUMBER, STRING, field_reader
 from .severity import SeverityClass, classify_severity, empty_counts
 
@@ -63,9 +63,9 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
     Each accepted entry is classified and counted into the report's tally
     as it is read. Unknown fields are ignored. Entries whose CVSS score is
     outside [0, 10] are rejected individually, each with the line
-    `<container>: rejected entry <i>: <reason>` in `rejected`; structural
-    problems (missing fields, wrong shapes) raise AuditError, naming the
-    entry's index for an entry.
+    `<container>: rejected entry <i>: <reason>` in `rejected`, its input
+    values abridged; structural problems (missing fields, wrong shapes) raise
+    AuditError, naming the entry's index for an entry.
     """
     what = f"scan report {origin}"
     try:
@@ -92,8 +92,8 @@ def parse_scan_report(text: bytes | str, origin: str = "<report>") -> ScanReport
         cve_id, _, _, fixed, cvss, vendor, rce = _read_entry(entry, label, error=AuditError)
         # NaN fails both comparisons, so it is rejected too.
         if cvss is not None and not 0 <= cvss <= 10:
-            report.rejected.append(f"{container}: rejected entry {index}: "
-                                   f"cvss {cvss} outside [0.0, 10.0] for {cve_id}")
+            report.rejected.append(f"{quoted(container)}: rejected entry {index}: cvss "
+                                   f"{quoted(cvss)} outside [0.0, 10.0] for {quoted(cve_id)}")
             continue
         if vendor is not None:
             severity = _VENDOR_CLASSES.get(vendor)

@@ -29,6 +29,12 @@ mapping key, as `json.loads` memoizes keys, so the many documents of a large
 manifest set share one copy of each key they repeat. Any other document
 (aliases, merge keys, other tags, a scalar that does not convert) is built by
 the loader's own constructor, so its data and its errors are unchanged.
+
+Whether a stream can hold an alias is decided once, from its text: an alias
+names an anchor, and an anchor needs a `&`. A text without one (no shipped
+or generated manifest has one) is walked without the alias bookkeeping,
+each str key read without a call of its own. A text with any `&`, even one
+inside a scalar such as `a && b`, keeps the check at every node.
 """
 
 from __future__ import annotations
@@ -100,14 +106,17 @@ class _Unusual(Exception):
     """A node that `_build` leaves to the loader's own constructor."""
 
 
-def _build(loader: Any, node: yaml.Node, seen: set[int]) -> Any:
+def _build(loader: Any, node: yaml.Node, seen: set[int] | None) -> Any:
     """The data of `node`, as the safe constructor builds it, for a plain tree.
 
+    `seen` collects the nodes built so far, to find an alias; it is None for
+    a stream that can hold none, whose str keys are then read directly.
     Raises _Unusual on any node it does not handle (see the module docstring).
     """
-    if id(node) in seen:
-        raise _Unusual  # an alias: the constructor shares one object between its uses
-    seen.add(id(node))
+    if seen is not None:
+        if id(node) in seen:
+            raise _Unusual  # an alias: the constructor shares one object between its uses
+        seen.add(id(node))
     kind, tag = type(node), node.tag
     if kind is yaml.ScalarNode:
         if tag == _STR:
@@ -122,18 +131,26 @@ def _build(loader: Any, node: yaml.Node, seen: set[int]) -> Any:
         for key, value in node.value:
             if type(key) is not yaml.ScalarNode:
                 raise _Unusual
-            name = _build(loader, key, seen)
-            mapping[sys.intern(name) if type(name) is str else name] = _build(loader, value, seen)
+            if seen is None and key.tag == _STR:
+                name = sys.intern(key.value)
+            else:
+                name = _build(loader, key, seen)
+                if type(name) is str:
+                    name = sys.intern(name)
+            mapping[name] = _build(loader, value, seen)
         return mapping
     elif kind is yaml.SequenceNode and tag == _SEQ:
         return [_build(loader, item, seen) for item in node.value]
     raise _Unusual
 
 
-def _construct(loader: Any, node: yaml.Node) -> Any:
-    """`loader.construct_document(node)`, by the plain walk where it applies."""
+def _construct(loader: Any, node: yaml.Node, aliased: bool) -> Any:
+    """`loader.construct_document(node)`, by the plain walk where it applies.
+
+    `aliased` is False only for a stream that can hold no alias.
+    """
     try:
-        return _build(loader, node, set())
+        return _build(loader, node, set() if aliased else None)
     except _Unusual:
         return loader.construct_document(node)
 
@@ -184,6 +201,8 @@ def load_all(data: bytes | str) -> Iterator[Any]:
     """
     text = _decode(data)
     shallow = sum(map(text.count, _COLLECTION_INDICATORS)) <= MAX_DEPTH
+    # An alias names an anchor, and every anchor starts with `&`.
+    aliased = "&" in text
     too_deep = None if shallow else _first_too_deep(text)
     loader = Loader(text)
     index = 0
@@ -191,7 +210,7 @@ def load_all(data: bytes | str) -> Iterator[Any]:
         while loader.check_node():
             if index == too_deep:
                 raise InvalidYaml(f"nesting deeper than {MAX_DEPTH} levels", index)
-            yield _construct(loader, loader.get_node())
+            yield _construct(loader, loader.get_node(), aliased)
             index += 1
     except yaml.YAMLError as exc:
         raise InvalidYaml(_one_line(exc), index) from exc

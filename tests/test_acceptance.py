@@ -30,7 +30,7 @@ from ricaudit.compliance import (
 )
 from ricaudit.manifests import ResourceDocument, load_directory
 from ricaudit.report import AuditResult
-from ricaudit.rules import Finding, evaluate, group_findings_by_app
+from ricaudit.rules import Finding, Findings, evaluate, group_findings_by_app
 from ricaudit.severity import SeverityClass, classify_severity
 from ricaudit.vulns import (
     ContainerScanSummary,
@@ -251,7 +251,7 @@ def test_criterion_5c_histogram_conservation(raw):
     # Every fourth resource has no app label; the rest spread over three apps.
     resources = [ResourceDocument("Pod", "ns", f"app{n % 3}" if n % 4 else None, f"ns/Pod/p{n}",
                                   None) for n in {n for _, n in raw}]
-    grouped = group_findings_by_app(findings, resources)
+    grouped = group_findings_by_app(Findings.of(findings), resources)
     assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
     assert (sum(sum(counts.values()) for counts in grouped.values())
             == sum(1 for _, n in raw if n % 4))

@@ -1106,7 +1106,7 @@ rules:
         }[command]
         code, out, err = run_cli(capsys, *argv, "--catalog", str(catalog))
         assert (code, out) == (2, "")
-        assert err == "ricaudit: control extra/X-1 references unknown rule 'NO-SUCH-RULE'\n"
+        assert err == "ricaudit: control 'extra'/'X-1' references unknown rule 'NO-SUCH-RULE'\n"
 
     def test_rule_side_control_refs_are_ignored(self, capsys, tmp_path, vulnerable_manifests):
         # Only a control's rule_ids count a rule toward it. A `control_refs` key,
@@ -1197,6 +1197,11 @@ class TestOversizedNumbersInData:
         assert "X-FIRST" in fired and "X-ODD" not in fired
 
 
+# A catalog id too long to show whole, and how a diagnostic shows it.
+LONG_ID = "L" * 100_000
+LONG_SHOWN = "'LLLLLLLLLLLL...LLLLLLLLLLLLL'"
+
+
 class TestLongStringsInData:
     """An input string is quoted bounded in a diagnostic, however long it is."""
 
@@ -1228,6 +1233,51 @@ class TestLongStringsInData:
         assert (code, out) == (2, "")
         assert err == (f"ricaudit: scan report {report}: entry 0: "
                        "unknown severity class: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
+
+
+    @pytest.mark.parametrize("fields, shown", [
+        ({"container": "k" * 100_000},
+         "'kkkkkkkkkkkk...kkkkkkkkkkkkk': rejected entry 0: cvss 99 outside [0.0, 10.0] "
+         "for 'CVE-1'"),
+        ({"entry": {"cve_id": "C" * 100_000}},
+         "'c1': rejected entry 0: cvss 99 outside [0.0, 10.0] for 'CCCCCCCCCCCC...CCCCCCCCCCCCC'"),
+        ({"entry": {"cvss": int("9" * 4000)}},
+         f"'c1': rejected entry 0: cvss {'9' * 18}...{'9' * 19} outside [0.0, 10.0] "
+         "for 'CVE-1'"),
+    ], ids=["container", "cve_id", "4000-digit-cvss"])
+    def test_rejected_entry_is_quoted_bounded(self, capsys, tmp_path, fields, shown):
+        # A rejected entry is skipped with its diagnostic; the run goes on.
+        report = tmp_path / "r.json"
+        entry = {"cvss": 99, **fields.pop("entry", {})}
+        report.write_text(json.dumps(replaced_report(entry=entry, **fields)))
+        code, out, err = run_cli(capsys, "vulns", "--scan-report", str(report))
+        assert code == 0
+        assert err == f"ricaudit: {shown}\n"
+        assert len(err) < 120
+
+    @pytest.mark.parametrize("section, entries, shown", [
+        ("frameworks", [replaced("framework", id=LONG_ID, controls=[])],
+         f"framework {LONG_SHOWN}: controls must be non-empty"),
+        ("frameworks", [replaced("framework", id=LONG_ID, controls=[CONTROL, CONTROL])],
+         f"framework {LONG_SHOWN}: duplicate control 'C-1'"),
+        ("frameworks", [replaced("framework", controls=[replaced("control", id=LONG_ID)])] * 2,
+         "duplicate framework id 'fw'"),
+        ("frameworks", [replaced("framework", controls=[replaced("control", id=LONG_ID)] * 2)],
+         f"framework 'fw': duplicate control {LONG_SHOWN}"),
+        ("rules", [replaced("rule", id=LONG_ID)] * 2, f"duplicate rule id {LONG_SHOWN}"),
+        ("frameworks", [replaced("framework", id=LONG_ID, controls=[
+            replaced("control", id=LONG_ID, rule_ids=["NO-SUCH-RULE"])])],
+         f"control {LONG_SHOWN}/{LONG_SHOWN} references unknown rule 'NO-SUCH-RULE'"),
+    ], ids=["empty-controls", "framework-of-duplicate-control", "duplicate-framework",
+            "duplicate-control", "duplicate-rule", "unknown-rule"])
+    def test_catalog_ids_are_quoted_bounded(self, capsys, tmp_path, hardened_manifests,
+                                            section, entries, shown):
+        catalog = tmp_path / "cat.yaml"
+        catalog.write_text(yaml.safe_dump({section: entries}))
+        code, out, err = run_cli(capsys, "scan", str(hardened_manifests), "--catalog", str(catalog))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.endswith(f"{shown}\n")
+        assert len(err) < 150 + len(str(catalog))
 
 
 def test_verify_fixtures_command(capsys):

@@ -18,7 +18,7 @@ from ricaudit.compliance import (
 )
 from ricaudit.manifests import parse_manifest_stream
 from ricaudit.pipeline import audit
-from ricaudit.rules import Finding, evaluate
+from ricaudit.rules import Finding, Findings, evaluate
 from ricaudit.severity import SeverityClass
 
 
@@ -31,6 +31,11 @@ def pods(count: int):
     return parse_manifest_stream(text, "pods.yaml")
 
 
+def evidence_of(findings, resources):
+    """The evidence of `findings`, a plain list, on `resources` under the built-in rules."""
+    return Evidence.build(Findings.of(findings), resources, load_catalogs().rules)
+
+
 def control_for(*rule_ids, control_id="X-1"):
     return Control(control_id=control_id, rule_ids=rule_ids)
 
@@ -38,21 +43,20 @@ def control_for(*rule_ids, control_id="X-1"):
 class TestControlCompliance:
     def test_three_quarters(self):
         resources = pods(4)
-        catalog = load_catalogs().rules
         control = control_for("MISC-LIMITS")
         findings = [Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r")]
-        result = control_compliance(control, Evidence.build(findings, resources, catalog))
+        result = control_compliance(control, evidence_of(findings, resources))
         assert (result.passing_resources, result.applicable_resources) == (3, 4)
 
     def test_empty_rule_ids_not_applicable(self):
-        result = control_compliance(control_for(), Evidence.build([], pods(3), load_catalogs().rules))
+        result = control_compliance(control_for(), evidence_of([], pods(3)))
         assert result.not_applicable
         assert (result.passing_resources, result.applicable_resources) == (0, 0)
 
     def test_no_applicable_resources_not_applicable(self):
         configmap_control = control_for("MISC-CREDS")
         result = control_compliance(
-            configmap_control, Evidence.build([], pods(2), load_catalogs().rules)
+            configmap_control, evidence_of([], pods(2))
         )
         assert result.not_applicable
 
@@ -63,7 +67,7 @@ class TestControlCompliance:
             Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
             Finding("MISC-REQUESTS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
         ]
-        result = control_compliance(control, Evidence.build(findings, resources, load_catalogs().rules))
+        result = control_compliance(control, evidence_of(findings, resources))
         assert (result.passing_resources, result.applicable_resources) == (1, 2)
 
     def test_fixture_hand_count(self, vulnerable_workloads):
@@ -74,7 +78,7 @@ class TestControlCompliance:
         load = load_directory(vulnerable_workloads)
         findings = evaluate(load_catalogs().rules, load.documents)
         result = control_compliance(
-            control_for("MISC-LIMITS"), Evidence.build(findings, load.documents, load_catalogs().rules)
+            control_for("MISC-LIMITS"), evidence_of(findings, load.documents)
         )
         assert (result.passing_resources, result.applicable_resources) == (0, 9)
 

@@ -23,7 +23,7 @@ from ricaudit.compliance import Evidence, score_framework
 from ricaudit.errors import AuditError, DocumentError
 from ricaudit.manifests import load_directory, parse_manifest_stream
 from ricaudit.pipeline import audit, build_result
-from ricaudit.rules import Evaluation, evaluate
+from ricaudit.rules import Evaluation, Findings, evaluate
 from ricaudit.severity import empty_counts
 from ricaudit.vulns import VulnTally
 
@@ -426,7 +426,7 @@ def test_audit_passes_each_stage_diagnostic_line_unchanged(tmp_path):
           inventory=tmp_path / "inventory.yaml", diag=lines.append)
     assert lines == [
         f"parse error in {tmp_path / 'bad.yaml'}: document 0: no kind field",
-        "c1: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-1",
+        "'c1': rejected entry 0: cvss 11.0 outside [0.0, 10.0] for 'CVE-1'",
         "inventory entry 'helm': not a numeric version: 'latest'",
     ]
 
@@ -567,7 +567,7 @@ def whole_set_result(directory, namespace, catalogs=()):
     bundle = load_catalogs(catalogs)
     documents = [d for d in load_directory(directory).documents
                  if not namespace or d.namespace == namespace]
-    findings = evaluate(bundle.rules, documents)
+    findings = Findings.of(evaluate(bundle.rules, documents))
     evidence = Evidence.build(findings, documents, bundle.rules)
     scores = [score_framework(fw, evidence)[0] for fw in bundle.frameworks]
     return build_result(tally=VulnTally(), findings=findings, resources=documents,

@@ -20,7 +20,7 @@ from ricaudit.report import (
     render_remediations,
     render_table,
 )
-from ricaudit.rules import Finding, Findings
+from ricaudit.rules import Finding, FindingHead, Findings
 from ricaudit.severity import TABLE_ORDER, SeverityClass
 from ricaudit.versions import AdvisoryEntry, VersionFinding, VersionPredicate, parse_version
 from ricaudit.vulns import ContainerScanSummary, ImageRef, VulnTotals
@@ -102,6 +102,18 @@ def sized_results(draw, count: int) -> AuditResult:
                        generated_at=text(1), tool_version=text(2))
 
 
+@st.composite
+def tricky_findings(draw, count: int) -> Findings:
+    """`Findings` of up to three rules, whose id, title, remediation and refs
+    are drawn text, holding `count` findings in all."""
+    heads = [FindingHead(draw(tricky_texts), SeverityClass(draw(st.integers(0, 4))),
+                         draw(tricky_texts), draw(tricky_texts)) for _ in range(3)]
+    cuts = sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2)))
+    sizes = [cuts[0], cuts[1] - cuts[0], count - cuts[1]]
+    return Findings((head, draw(st.lists(tricky_texts, min_size=size, max_size=size)))
+                    for head, size in zip(heads, sizes))
+
+
 class Writes(list):
     """A text stream that keeps each write apart."""
 
@@ -116,6 +128,30 @@ class TestStreamedJson:
     def test_streamed_text_equals_canonical_dumps(self, count, data):
         result = data.draw(sized_results(count))
         assert rendered_json(result) == canonical_dumps(result)
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1, 2 * JSON_SLICE + 1])
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_streamed_findings_equal_canonical_dumps(self, count, data):
+        findings = data.draw(tricky_findings(count))
+        assert len(findings) == count
+        result = result_with(findings=findings)
+        assert rendered_json(result) == canonical_dumps(result)
+
+    def test_findings_of_one_rule_with_other_messages_keep_theirs(self):
+        # Findings that share a rule id but not a message, severity or
+        # remediation are each written with their own.
+        findings = (Finding("R", "ns/Pod/a", SeverityClass.HIGH, "m", "r"),
+                    Finding("R", "ns/Pod/b", SeverityClass.HIGH, "other", "r"),
+                    Finding("R", "ns/Pod/c", SeverityClass.LOW, "m", "r"),
+                    Finding("R", "ns/Pod/d", SeverityClass.HIGH, "m", "fix"),
+                    Finding("R", "ns/Pod/e", SeverityClass.HIGH, "m", "r"))
+        for listed in (findings, Findings.of(findings)):
+            result = result_with(findings=listed)
+            assert rendered_json(result) == canonical_dumps(result)
+            assert [f["message"] for f in json.loads(rendered_json(result))["findings"]] == [
+                "m", "other", "m", "m", "m"]
 
     def test_no_write_holds_more_than_one_slice(self):
         count = 5 * JSON_SLICE + 7
@@ -133,7 +169,7 @@ class TestStreamedJson:
     def test_findings_render_as_a_tuple_of_them(self, count):
         # The refs of three rules, each ref held twice.
         refs = [[f"ns/Pod/p{i // 6}" for i in range(count) if i % 3 == k] for k in range(3)]
-        findings = Findings(zip(load_catalogs().rules, refs))
+        findings = Findings(zip(map(FindingHead.of_rule, load_catalogs().rules), refs))
         assert len(findings) == count
         assert (rendered_json(result_with(findings=findings))
                 == rendered_json(result_with(findings=tuple(findings))))

@@ -14,6 +14,7 @@ from ricaudit.manifests import ResourceDocument, load_directory, parse_manifest_
 from ricaudit.rules import (
     Evaluation,
     Finding,
+    Findings,
     evaluate,
     group_findings_by_app,
     rule_from_mapping,
@@ -118,7 +119,7 @@ class TestEvaluate:
         load = load_directory(vulnerable_workloads / "ricplt-e2term.yaml")
         findings = evaluate(load_catalogs().rules, load.documents)
         # Every finding lands on a resource labelled with the container's app.
-        assert group_findings_by_app(findings, load.documents) == {"ricplt-e2term": {
+        assert group_findings_by_app(Findings.of(findings), load.documents) == {"ricplt-e2term": {
             SeverityClass.CRITICAL: 0,
             SeverityClass.HIGH: 1,
             SeverityClass.MEDIUM: 3,
@@ -164,7 +165,7 @@ class TestEvaluate:
         raw = {"id": rule.id, "title": "t", "severity": "low", "category": "supply-chain",
                "applies_to": ["Pod"], "check": {"path_exists": "spec"}}
         user.write_text(yaml.safe_dump({"rules": [raw, raw]}))
-        with pytest.raises(CatalogError, match=f"duplicate rule id.* {rule.id}$"):
+        with pytest.raises(CatalogError, match=f"duplicate rule id.* '{rule.id}'$"):
             load_catalogs([user])
 
     def test_output_sorted(self, vulnerable_manifests):
@@ -273,7 +274,7 @@ class TestSeverityHistogram:
     """The per-app severity counts that `group_findings_by_app` returns."""
 
     def test_empty(self):
-        assert group_findings_by_app([], [labelled("a", "x")]) == {}
+        assert group_findings_by_app(Findings.of([]), [labelled("a", "x")]) == {}
 
     def test_counting(self):
         findings = [
@@ -281,7 +282,7 @@ class TestSeverityHistogram:
             Finding("R", "b", SeverityClass.HIGH, "m", "r"),
             Finding("S", "a", SeverityClass.HIGH, "m", "r"),
         ]
-        grouped = group_findings_by_app(findings, [labelled("a", "x"), labelled("b", "x")])
+        grouped = group_findings_by_app(Findings.of(findings), [labelled("a", "x"), labelled("b", "x")])
         assert grouped == {"x": {**empty_counts(), SeverityClass.HIGH: 3}}
 
     @given(
@@ -293,7 +294,7 @@ class TestSeverityHistogram:
     )
     def test_conservation(self, raw, app_of):
         findings = [Finding("R", res, sev, "m", "r") for sev, res in raw]
-        grouped = group_findings_by_app(findings, [labelled(r, a) for r, a in app_of.items()])
+        grouped = group_findings_by_app(Findings.of(findings), [labelled(r, a) for r, a in app_of.items()])
         assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
         assert (sum(sum(counts.values()) for counts in grouped.values())
                 == sum(1 for f in findings if app_of.get(f.resource)))
@@ -307,7 +308,7 @@ class TestGrouping:
         documents = [d for d in load_directory(vulnerable_manifests).documents
                      if d.namespace == "ricplt"]
         findings = evaluate(load_catalogs().rules, documents)
-        grouped = group_findings_by_app(findings, documents)
+        grouped = group_findings_by_app(Findings.of(findings), documents)
         assert len(grouped) == 8
         assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
         assert all(sum(counts.values()) == 13 for counts in grouped.values())

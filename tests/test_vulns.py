@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ricaudit.cli import main
-from ricaudit.errors import AuditError
+from ricaudit.errors import AuditError, quoted
 from ricaudit.manifests import ResourceDocument
 from ricaudit.pipeline import audit, build_result
 from ricaudit.rules import Finding
@@ -124,7 +124,7 @@ class TestParseScanReport:
         report = parse_scan_report(report_payload(entries))
         assert report.records.unique == {"CVE-2"}
         assert histogram(report) == one_in(SeverityClass.MEDIUM)
-        assert report.rejected == ["c1: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-1"]
+        assert report.rejected == ["'c1': rejected entry 0: cvss 11.0 outside [0.0, 10.0] for 'CVE-1'"]
 
     @pytest.mark.parametrize("cvss", [11.0, -0.5, 10.01, float("nan"), float("inf"),
                                       float("-inf"), 10**400], ids=repr)
@@ -132,7 +132,8 @@ class TestParseScanReport:
         # json.dumps writes NaN and Infinity, which json.loads reads back.
         report = parse_scan_report(report_payload([{**self.ENTRY, "cvss": cvss}]))
         assert report.records == VulnTally()
-        assert report.rejected == [f"c1: rejected entry 0: cvss {cvss} outside [0.0, 10.0] for CVE-1"]
+        assert report.rejected == [
+            f"'c1': rejected entry 0: cvss {quoted(cvss)} outside [0.0, 10.0] for 'CVE-1'"]
 
     def test_rejected_entries_keep_entry_order(self):
         cvss_values = [5.0, 11.0, 9.5, float("nan"), None, -1, 10**30]
@@ -140,10 +141,10 @@ class TestParseScanReport:
                    for i, cvss in enumerate(cvss_values)]
         report = parse_scan_report(report_payload(entries))
         assert report.rejected == [
-            "c1: rejected entry 1: cvss 11.0 outside [0.0, 10.0] for CVE-1",
-            "c1: rejected entry 3: cvss nan outside [0.0, 10.0] for CVE-3",
-            "c1: rejected entry 5: cvss -1 outside [0.0, 10.0] for CVE-5",
-            f"c1: rejected entry 6: cvss {10**30} outside [0.0, 10.0] for CVE-6",
+            "'c1': rejected entry 1: cvss 11.0 outside [0.0, 10.0] for 'CVE-1'",
+            "'c1': rejected entry 3: cvss nan outside [0.0, 10.0] for 'CVE-3'",
+            "'c1': rejected entry 5: cvss -1 outside [0.0, 10.0] for 'CVE-5'",
+            f"'c1': rejected entry 6: cvss {10**30} outside [0.0, 10.0] for 'CVE-6'",
         ]
         assert report.records.unique == {"CVE-0", "CVE-2", "CVE-4"}
         assert len(report.records) == 3
@@ -505,10 +506,10 @@ class TestFold:
                  sum(s.vuln_histogram.values())) for s in result.summaries] == [("c", "2", 1, 2)]
         assert result.totals == (2, 1, 0, 0)  # CVE-0 twice
         assert lines == [
-            "c: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-0",
-            "c: rejected entry 1: cvss 12.0 outside [0.0, 10.0] for CVE-1",
-            "d: rejected entry 0: cvss 11.0 outside [0.0, 10.0] for CVE-0",
-            "c: rejected entry 1: cvss 13.0 outside [0.0, 10.0] for CVE-1",
+            "'c': rejected entry 0: cvss 11.0 outside [0.0, 10.0] for 'CVE-0'",
+            "'c': rejected entry 1: cvss 12.0 outside [0.0, 10.0] for 'CVE-1'",
+            "'d': rejected entry 0: cvss 11.0 outside [0.0, 10.0] for 'CVE-0'",
+            "'c': rejected entry 1: cvss 13.0 outside [0.0, 10.0] for 'CVE-1'",
         ]
 
     def test_audit_memory_bounded_by_largest_report(self, tmp_path, scan_report_paths):

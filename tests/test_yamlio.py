@@ -360,6 +360,38 @@ def test_aliases_still_share_one_object():
     assert document["a"] is document["c"]
 
 
+# A stream with no `&` can hold no alias, so its walk skips the alias check.
+AMPERSAND_IN_A_SCALAR = """\
+kind: Pod
+spec:
+  containers:
+    - name: c
+      args: ["sh", "-c", "a && b"]
+      env: [{name: x, value: "&y"}]
+"""
+
+
+@pytest.mark.parametrize("text", [AMPERSAND_IN_A_SCALAR, AMPERSAND_IN_A_SCALAR.replace("&", "+")],
+                         ids=["ampersand", "none"])
+def test_stream_without_an_anchor_builds_the_safe_constructors_tree(text):
+    first, second = yamlio.load(text), yamlio.load(text)
+    assert repr(first) == repr(yaml.load(text, Loader=yamlio.Loader))
+    assert first["spec"]["containers"][0]["args"][2] in ("a && b", "a ++ b")
+    for a, b in zip(mapping_keys(first), mapping_keys(second), strict=True):
+        assert a is b
+
+
+@pytest.mark.parametrize("text, shared", [
+    ("a: &x {b: [1]}\nb: *x\n", lambda d: d["b"] is d["a"]),
+    ("a: &x [1, *x]\n", lambda d: d["a"][1] is d["a"]),
+    ("&x {self: *x, k: v}\n", lambda d: d["self"] is d),
+], ids=["alias", "self-referencing-sequence", "self-referencing-mapping"])
+def test_anchored_stream_still_shares_the_aliased_object(text, shared):
+    document = yamlio.load(text)
+    assert shared(document)
+    assert repr(document) == repr(yaml.load(text, Loader=yamlio.Loader))
+
+
 @pytest.fixture
 def event_scans(monkeypatch) -> list[str]:
     """The texts `_first_too_deep` is called on from now on."""
