@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "severity": ("SeverityClass", "ThreatCategory", "classify_severity"),
     "manifests": ("DirectoryLoad", "ResourceDocument", "load_directory", "parse_manifest_stream"),
-    "rules": ("Finding", "Rule", "evaluate"),
+    "rules": ("Findings", "Rule", "evaluate"),
     "vulns": ("ContainerScanSummary", "ImageRef", "VulnTally", "VulnTotals",
               "occurrence_and_unique_totals", "parse_scan_report"),
     "compliance": ("Control", "ControlResult", "Evidence", "Framework", "FrameworkScore",

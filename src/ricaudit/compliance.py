@@ -6,9 +6,9 @@ none of those rules fired against it. The framework score is the mean of
 the applicable control scores, rounded half-up to an integer percent.
 Controls without rules or without applicable resources are NotApplicable
 and excluded from the mean: scoring what cannot be checked would fabricate
-compliance. `Evidence` keeps the failing refs as one list per rule, read
-from the findings head by head; a control unites its rules' lists into one
-set only while it is scored.
+compliance. `Evidence` keeps the failing refs as one list per rule: the
+list of the rule's run in the findings, as it is. A control unites its
+rules' lists into one set only while it is scored.
 Scoring re-checks nothing that holds by construction:
 `rules.validate_catalog` refuses a control that names an unknown rule, and
 `score_framework` scores each control of a framework once.
@@ -70,9 +70,7 @@ class Evidence(NamedTuple):
         refs_by_kind: dict[str, list[str]] = {}
         for res in resources:
             refs_by_kind.setdefault(res.kind, []).append(res.ref)
-        failing_refs: dict[str, list[str]] = {}
-        for head, refs in findings.refs_by_rule:
-            failing_refs.setdefault(head.rule_id, []).extend(refs)
+        failing_refs = {rule.id: refs for rule, refs in findings.refs_by_rule}
         return cls({rule.id: rule for rule in catalog}, refs_by_kind, failing_refs)
 
 

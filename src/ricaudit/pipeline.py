@@ -9,8 +9,9 @@ one-line diagnostics, which `audit` passes to `diag` unchanged.
 Each stage holds its input only as long as it needs it. The manifest
 stage scopes and evaluates each file's documents as the file is parsed and
 keeps each document without its body, and each finding as its document's
-ref in its rule's list (see `rules.Evaluation`); the result holds those
-lists as they are. Each scan report is counted into the tally as it is read.
+ref in its rule's run (see `rules.Evaluation`); the result holds those
+runs as they are, the one shape of findings that every reader takes.
+Each scan report is counted into the tally as it is read.
 `build_result` adds nothing per row that the payload does not show: the
 rows without vulnerability or misconfiguration counts share one zero
 histogram.
@@ -21,15 +22,15 @@ from __future__ import annotations
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .catalogs import load_catalogs, load_inventory
 from .compliance import Evidence, FrameworkScore, score_framework
-from .errors import AuditError
+from .errors import AuditError, quoted
 from .manifests import ResourceDocument, distinct_files, load_directory
 from .report import AuditResult
-from .rules import Evaluation, Finding, Findings, group_findings_by_app
+from .rules import Evaluation, Findings, group_findings_by_app
 from .severity import empty_counts
 from .versions import VersionAudit, audit_components
 from .vulns import ContainerScanSummary, VulnTally, occurrence_and_unique_totals, parse_scan_report
@@ -52,22 +53,21 @@ def default_timestamp() -> str:
 def build_result(
     *,
     tally: VulnTally,
-    findings: Iterable[Finding] = (),
+    findings: Findings,
     resources: Sequence[ResourceDocument] = (),
     framework_scores: Sequence[FrameworkScore] = (),
     version_audit: VersionAudit | None = None,
 ) -> AuditResult:
     """Assemble one AuditResult from whatever workflows actually ran.
 
-    `findings` are held as `Findings` (a plain iterable is grouped once, in
-    its order). `resources` are the evaluated documents, with or without
-    their bodies; their app labels group the findings. This is where the
-    vulnerability and misconfiguration stages meet: one row per container of
-    the tally or of the misconfiguration counts (so a manifest-only audit has
-    rows too), sorted by name. Every row with no counts of a kind shares the
-    result's one zero histogram, so the rows' histograms are read-only.
+    `findings` are held as they are. `resources` are the evaluated
+    documents, with or without their bodies; their app labels group the
+    findings. This is where the vulnerability and misconfiguration stages
+    meet: one row per container of the tally or of the misconfiguration
+    counts (so a manifest-only audit has rows too), sorted by name. Every
+    row with no counts of a kind shares the result's one zero histogram, so
+    the rows' histograms are read-only.
     """
-    findings = Findings.of(findings)
     misconfig = group_findings_by_app(findings, resources)
     vulns = tally.containers
     zero = empty_counts()
@@ -114,7 +114,7 @@ def audit(
             by_id = {fw.id: fw for fw in bundle.frameworks}
             missing = [fid for fid in frameworks if fid not in by_id]
             if missing:
-                raise AuditError(f"unknown framework id(s): {', '.join(missing)}")
+                raise AuditError(f"unknown framework id(s): {', '.join(map(quoted, missing))}")
             # A framework named twice is scored once, at its first place.
             selected = [by_id[fid] for fid in dict.fromkeys(frameworks)]
 

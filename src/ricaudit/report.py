@@ -6,12 +6,12 @@ the one run-dependent field; pin it with SOURCE_DATE_EPOCH. `render_json`
 writes it to a stream as it encodes it, each list in slices of at most
 JSON_SLICE items read from an iterator, so rendering holds one slice of
 text and never the whole document. A slice of containers, scores or
-version findings is built as dicts just before it is encoded. A finding
-is written from a template instead: the text of its other fields is made
-once per distinct rule id, severity, message and remediation, and only
-its resource is encoded per finding. A list may be any sized iterable,
-such as the `rules.Findings` of a manifest stage, which builds each
-finding as it is read. That text is the one canonical form, and
+version findings is built as dicts just before it is encoded. Findings
+come as `rules.Findings`, runs of one rule each, and a finding is written
+from its run's template instead: the text of its other fields is made
+once per run, from the rule, and only its resource is encoded per
+finding. The remediations and the exit code read one rule per run, not
+one per finding. That text is the one canonical form, and
 `render_json` the one payload encoder: the fixture verifier reads the
 payload back from it.
 `render_table` writes to a stream too, one container row at a time, after
@@ -21,10 +21,9 @@ a first pass that keeps only the column widths.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import islice
 from json.encoder import encode_basestring
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, NamedTuple, TextIO
 
 from .severity import TABLE_ORDER, SeverityClass
@@ -32,7 +31,7 @@ from .vulns import ContainerScanSummary, VulnTotals
 
 if TYPE_CHECKING:
     from .compliance import FrameworkScore
-    from .rules import Finding, Findings
+    from .rules import Findings, Rule
     from .versions import VersionFinding
 
 SCHEMA_VERSION = "1"
@@ -49,10 +48,10 @@ EXIT_TOOL_ERROR = 2
 class AuditResult(NamedTuple):
     """Everything one audit run produced, ready for rendering."""
 
-    summaries: tuple[ContainerScanSummary, ...] = ()
-    findings: Sequence[Finding] | Findings = ()
-    framework_scores: tuple[FrameworkScore, ...] = ()
-    version_findings: tuple[VersionFinding, ...] = ()
+    summaries: tuple[ContainerScanSummary, ...]
+    findings: Findings
+    framework_scores: tuple[FrameworkScore, ...]
+    version_findings: tuple[VersionFinding, ...]
     totals: VulnTotals = VulnTotals(0, 0, 0, 0)
     generated_at: str = ""
     tool_version: str = ""
@@ -78,22 +77,16 @@ def _container_payload(s: ContainerScanSummary) -> dict[str, Any]:
     }
 
 
-# A finding's fields but its resource: the same for every finding of a rule.
-_head_of = attrgetter("rule_id", "severity", "message", "remediation")
-
-
-def _finding_template(
-    rule_id: str, severity: SeverityClass, message: str, remediation: str
-) -> tuple[str, str]:
-    """The canonical text of a finding with this head: the part before its
+def _finding_template(rule: Rule) -> tuple[str, str]:
+    """The canonical text of a finding of `rule`: the part before its
     resource's encoded string and the part after it.
 
     The fields other than the resource are encoded as `key:value` pairs in
     sorted key order; those that sort before "resource" open the text, the
     others close it.
     """
-    fields = {"rule_id": rule_id, "severity": severity.name.lower(), "message": message,
-              "remediation": remediation}
+    fields = {"rule_id": rule.id, "severity": rule.severity.name.lower(), "message": rule.title,
+              "remediation": rule.remediation}
     head, tail = "{", ""
     for key, value in sorted(fields.items()):
         pair = _ENCODER.encode(key) + ":" + _ENCODER.encode(value)
@@ -104,22 +97,20 @@ def _finding_template(
     return head + '"resource":', tail + "}"
 
 
-def _finding_slices(findings: Iterator[Finding]) -> Iterator[str]:
-    """The text of each slice of `findings`: each finding is its head's
-    template around its encoded resource, and each distinct head is made
-    into a template once."""
-    templates: dict[tuple, tuple[str, str]] = {}
-    while True:
-        texts = []
-        for finding in islice(findings, JSON_SLICE):
-            head = _head_of(finding)
-            template = templates.get(head)
-            if template is None:
-                template = templates[head] = _finding_template(*head)
-            texts.append(template[0] + encode_basestring(finding.resource) + template[1])
-        if not texts:
-            return
-        yield ",".join(texts)
+def _finding_texts(findings: Findings) -> Iterator[str]:
+    """The text of each finding: its run's template, made once per run,
+    around its encoded resource."""
+    for rule, refs in findings.refs_by_rule:
+        head, tail = _finding_template(rule)
+        for ref in refs:
+            yield head + encode_basestring(ref) + tail
+
+
+def _finding_slices(findings: Findings) -> Iterator[str]:
+    """The text of each slice of `findings`."""
+    texts = _finding_texts(findings)
+    while text := ",".join(islice(texts, JSON_SLICE)):
+        yield text
 
 
 def _score_payload(s: FrameworkScore) -> dict[str, Any]:
@@ -149,14 +140,15 @@ def _version_payload(v: VersionFinding) -> dict[str, Any]:
     }
 
 
-_Slicer = Callable[[Iterator[Any]], Iterator[str]]
+_Slicer = Callable[[Any], Iterator[str]]
 
 
 def _dict_slices(convert: Callable[[Any], dict[str, Any]]) -> _Slicer:
     """The slicer of a list whose items `convert` makes into dicts: the dicts
     of each slice are built, encoded in one call and dropped."""
 
-    def slices(items: Iterator[Any]) -> Iterator[str]:
+    def slices(items: Iterable[Any]) -> Iterator[str]:
+        items = iter(items)
         while text := _ENCODER.encode([convert(item) for item in islice(items, JSON_SLICE)])[1:-1]:
             yield text
 
@@ -207,7 +199,7 @@ def render_json(result: AuditResult, stream: TextIO) -> None:
         field, slices = _LISTS[key]
         write("[")
         separator = ""
-        for text in slices(iter(getattr(result, field))):
+        for text in slices(getattr(result, field)):
             write(separator + text)
             separator = ","
         write("]")
@@ -302,19 +294,15 @@ def render_table(result: AuditResult, stream: TextIO) -> None:
 
 
 def render_remediations(result: AuditResult) -> str:
-    """Distinct remediation steps for every rule that fired, worst first."""
-    seen: dict[str, tuple[SeverityClass, str]] = {}
-    counts: dict[str, int] = {}
-    for f in result.findings:
-        seen.setdefault(f.rule_id, (f.severity, f.remediation))
-        counts[f.rule_id] = counts.get(f.rule_id, 0) + 1
-    if not seen:
+    """The remediation step of every rule that fired, one line per run, in
+    the order of the findings: worst first."""
+    runs = result.findings.refs_by_rule
+    if not runs:
         return "No remediations required.\n"
     lines = ["Remediations"]
-    ordered = sorted(seen.items(), key=lambda item: (-item[1][0], item[0]))
-    for rule_id, (severity, remediation) in ordered:
+    for rule, refs in runs:
         lines.append(
-            f"  [{severity.label}] {rule_id} ({counts[rule_id]} resources): {remediation}")
+            f"  [{rule.severity.label}] {rule.id} ({len(refs)} resources): {rule.remediation}")
     return "\n".join(lines) + "\n"
 
 
@@ -323,8 +311,8 @@ def exit_code(result: AuditResult, fail_on: SeverityClass) -> int:
 
     Exit 2 is reserved for tool errors and never returned here.
     """
-    for finding in result.findings:
-        if finding.severity >= fail_on:
+    for rule, _ in result.findings.refs_by_rule:
+        if rule.severity >= fail_on:
             return EXIT_FINDINGS
     for summary in result.summaries:
         for cls, count in summary.vuln_histogram.items():

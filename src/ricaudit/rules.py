@@ -6,22 +6,21 @@ control only when that control's `rule_ids` lists it; the rule itself names
 no control. Evaluation is pure — it never mutates resources and two
 evaluations of the same inputs produce identical findings.
 
-`evaluate` judges a whole set of documents at once. `Evaluation` judges
-the same set one batch (one manifest file) at a time, keeping each
-document without its body unless a rule that reads other documents
-also reads that body, and gives the same findings. It keeps each finding
-as its document's ref in its rule's list and hands them on as `Findings`:
-each rule's `FindingHead`, the part that all its findings share, with its
-refs. The consumers that aggregate findings read them head by head, so
-their work per finding is one ref; `Findings.of` groups a plain list of
-findings the same way.
+Findings have one shape, `Findings`, from evaluation to the report: runs
+of the `Rule` that fired with the list of refs of the documents it fired
+on. A finding is one ref in its rule's run; the rule holds all that its
+findings share. `evaluate` judges a whole set of documents at once.
+`Evaluation` judges the same set one batch (one manifest file) at a
+time, keeping each document without its body unless a rule that reads
+other documents also reads that body, and gives the same findings. Every
+reader of findings reads them run by run, so its work per finding is at
+most one ref.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import CatalogError, quoted
@@ -50,33 +49,6 @@ class Rule(NamedTuple):
         return WILDCARD_KIND in self.applies_to or kind in self.applies_to
 
 
-class Finding(NamedTuple):
-    """One rule firing against one resource."""
-
-    rule_id: str
-    resource: str
-    severity: SeverityClass
-    message: str
-    remediation: str
-
-
-class FindingHead(NamedTuple):
-    """All of a `Finding` but its resource: what every finding of one rule shares."""
-
-    rule_id: str
-    severity: SeverityClass
-    message: str
-    remediation: str
-
-    @classmethod
-    def of_rule(cls, rule: Rule) -> FindingHead:
-        return cls(rule.id, rule.severity, rule.title, rule.remediation)
-
-    @classmethod
-    def of_finding(cls, finding: Finding) -> FindingHead:
-        return cls(finding.rule_id, finding.severity, finding.message, finding.remediation)
-
-
 # The fields of a rule entry; any other key is ignored.
 RULE_FIELDS = {
     "id": STRING, "title": STRING, "description": (STRING, ""), "severity": STRING,
@@ -89,7 +61,9 @@ def rule_from_mapping(raw: Any) -> Rule:
         if not fields["applies_to"]:
             raise ValueError("applies_to must be non-empty")
         severity = SeverityClass.from_label(fields["severity"])
-        ThreatCategory(fields["category"])  # checked, not kept: an unknown one is a ValueError
+        # The category is checked, not kept.
+        if fields["category"] not in {category.value for category in ThreatCategory}:
+            raise ValueError(f"unknown threat category: {quoted(fields['category'])}")
         return Rule(fields["id"], fields["title"], severity, frozenset(fields["applies_to"]),
                     fields["remediation"], compile_check(fields["check"]))
     except (ValueError, CatalogError) as exc:
@@ -111,85 +85,61 @@ def validate_catalog(catalog: Sequence[Rule], frameworks: Iterable[Any]) -> None
                                        f"references unknown rule {quoted(rule_id)}")
 
 
-def report_order(finding: Finding) -> tuple:
-    """Sort key of findings in a report: severity descending, then rule id, then resource ref."""
-    return -finding.severity, finding.rule_id, finding.resource
+class Findings:
+    """Findings held as runs, read-only.
+
+    Each run is the `Rule` that fired with the list of refs it fired on;
+    a run with no refs is dropped. `len` counts the findings, not the
+    runs. A ref held twice (a duplicate document) is two findings. The
+    refs are the strings each document's record holds, so a finding
+    costs one list slot.
+    """
+
+    def __init__(self, runs: Iterable[tuple[Rule, list[str]]]) -> None:
+        # A list, not a tuple: a freed tuple stays allocated on the
+        # interpreter's free list of its size, and `Evaluation` drops one
+        # `Findings` per batch.
+        self.refs_by_rule = [run for run in runs if run[1]]
+
+    def __len__(self) -> int:
+        return sum(len(refs) for _, refs in self.refs_by_rule)
+
+
+def sorted_runs(runs: Iterable[tuple[Rule, list[str]]]) -> Findings:
+    """`runs` in the order of a report: severity descending, then rule id,
+    each with its refs sorted (in place)."""
+    ordered = sorted(runs, key=lambda run: (-run[0].severity, run[0].id))
+    for _, refs in ordered:
+        refs.sort()
+    return Findings(ordered)
 
 
 def evaluate(
     catalog: Sequence[Rule],
     resources: Sequence[ResourceDocument],
     ctx: EvalContext | None = None,
-) -> list[Finding]:
+) -> Findings:
     """Evaluate every rule against every applicable resource.
 
-    One Finding per (rule, resource) pair whose check fires. Without `ctx`,
-    `resources` are the whole set: the context is built from them and the
-    findings are sorted by `report_order`, so the result is independent of
-    input order. With `ctx`, `resources` are one batch of a larger set whose
-    facts `ctx` holds (see `Evaluation`): the findings come in batch order,
-    for the caller to sort once. Each resource meets every rule in turn, so
-    that its pod spec is walked once (see `EvalContext.pod`). A document
-    with no body may be judged by rules whose checks read no BODY.
+    One finding per (rule, resource) pair whose check fires: the resource's
+    ref in its rule's run. Without `ctx`, `resources` are the whole set: the
+    context is built from them and the runs are ordered by `sorted_runs`,
+    so the result is independent of input order. With `ctx`, `resources` are
+    one batch of a larger set whose facts `ctx` holds (see `Evaluation`):
+    the runs come in catalog order and their refs in batch order, for the
+    caller to order once. Each resource meets every rule in turn, so that
+    its pod spec is walked once (see `EvalContext.pod`). A document with no
+    body may be judged by rules whose checks read no BODY.
     """
     whole = ctx is None
     if whole:
         ctx = EvalContext.build(resources)
-    findings = [
-        Finding(
-            rule_id=rule.id,
-            resource=doc.ref,
-            severity=rule.severity,
-            message=rule.title,
-            remediation=rule.remediation,
-        )
-        for doc in resources
-        for rule in catalog
-        if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, ctx)
-    ]
-    if whole:
-        findings.sort(key=report_order)
-    return findings
-
-
-class Findings:
-    """Findings held as runs of one head each, read-only.
-
-    Each run is a `FindingHead` with the list of refs it fired on.
-    Iterating yields one `Finding` per ref, built when it is read, run by
-    run in the order given; `len` counts them. A ref held twice (a
-    duplicate document) is two findings. `Evaluation.finish` gives one run
-    per rule that fired, by severity descending, then id, each with its
-    refs sorted, which is `report_order`. The refs are the strings each
-    document's record holds, so a finding costs one list slot, not one
-    tuple.
-    """
-
-    def __init__(self, refs_by_rule: Iterable[tuple[FindingHead, list[str]]]) -> None:
-        self.refs_by_rule = tuple(refs_by_rule)
-        self.count = sum(len(refs) for _, refs in self.refs_by_rule)
-
-    @classmethod
-    def of(cls, findings: Iterable[Finding]) -> Findings:
-        """`findings` in their order, each run of findings with one head held as one entry."""
-        if isinstance(findings, Findings):
-            return findings
-        return cls((head, [f.resource for f in run])
-                   for head, run in groupby(findings, FindingHead.of_finding))
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __eq__(self, other: object) -> bool:
-        """Equal to another `Findings` that yields the same findings in the same order."""
-        if not isinstance(other, Findings):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __iter__(self) -> Iterator[Finding]:
-        for (rule_id, severity, message, remediation), refs in self.refs_by_rule:
-            for ref in refs:
-                yield Finding(rule_id, ref, severity, message, remediation)
+    runs: list[tuple[Rule, list[str]]] = [(rule, []) for rule in catalog]
+    for doc in resources:
+        for rule, refs in runs:
+            if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, ctx):
+                refs.append(doc.ref)
+    return sorted_runs(runs) if whole else Findings(runs)
 
 
 class Evaluation:
@@ -200,23 +150,22 @@ class Evaluation:
     a rule whose check reads CONTEXT and BODY applies to it. `finish` judges
     every rule whose check reads CONTEXT, once, on the records, after the
     last batch. So no body outlives its batch unless the catalog has a rule
-    that reads both. Each batch's findings are dropped once their refs are
-    appended to their rule's list. The findings equal `evaluate`'s on the
-    whole set. The rule ids of `catalog` are unique, as `catalogs` loads
-    them. A plain class, because it accumulates.
+    that reads both. Each batch's runs are dropped once their refs extend
+    their rule's list. The findings equal `evaluate`'s on the whole set.
+    The rule ids of `catalog` are unique, as `catalogs` loads them. A plain
+    class, because it accumulates.
     """
 
     def __init__(self, catalog: Sequence[Rule]) -> None:
         self.per_document = [r for r in catalog if CONTEXT not in r.predicate.reads]
         self.deferred = [r for r in catalog if CONTEXT in r.predicate.reads]
         self.body_readers = [r for r in self.deferred if BODY in r.predicate.reads]
-        self.refs: dict[str, tuple[FindingHead, list[str]]] = {
-            r.id: (FindingHead.of_rule(r), []) for r in catalog}
+        self.runs: dict[str, tuple[Rule, list[str]]] = {r.id: (r, []) for r in catalog}
         self.records: list[ResourceDocument] = []
 
-    def _keep(self, findings: list[Finding]) -> None:
-        for finding in findings:
-            self.refs[finding.rule_id][1].append(finding.resource)
+    def _keep(self, findings: Findings) -> None:
+        for rule, refs in findings.refs_by_rule:
+            self.runs[rule.id][1].extend(refs)
 
     def add(self, documents: Sequence[ResourceDocument]) -> None:
         self._keep(evaluate(self.per_document, documents, EvalContext()))
@@ -224,13 +173,9 @@ class Evaluation:
                          else doc._replace(body=None) for doc in documents]
 
     def finish(self) -> tuple[Findings, list[ResourceDocument]]:
-        """Every finding, in `report_order`, and the record of every document."""
+        """Every finding, ordered by `sorted_runs`, and the record of every document."""
         self._keep(evaluate(self.deferred, self.records, EvalContext.build(self.records)))
-        fired = sorted((entry for entry in self.refs.values() if entry[1]),
-                       key=lambda entry: (-entry[0].severity, entry[0].rule_id))
-        for _, refs in fired:
-            refs.sort()
-        return Findings(fired), self.records
+        return sorted_runs(self.runs.values()), self.records
 
 
 def group_findings_by_app(
@@ -242,14 +187,14 @@ def group_findings_by_app(
     Resources without an app label (cluster plumbing, RBAC objects, shared
     config) stay out of the per-container counts; their findings are still
     reported, just not attributed to a container column. The refs of each
-    head are counted by app at once.
+    run are counted by app at once.
     """
     label_by_ref = {res.ref: res.app for res in resources if res.app}
     counts: dict[str, dict[SeverityClass, int]] = {}
-    for head, refs in findings.refs_by_rule:
+    for rule, refs in findings.refs_by_rule:
         for app, fired in Counter(map(label_by_ref.get, refs)).items():
             if app:
                 if app not in counts:
                     counts[app] = empty_counts()
-                counts[app][head.severity] += fired
+                counts[app][rule.severity] += fired
     return counts

@@ -6,8 +6,24 @@ import json
 import pytest
 
 from ricaudit.catalogs import data_path
+from ricaudit.predicates import compile_check
 from ricaudit.report import render_json
+from ricaudit.rules import Findings, Rule
 from ricaudit.severity import SeverityClass
+
+_ANY_POD = compile_check({"path_exists": "spec"})
+
+
+def rule_of(rule_id: str, severity: SeverityClass = SeverityClass.HIGH, title: str = "m",
+            remediation: str = "r") -> Rule:
+    """A rule made up for a test, to head a run of `Findings`: it fires on
+    every Pod with a spec."""
+    return Rule(rule_id, title, severity, frozenset({"Pod"}), remediation, _ANY_POD)
+
+
+def flat(findings: Findings) -> list[tuple[Rule, str]]:
+    """Each finding of `findings` as its (rule, ref), in order."""
+    return [(rule, ref) for rule, refs in findings.refs_by_rule for ref in refs]
 
 
 def rendered_json(result) -> str:
@@ -45,9 +61,9 @@ def payload_of(result) -> dict:
             for s in result.summaries
         ],
         "findings": [
-            {"rule_id": f.rule_id, "resource": f.resource, "severity": f.severity.name.lower(),
-             "message": f.message, "remediation": f.remediation}
-            for f in result.findings
+            {"rule_id": rule.id, "resource": ref, "severity": rule.severity.name.lower(),
+             "message": rule.title, "remediation": rule.remediation}
+            for rule, ref in flat(result.findings)
         ],
         "framework_scores": [
             {"framework_id": s.framework_id, "percent": s.percent,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ricaudit
-from conftest import payload_of, rendered_json
+from conftest import flat, payload_of, rendered_json, rule_of
 from ricaudit.catalogs import data_path, load_catalogs
 from ricaudit.cli import main
 from ricaudit.compliance import (
@@ -30,7 +30,7 @@ from ricaudit.compliance import (
 )
 from ricaudit.manifests import ResourceDocument, load_directory
 from ricaudit.report import AuditResult
-from ricaudit.rules import Finding, Findings, evaluate, group_findings_by_app
+from ricaudit.rules import Findings, evaluate, group_findings_by_app
 from ricaudit.severity import SeverityClass, classify_severity
 from ricaudit.vulns import (
     ContainerScanSummary,
@@ -230,12 +230,13 @@ def test_criterion_5a_classify_monotone_exhaustive():
 
 def test_criterion_5b_evaluate_order_independent():
     load = load_directory(data_path("fixtures") / "manifests" / "vulnerable")
-    baseline = evaluate(load_catalogs().rules, load.documents)
+    catalog = load_catalogs().rules
+    baseline = flat(evaluate(catalog, load.documents))
     rng = random.Random(42)
     for _ in range(100):
         shuffled = list(load.documents)
         rng.shuffle(shuffled)
-        assert evaluate(load_catalogs().rules, shuffled) == baseline
+        assert flat(evaluate(catalog, shuffled)) == baseline
     announce(5, "evaluate is order-independent across 100 permutations")
 
 
@@ -247,11 +248,13 @@ def test_criterion_5b_evaluate_order_independent():
     )
 )
 def test_criterion_5c_histogram_conservation(raw):
-    findings = [Finding("R", f"ns/Pod/p{n}", sev, "m", "r") for sev, n in raw]
+    # One rule per severity, each run holding the refs drawn with it.
+    findings = Findings((rule_of(f"R{sev}", sev), [f"ns/Pod/p{n}" for s, n in raw if s is sev])
+                        for sev in SeverityClass)
     # Every fourth resource has no app label; the rest spread over three apps.
     resources = [ResourceDocument("Pod", "ns", f"app{n % 3}" if n % 4 else None, f"ns/Pod/p{n}",
                                   None) for n in {n for _, n in raw}]
-    grouped = group_findings_by_app(Findings.of(findings), resources)
+    grouped = group_findings_by_app(findings, resources)
     assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
     assert (sum(sum(counts.values()) for counts in grouped.values())
             == sum(1 for _, n in raw if n % 4))
@@ -295,14 +298,14 @@ summaries_st = st.builds(
     misconfig_histogram=histograms,
 )
 
-findings_st = st.builds(
-    Finding,
-    rule_id=slug,
-    resource=slug,
-    severity=severities,
-    message=st.text(max_size=20),
-    remediation=st.text(max_size=20),
-)
+findings_st = st.lists(
+    st.tuples(
+        st.builds(rule_of, rule_id=slug, severity=severities, title=st.text(max_size=20),
+                  remediation=st.text(max_size=20)),
+        st.lists(slug, max_size=3),
+    ),
+    max_size=3,
+).map(Findings)
 
 version_findings_st = st.builds(
     lambda component, installed, count, lo_hi, classes, severity: VersionFinding(
@@ -342,7 +345,7 @@ def audit_results(draw):
     )
     return AuditResult(
         summaries=summaries,
-        findings=tuple(draw(st.lists(findings_st, max_size=5))),
+        findings=draw(findings_st),
         framework_scores=scores,
         version_findings=tuple(draw(st.lists(version_findings_st, max_size=3))),
         totals=VulnTotals(

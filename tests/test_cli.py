@@ -1575,3 +1575,91 @@ def test_any_inventory_file_never_crashes(tmp_path_factory, text):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "inventory.yaml").write_bytes(text)
     run_in(root, ["versions", "--inventory", "inventory.yaml"])
+
+
+# An extreme scalar at any leaf of a valid input of each kind. Each scalar is
+# written as raw text in place of a placeholder, so that no dumper rewrites
+# it: JSON has no NaN or Infinity, and int() refuses 5,000 digits.
+EXTREMES = {  # name: (JSON text, YAML text)
+    "100,000-character string": ('"' + "x" * 100_000 + '"', '"' + "x" * 100_000 + '"'),
+    "5,000-digit integer": ("9" * 5000, "9" * 5000),
+    "Unicode digit": ('"٣"', "٣"),  # ARABIC-INDIC DIGIT THREE: int() reads it as 3
+    "NaN": ("NaN", ".nan"),
+    "infinity": ("Infinity", ".inf"),
+}
+PLACEHOLDER = "EXTREME-SCALAR-HERE"
+# No stderr line may be longer than this once the paths it names are taken out.
+STDERR_LINE_BOUND = 200
+# The config keys whose values are paths: a scalar put there is a path it names.
+CONFIG_PATHS = {"inputs", "catalogs", "scan_reports", "inventory", "output"}
+MANIFEST = {"apiVersion": "v1", "kind": "Pod",
+            "metadata": {"name": "p", "namespace": "ns", "labels": {"app": "a"}},
+            "spec": {"securityContext": {"runAsNonRoot": True},
+                     "containers": [{"name": "c", "image": "docker.io/x:1",
+                                     "resources": {"limits": {"cpu": "1"}},
+                                     "ports": [{"containerPort": 80}]}]}}
+
+
+def leaf_paths(tree, path=()):
+    """The path of each scalar of `tree`: its keys and list indices."""
+    if isinstance(tree, dict):
+        return [p for key, value in tree.items() for p in leaf_paths(value, (*path, key))]
+    if isinstance(tree, list):
+        return [p for i, value in enumerate(tree) for p in leaf_paths(value, (*path, i))]
+    return [path]
+
+
+def with_leaf(tree, path, value):
+    """`tree` with the scalar at `path` replaced by `value`."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(tree, dict):
+        return {**tree, head: with_leaf(tree[head], rest, value)}
+    return [with_leaf(item, rest, value) if i == head else item for i, item in enumerate(tree)]
+
+
+def extreme_inputs(fixture_root):
+    """Each input kind: its valid document, its file name and format, and the
+    argv that reads it, run in the example's directory."""
+    catalog = {"rules": [BASES["rule"]], "frameworks": [BASES["framework"]],
+               "advisories": [BASES["advisory"]]}
+    hardened, inventory = str(fixture_root / "manifests" / "hardened"), "inventory.yaml"
+    return {
+        "manifest": (MANIFEST, "m.yaml", ["scan", "m.yaml", "--format", "json", "--fail-on", "low"]),
+        "scan report": (REPORT, "r.json", ["vulns", "--scan-report", "r.json"]),
+        "inventory": ([BASES["inventory"], {"component": "docker", "version": "20.10.7"}],
+                      inventory, ["versions", "--inventory", inventory]),
+        "catalog": (catalog, "catalog.yaml",
+                    ["report", hardened, "--inventory", str(fixture_root / "inventory.yaml"),
+                     "--catalog", "catalog.yaml"]),
+        "config": ({**valid_config(fixture_root), "output": "payload"}, "config.yaml",
+                   ["report", "--config", "config.yaml"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["manifest", "scan report", "inventory", "catalog", "config"])
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_extreme_scalar_at_any_leaf_is_judged_in_bounded_lines(tmp_path_factory, fixture_root,
+                                                               kind, data):
+    document, name, argv = extreme_inputs(fixture_root)[kind]
+    path = data.draw(st.sampled_from(leaf_paths(document)), label="leaf")
+    scalar = data.draw(st.sampled_from(sorted(EXTREMES)), label="scalar")
+    json_text, yaml_text = EXTREMES[scalar]
+    tree = with_leaf(document, path, PLACEHOLDER)
+    if name.endswith(".json"):
+        text = json.dumps(tree).replace(f'"{PLACEHOLDER}"', json_text)
+    else:
+        text = yaml.safe_dump(tree, allow_unicode=True).replace(PLACEHOLDER, yaml_text)
+    root = tmp_path_factory.mktemp("extreme")
+    (root / name).write_text(text, encoding="utf-8")
+    code, err = run_in(root, argv)  # exit 0, 1 or 2, no internal error, one line on exit 2
+    named = {str(root), str(fixture_root), *map(str, root.iterdir())}
+    if kind == "config" and path[0] in CONFIG_PATHS:
+        named.add(yaml_text.strip('"'))
+    named = sorted(named, key=len, reverse=True)
+    for line in err.splitlines():
+        for shown in named:
+            line = line.replace(shown, "")
+        assert len(line) < STDERR_LINE_BOUND, (kind, path, scalar, line[:300])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rule_of
 from ricaudit.catalogs import load_catalogs
 from ricaudit.compliance import (
     Control,
@@ -18,7 +19,7 @@ from ricaudit.compliance import (
 )
 from ricaudit.manifests import parse_manifest_stream
 from ricaudit.pipeline import audit
-from ricaudit.rules import Finding, Findings, evaluate
+from ricaudit.rules import Findings, evaluate
 from ricaudit.severity import SeverityClass
 
 
@@ -32,8 +33,11 @@ def pods(count: int):
 
 
 def evidence_of(findings, resources):
-    """The evidence of `findings`, a plain list, on `resources` under the built-in rules."""
-    return Evidence.build(Findings.of(findings), resources, load_catalogs().rules)
+    """The evidence of `findings` on `resources` under the built-in rules."""
+    return Evidence.build(findings, resources, load_catalogs().rules)
+
+
+NONE = Findings(())
 
 
 def control_for(*rule_ids, control_id="X-1"):
@@ -44,29 +48,27 @@ class TestControlCompliance:
     def test_three_quarters(self):
         resources = pods(4)
         control = control_for("MISC-LIMITS")
-        findings = [Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r")]
+        findings = Findings([(rule_of("MISC-LIMITS", SeverityClass.LOW), ["ns/Pod/p0"])])
         result = control_compliance(control, evidence_of(findings, resources))
         assert (result.passing_resources, result.applicable_resources) == (3, 4)
 
     def test_empty_rule_ids_not_applicable(self):
-        result = control_compliance(control_for(), evidence_of([], pods(3)))
+        result = control_compliance(control_for(), evidence_of(NONE, pods(3)))
         assert result.not_applicable
         assert (result.passing_resources, result.applicable_resources) == (0, 0)
 
     def test_no_applicable_resources_not_applicable(self):
         configmap_control = control_for("MISC-CREDS")
         result = control_compliance(
-            configmap_control, evidence_of([], pods(2))
+            configmap_control, evidence_of(NONE, pods(2))
         )
         assert result.not_applicable
 
     def test_resource_with_two_findings_fails_once(self):
         resources = pods(2)
         control = control_for("MISC-LIMITS", "MISC-REQUESTS")
-        findings = [
-            Finding("MISC-LIMITS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
-            Finding("MISC-REQUESTS", "ns/Pod/p0", SeverityClass.LOW, "m", "r"),
-        ]
+        findings = Findings([(rule_of("MISC-LIMITS", SeverityClass.LOW), ["ns/Pod/p0"]),
+                             (rule_of("MISC-REQUESTS", SeverityClass.LOW), ["ns/Pod/p0"])])
         result = control_compliance(control, evidence_of(findings, resources))
         assert (result.passing_resources, result.applicable_resources) == (1, 2)
 

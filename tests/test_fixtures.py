@@ -155,7 +155,7 @@ def test_hardened_variants_fire_no_named_rules():
     load = load_directory(fixture_root() / "manifests" / "hardened")
     findings = evaluate(load_catalogs().rules, load.documents)
     named = {"MISC-LIMITS", "MISC-SECRETS-LIST", "MISC-PRIVESC", "MISC-ANON", "MISC-CREDS"}
-    assert not [f for f in findings if f.rule_id in named]
+    assert not [rule for rule, _ in findings.refs_by_rule if rule.id in named]
 
 
 def test_recorded_occurrence_sum_and_reported_total_differ():

@@ -7,6 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from conftest import flat
 from ricaudit import catalogs, rules, vulns
 from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import AuditError, CatalogError
@@ -486,7 +487,7 @@ class TestPodRecord:
             (rule.id, doc.ref) for rule in rules for doc in docs
             if rule.applies_to_kind(doc.kind) and rule.predicate(doc.body, doc, walking()))
         assert expected  # the pod rules do fire on these documents
-        assert sorted((f.rule_id, f.resource) for f in evaluate(rules, docs)) == expected
+        assert sorted((rule.id, ref) for rule, ref in flat(evaluate(rules, docs))) == expected
         for check in map(compile_check, self.CHECKS):
             for doc in docs:
                 assert check(doc.body, doc, ctx) == check(doc.body, doc, walking())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
-from conftest import canonical_dumps, payload_of, rendered_json
+from conftest import canonical_dumps, flat, payload_of, rendered_json, rule_of
 from ricaudit.catalogs import data_path, load_catalogs
 from ricaudit.compliance import FrameworkScore
 from ricaudit.fixtures import fixture_audit_result
@@ -20,7 +20,7 @@ from ricaudit.report import (
     render_remediations,
     render_table,
 )
-from ricaudit.rules import Finding, FindingHead, Findings
+from ricaudit.rules import Findings
 from ricaudit.severity import TABLE_ORDER, SeverityClass
 from ricaudit.versions import AdvisoryEntry, VersionFinding, VersionPredicate, parse_version
 from ricaudit.vulns import ContainerScanSummary, ImageRef, VulnTotals
@@ -37,6 +37,9 @@ def summary(container="c1", vuln=None, misconfig=None, image=True):
 
 
 def result_with(**kwargs):
+    for field in ("summaries", "framework_scores", "version_findings"):
+        kwargs.setdefault(field, ())
+    kwargs.setdefault("findings", Findings(()))
     kwargs.setdefault("generated_at", "2026-01-01T00:00:00Z")
     kwargs.setdefault("tool_version", "0.1.0")
     return AuditResult(**kwargs)
@@ -89,12 +92,13 @@ tricky_texts = st.text(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u2028é猫😀 a'
 
 @st.composite
 def sized_results(draw, count: int) -> AuditResult:
-    """A result with `count` findings and a few of every other record, all
-    holding drawn text."""
+    """A result with `count` findings of five rules and a few of every other
+    record, all holding drawn text."""
     texts = draw(st.lists(tricky_texts, min_size=1, max_size=4))
     text = lambda i: texts[i % len(texts)]
-    findings = tuple(Finding(text(i), f"ns/Pod/{text(i + 1)}{i}", SeverityClass(i % 5),
-                             text(i + 2), text(i + 3)) for i in range(count))
+    findings = Findings(
+        (rule_of(text(k), SeverityClass(k), text(k + 2), text(k + 3)),
+         [f"ns/Pod/{text(i + 1)}{i}" for i in range(k, count, 5)]) for k in range(5))
     summaries = tuple(summary(f"{text(i)}{i}", misconfig={SeverityClass.LOW: i})
                       for i in range(draw(st.integers(0, 3))))
     scores = (FrameworkScore(text(0), draw(st.none() | st.integers(0, 100)), 1, 0),)
@@ -104,14 +108,16 @@ def sized_results(draw, count: int) -> AuditResult:
 
 @st.composite
 def tricky_findings(draw, count: int) -> Findings:
-    """`Findings` of up to three rules, whose id, title, remediation and refs
-    are drawn text, holding `count` findings in all."""
-    heads = [FindingHead(draw(tricky_texts), SeverityClass(draw(st.integers(0, 4))),
-                         draw(tricky_texts), draw(tricky_texts)) for _ in range(3)]
+    """`Findings` of up to three rules with distinct ids, whose id, title,
+    remediation and refs are drawn text and whose severities are drawn,
+    holding `count` findings in all. A rule drawn with no refs has no run."""
+    ids = draw(st.lists(tricky_texts, min_size=3, max_size=3, unique=True))
+    rules = [rule_of(rule_id, draw(severities), draw(tricky_texts), draw(tricky_texts))
+             for rule_id in ids]
     cuts = sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2)))
     sizes = [cuts[0], cuts[1] - cuts[0], count - cuts[1]]
-    return Findings((head, draw(st.lists(tricky_texts, min_size=size, max_size=size)))
-                    for head, size in zip(heads, sizes))
+    return Findings((rule, draw(st.lists(tricky_texts, min_size=size, max_size=size)))
+                    for rule, size in zip(rules, sizes))
 
 
 class Writes(list):
@@ -140,23 +146,21 @@ class TestStreamedJson:
         assert rendered_json(result) == canonical_dumps(result)
 
     def test_findings_of_one_rule_with_other_messages_keep_theirs(self):
-        # Findings that share a rule id but not a message, severity or
-        # remediation are each written with their own.
-        findings = (Finding("R", "ns/Pod/a", SeverityClass.HIGH, "m", "r"),
-                    Finding("R", "ns/Pod/b", SeverityClass.HIGH, "other", "r"),
-                    Finding("R", "ns/Pod/c", SeverityClass.LOW, "m", "r"),
-                    Finding("R", "ns/Pod/d", SeverityClass.HIGH, "m", "fix"),
-                    Finding("R", "ns/Pod/e", SeverityClass.HIGH, "m", "r"))
-        for listed in (findings, Findings.of(findings)):
-            result = result_with(findings=listed)
-            assert rendered_json(result) == canonical_dumps(result)
-            assert [f["message"] for f in json.loads(rendered_json(result))["findings"]] == [
-                "m", "other", "m", "m", "m"]
+        # Runs of rules that share an id but not a title, severity or
+        # remediation are each written with their own rule's.
+        rule = rule_of("R")
+        findings = Findings([(rule, ["ns/Pod/a"]), (rule._replace(title="other"), ["ns/Pod/b"]),
+                             (rule._replace(severity=SeverityClass.LOW), ["ns/Pod/c"]),
+                             (rule._replace(remediation="fix"), ["ns/Pod/d"]),
+                             (rule, ["ns/Pod/e"])])
+        result = result_with(findings=findings)
+        assert rendered_json(result) == canonical_dumps(result)
+        assert [f["message"] for f in json.loads(rendered_json(result))["findings"]] == [
+            "m", "other", "m", "m", "m"]
 
     def test_no_write_holds_more_than_one_slice(self):
         count = 5 * JSON_SLICE + 7
-        result = result_with(findings=tuple(
-            Finding("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r") for i in range(count)))
+        result = result_with(findings=Findings([(rule_of("R"), [f"ns/Pod/p{i}" for i in range(count)])]))
         writes = Writes()
         render_json(result, writes)
         assert "".join(writes) == canonical_dumps(result)
@@ -167,29 +171,29 @@ class TestStreamedJson:
     @pytest.mark.parametrize(
         "count", [0, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1, 20 * JSON_SLICE + 1])
     def test_findings_render_as_a_tuple_of_them(self, count):
-        # The refs of three rules, each ref held twice.
+        # The refs of three catalog rules, each ref held twice, render as
+        # the list of their findings, one per ref.
         refs = [[f"ns/Pod/p{i // 6}" for i in range(count) if i % 3 == k] for k in range(3)]
-        findings = Findings(zip(map(FindingHead.of_rule, load_catalogs().rules), refs))
-        assert len(findings) == count
-        assert (rendered_json(result_with(findings=findings))
-                == rendered_json(result_with(findings=tuple(findings))))
+        findings = Findings(zip(load_catalogs().rules, refs))
+        assert len(findings) == len(flat(findings)) == count
+        result = result_with(findings=findings)
+        assert rendered_json(result) == canonical_dumps(result)
 
     def test_renders_without_building_the_whole_payload(self, monkeypatch):
-        # A finding is read only when its dict is built, so the dicts of the
-        # findings written so far are all that have been built at each write.
+        # A finding's ref is read only when its text is built, so the texts of
+        # the findings written so far are all that have been built at each write.
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         read = []
 
-        class Counted(Finding):
-            __slots__ = ()
+        class Counted(list):
+            def __iter__(self):
+                for ref in super().__iter__():
+                    read.append(ref)
+                    yield ref
 
-            @property
-            def rule_id(self):
-                read.append(self)
-                return self[0]
-
-        findings = tuple(Counted("R", f"ns/Pod/p{i}", SeverityClass.HIGH, "m", "r")
-                         for i in range(2500))
+        refs = [f"ns/Pod/p{i}" for i in range(2500)]
+        findings = Findings([(rule_of("R"), Counted(refs[:1000])),
+                             (rule_of("S", SeverityClass.LOW), Counted(refs[1000:]))])
         result = fixture_audit_result()._replace(findings=findings)
         reads_at_write = []
 
@@ -202,7 +206,7 @@ class TestStreamedJson:
         render_json(result, stream)
         written = accumulate(text.count('"rule_id":') for text in stream)
         assert list(written) == reads_at_write
-        assert len(read) == 2500
+        assert read == refs
         assert "".join(stream) == canonical_dumps(result)
 
 
@@ -221,7 +225,7 @@ def table_result():
         summaries=(summary("row0", vuln={SeverityClass.CRITICAL: 12, SeverityClass.LOW: 3},
                            misconfig={SeverityClass.HIGH: 1}),
                    summary("a-longer-name", image=False)),
-        findings=(Finding("R1", "ns/Pod/p", SeverityClass.HIGH, "m", "r"),),
+        findings=Findings([(rule_of("R1"), ["ns/Pod/p"])]),
         framework_scores=(FrameworkScore("nsa-cisa", 50, 4, 1), FrameworkScore("o-ran", None, 0, 3)),
         version_findings=(
             VersionFinding("c", parse_version("1.0.0"), ADVISORY, SeverityClass.HIGH),
@@ -332,18 +336,6 @@ class TestRenderTable:
 
 
 class TestRemediations:
-    def test_lists_each_rule_once(self):
-        r1a = Finding("R1", "a", SeverityClass.HIGH, "m", "fix r1")
-        r1b = Finding("R1", "b", SeverityClass.HIGH, "m", "fix r1")
-        r2 = Finding("R2", "a", SeverityClass.LOW, "m", "fix r2")
-        texts = [render_remediations(result_with(findings=findings))
-                 for findings in ((r1a, r1b, r2), (r1a, r2, r1b))]
-        for text in texts:
-            assert text.count("R1") == 1
-            assert "R1 (2 resources)" in text and "R2 (1 resources)" in text
-            assert text.index("R1") < text.index("R2")
-        assert texts[0] == texts[1]
-
     def test_clean(self):
         assert "No remediations" in render_remediations(result_with())
 
@@ -354,7 +346,7 @@ class TestExitCode:
             assert exit_code(result_with(), threshold) == 0
 
     def test_finding_at_threshold(self):
-        result = result_with(findings=(Finding("R", "a", SeverityClass.HIGH, "m", "r"),))
+        result = result_with(findings=Findings([(rule_of("R"), ["a"])]))
         assert exit_code(result, SeverityClass.HIGH) == 1
         assert exit_code(result, SeverityClass.CRITICAL) == 0
         assert exit_code(result, SeverityClass.LOW) == 1
@@ -396,8 +388,7 @@ def audit_results(draw):
     summaries = tuple(
         summary(f"c{i}", vuln=draw(histograms), misconfig=draw(histograms))
         for i in range(draw(st.integers(0, 3))))
-    findings = tuple(Finding("R", f"ns/Pod/p{i}", severity, "m", "r")
-                     for i, severity in enumerate(draw(st.lists(severities, max_size=3))))
+    findings = draw(tricky_findings(draw(st.integers(0, 4))))
     version_findings = tuple(VersionFinding("c", parse_version("1.0.0"), ADVISORY, severity)
                              for severity in draw(st.lists(severities, max_size=3)))
     occurrences = sum(sum(s.vuln_histogram.values()) for s in summaries)
@@ -417,3 +408,20 @@ def test_exit_1_exactly_when_payload_holds_something_at_fail_on(result):
                    for c in payload["containers"] for name in at_or_above)
             or any(v["severity"] in at_or_above for v in payload["version_findings"]))
         assert exit_code(result, SeverityClass.from_label(fail_on)) == expected, fail_on
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_remediations_list_each_rule_once_with_its_payload_count(data):
+    findings = data.draw(tricky_findings(data.draw(st.integers(0, 6))))
+    result = result_with(findings=findings)
+    text = render_remediations(result)
+    listed = [f["rule_id"] for f in json.loads(rendered_json(result))["findings"]]
+    if not listed:
+        assert text == "No remediations required.\n"
+        return
+    # Each rule of the payload once, in payload order, with its count of findings.
+    rules = {rule.id: rule for rule, _ in findings.refs_by_rule}
+    assert text == "Remediations\n" + "".join(
+        f"  [{rules[rule_id].severity.label}] {rule_id} ({listed.count(rule_id)} resources): "
+        f"{rules[rule_id].remediation}\n" for rule_id in dict.fromkeys(listed))

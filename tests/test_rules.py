@@ -8,12 +8,13 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from conftest import flat, rule_of
 from ricaudit.catalogs import load_catalogs
 from ricaudit.errors import CatalogError
 from ricaudit.manifests import ResourceDocument, load_directory, parse_manifest_stream
+from ricaudit.predicates import EvalContext
 from ricaudit.rules import (
     Evaluation,
-    Finding,
     Findings,
     evaluate,
     group_findings_by_app,
@@ -96,30 +97,31 @@ class TestBuiltinCatalog:
 class TestEvaluate:
     def test_pod_without_limits_fires_limits_rule(self):
         findings = evaluate(load_catalogs().rules, docs(UNBOUNDED_POD))
-        assert any(f.rule_id == "MISC-LIMITS" for f in findings)
+        assert any(rule.id == "MISC-LIMITS" for rule, _ in findings.refs_by_rule)
 
     def test_role_listing_secrets_fires(self):
         findings = evaluate(load_catalogs().rules, docs(SECRET_ROLE))
-        fired = [f for f in findings if f.rule_id == "MISC-SECRETS-LIST"]
+        fired = [(rule, ref) for rule, ref in flat(findings) if rule.id == "MISC-SECRETS-LIST"]
         assert len(fired) == 1
-        assert fired[0].resource == "ns/Role/reader"
-        assert fired[0].severity is SeverityClass.HIGH
+        rule, ref = fired[0]
+        assert ref == "ns/Role/reader"
+        assert rule.severity is SeverityClass.HIGH
 
     def test_hardened_deployment_is_clean(self, hardened_manifests):
         load = load_directory(hardened_manifests)
         findings = evaluate(load_catalogs().rules, load.documents)
-        assert findings == []
+        assert findings.refs_by_rule == [] and len(findings) == 0
 
     def test_hardened_pod_avoids_core_rules(self, hardened_manifests):
         load = load_directory(hardened_manifests)
         findings = evaluate(load_catalogs().rules, load.documents)
-        assert not [f for f in findings if f.rule_id in CORE_RULE_IDS]
+        assert not [rule for rule, _ in findings.refs_by_rule if rule.id in CORE_RULE_IDS]
 
     def test_vulnerable_deployment_profile(self, vulnerable_workloads):
         load = load_directory(vulnerable_workloads / "ricplt-e2term.yaml")
         findings = evaluate(load_catalogs().rules, load.documents)
         # Every finding lands on a resource labelled with the container's app.
-        assert group_findings_by_app(Findings.of(findings), load.documents) == {"ricplt-e2term": {
+        assert group_findings_by_app(findings, load.documents) == {"ricplt-e2term": {
             SeverityClass.CRITICAL: 0,
             SeverityClass.HIGH: 1,
             SeverityClass.MEDIUM: 3,
@@ -130,7 +132,7 @@ class TestEvaluate:
     def test_anonymous_auth_both_surfaces(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests / "cluster")
         findings = evaluate(load_catalogs().rules, load.documents)
-        anon = {f.resource for f in findings if f.rule_id == "MISC-ANON"}
+        anon = {ref for rule, ref in flat(findings) if rule.id == "MISC-ANON"}
         assert anon == {
             "kube-system/Pod/kube-apiserver",
             "_cluster/KubeletConfiguration/worker-kubelet",
@@ -139,9 +141,8 @@ class TestEvaluate:
     def test_duplicate_ref_fires_on_both_copies(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests / "cluster")
         findings = evaluate(load_catalogs().rules, load.documents)
-        dup = [f for f in findings if f.rule_id == "MISC-DUPREF"]
-        assert len(dup) == 2
-        assert {f.resource for f in dup} == {"ricplt/ConfigMap/ric-common"}
+        dup = [ref for rule, ref in flat(findings) if rule.id == "MISC-DUPREF"]
+        assert dup == ["ricplt/ConfigMap/ric-common"] * 2
 
     def test_checks_compiled_once_at_parse(self, monkeypatch, vulnerable_manifests):
         import ricaudit.predicates
@@ -156,7 +157,7 @@ class TestEvaluate:
         monkeypatch.setattr(ricaudit.predicates, "compile_check", no_compile)
         monkeypatch.setattr(ricaudit.rules, "compile_check", no_compile)
         validate_catalog(catalog, frameworks)
-        assert evaluate(catalog, resources)
+        assert len(evaluate(catalog, resources))
 
     def test_duplicate_rule_id_rejected_before_evaluation(self, tmp_path):
         # `evaluate` trusts its catalog: loading it rejects the repeat.
@@ -171,21 +172,23 @@ class TestEvaluate:
     def test_output_sorted(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)
         findings = evaluate(load_catalogs().rules, load.documents)
-        keys = [(-f.severity, f.rule_id, f.resource) for f in findings]
+        keys = [(-rule.severity, rule.id, ref) for rule, ref in flat(findings)]
         assert keys == sorted(keys)
 
     def test_order_independent(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)
-        baseline = evaluate(load_catalogs().rules, load.documents)
+        catalog = load_catalogs().rules
+        baseline = evaluate(catalog, load.documents)
         shuffled = list(load.documents)
         random.Random(7).shuffle(shuffled)
-        assert evaluate(load_catalogs().rules, shuffled) == baseline
+        assert flat(evaluate(catalog, shuffled)) == flat(baseline)
 
     def test_pure_repeated_evaluation(self, vulnerable_manifests):
         load = load_directory(vulnerable_manifests)
-        first = evaluate(load_catalogs().rules, load.documents)
-        second = evaluate(load_catalogs().rules, load.documents)
-        assert first == second
+        catalog = load_catalogs().rules
+        first = evaluate(catalog, load.documents)
+        second = evaluate(catalog, load.documents)
+        assert flat(first) == flat(second)
 
     def test_adding_resource_never_removes_findings(self, vulnerable_workloads):
         # Holds whenever the added resource does not itself change namespace
@@ -195,8 +198,8 @@ class TestEvaluate:
         base: set[tuple[str, str]] = set()
         for count in range(1, len(documents) + 1):
             findings = {
-                (f.rule_id, f.resource)
-                for f in evaluate(load_catalogs().rules, documents[:count])
+                (rule.id, ref)
+                for rule, ref in flat(evaluate(load_catalogs().rules, documents[:count]))
             }
             assert base <= findings
             base = findings
@@ -234,15 +237,15 @@ class TestEvaluation:
             evaluation.add(documents[start:start + batch])
         findings = evaluation.finish()[0]
         whole = evaluate(catalog, documents)
-        assert list(findings) == whole
-        assert len(findings) == len(whole)
-        assert {f.severity for f in whole} == set(SeverityClass)
+        assert flat(findings) == flat(whole)
+        assert len(findings) == len(whole) == len(flat(whole))
+        assert {rule.severity for rule, _ in whole.refs_by_rule} == set(SeverityClass)
         # A ref held twice (MISC-DUPREF's two copies) is two findings.
-        pairs = [(f.rule_id, f.resource) for f in whole]
+        pairs = [(rule.id, ref) for rule, ref in flat(whole)]
         assert len(set(pairs)) < len(pairs)
 
     def test_finished_findings_hold_under_16_bytes_each(self):
-        # One list slot per finding; a Finding tuple alone takes 80 bytes.
+        # One list slot per finding; a tuple per finding would take 80 bytes.
         documents = parse_manifest_stream("---\n".join(LOOSE_POD % i for i in range(500)), "p.yaml")
         catalog = load_catalogs().rules
         gc.collect()
@@ -266,6 +269,23 @@ class TestEvaluation:
         assert freed < 16 * count, f"{freed / count:.1f} bytes per finding"
 
 
+    def test_one_batch_peaks_under_48_bytes_per_finding(self):
+        # A batch's findings are refs in its rules' runs, which extend the
+        # evaluation's lists: no object is built per finding, not even for a while.
+        documents = parse_manifest_stream("---\n".join(LOOSE_POD % i for i in range(500)), "p.yaml")
+        evaluation = Evaluation(load_catalogs().rules)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluation.add(documents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = len(evaluate(evaluation.per_document, documents, EvalContext()))
+        assert count == 12 * 500
+        assert peak < 48 * count, f"{peak / count:.1f} bytes per finding"
+
+
 def labelled(ref: str, app: str | None) -> ResourceDocument:
     return ResourceDocument("Pod", "ns", app, ref, None)
 
@@ -274,15 +294,11 @@ class TestSeverityHistogram:
     """The per-app severity counts that `group_findings_by_app` returns."""
 
     def test_empty(self):
-        assert group_findings_by_app(Findings.of([]), [labelled("a", "x")]) == {}
+        assert group_findings_by_app(Findings(()), [labelled("a", "x")]) == {}
 
     def test_counting(self):
-        findings = [
-            Finding("R", "a", SeverityClass.HIGH, "m", "r"),
-            Finding("R", "b", SeverityClass.HIGH, "m", "r"),
-            Finding("S", "a", SeverityClass.HIGH, "m", "r"),
-        ]
-        grouped = group_findings_by_app(Findings.of(findings), [labelled("a", "x"), labelled("b", "x")])
+        findings = Findings([(rule_of("R"), ["a", "b"]), (rule_of("S"), ["a"])])
+        grouped = group_findings_by_app(findings, [labelled("a", "x"), labelled("b", "x")])
         assert grouped == {"x": {**empty_counts(), SeverityClass.HIGH: 3}}
 
     @given(
@@ -293,14 +309,16 @@ class TestSeverityHistogram:
         st.dictionaries(st.text(max_size=5), st.sampled_from(["x", "y", None])),
     )
     def test_conservation(self, raw, app_of):
-        findings = [Finding("R", res, sev, "m", "r") for sev, res in raw]
-        grouped = group_findings_by_app(Findings.of(findings), [labelled(r, a) for r, a in app_of.items()])
+        # One rule per severity, each run holding the refs drawn with it.
+        findings = Findings((rule_of(f"R{sev}", sev), [res for s, res in raw if s is sev])
+                            for sev in SeverityClass)
+        grouped = group_findings_by_app(findings, [labelled(r, a) for r, a in app_of.items()])
         assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
         assert (sum(sum(counts.values()) for counts in grouped.values())
-                == sum(1 for f in findings if app_of.get(f.resource)))
+                == sum(1 for _, res in raw if app_of.get(res)))
         for app, counts in grouped.items():
-            assert counts == {sev: sum(1 for f in findings if app_of.get(f.resource) == app
-                                       and f.severity is sev) for sev in SeverityClass}
+            assert counts == {sev: sum(1 for s, res in raw if app_of.get(res) == app and s is sev)
+                              for sev in SeverityClass}
 
 
 class TestGrouping:
@@ -308,7 +326,7 @@ class TestGrouping:
         documents = [d for d in load_directory(vulnerable_manifests).documents
                      if d.namespace == "ricplt"]
         findings = evaluate(load_catalogs().rules, documents)
-        grouped = group_findings_by_app(Findings.of(findings), documents)
+        grouped = group_findings_by_app(findings, documents)
         assert len(grouped) == 8
         assert all(set(counts) == set(SeverityClass) for counts in grouped.values())
         assert all(sum(counts.values()) == 13 for counts in grouped.values())
@@ -346,7 +364,7 @@ class TestEffectiveSecurityContext:
     def test_rule_reads_the_effective_context(self, rule_id, pod_context, container_contexts,
                                               fires):
         findings = evaluate(load_catalogs().rules, docs(pod_with(pod_context, *container_contexts)))
-        assert any(f.rule_id == rule_id for f in findings) is fires
+        assert any(rule.id == rule_id for rule, _ in findings.refs_by_rule) is fires
 
 
 class TestRuleParsing:

@@ -12,7 +12,8 @@ from ricaudit.cli import main
 from ricaudit.errors import AuditError, quoted
 from ricaudit.manifests import ResourceDocument
 from ricaudit.pipeline import audit, build_result
-from ricaudit.rules import Finding
+from conftest import rule_of
+from ricaudit.rules import Findings
 from ricaudit.severity import SeverityClass, classify_severity, empty_counts
 from ricaudit.vulns import (
     ImageRef,
@@ -308,10 +309,10 @@ class TestAggregation:
 
     def test_misconfig_only_container_gets_row(self):
         # Rows come from the tally and from the misconfiguration counts, sorted by name.
-        finding = Finding("R", "ns/Pod/x", SeverityClass.LOW, "m", "r")
+        findings = Findings([(rule_of("R", SeverityClass.LOW), ["ns/Pod/x"])])
         pod = ResourceDocument("Pod", "ns", "appx", "ns/Pod/x", None)
         tally = fold(reports_of([Entry("CVE-1", "b")]))
-        summaries = build_result(tally=tally, findings=[finding], resources=[pod]).summaries
+        summaries = build_result(tally=tally, findings=findings, resources=[pod]).summaries
         assert [s.container for s in summaries] == ["appx", "b"]
         assert summaries[0].image is None
         assert summaries[0].misconfig_histogram == one_in(SeverityClass.LOW)

@@ -628,7 +628,7 @@ def test_fixture_report_loads_no_dataclasses_or_fractions(tmp_path, fixture_root
 # The package's public names, written out here rather than read from it.
 PUBLIC_NAMES = {
     "__version__", "SeverityClass", "ThreatCategory", "DirectoryLoad", "ResourceDocument",
-    "load_directory", "parse_manifest_stream", "Finding",
+    "load_directory", "parse_manifest_stream", "Findings",
     "Rule", "evaluate", "ContainerScanSummary", "ImageRef", "VulnTally",
     "VulnTotals", "classify_severity", "occurrence_and_unique_totals", "parse_scan_report",
     "Control", "ControlResult", "Evidence",
